@@ -40,7 +40,9 @@ fn main() -> std::io::Result<()> {
                 // A fresh evaluator per benchmark keeps the corrector's
                 // training history a function of this benchmark alone, so
                 // the chosen organizations are deterministic under any
-                // thread schedule.
+                // thread schedule. Kernel sets are not per evaluator: they
+                // depend only on the package family and (edge, r), so every
+                // benchmark shares the process-wide kernel store.
                 let ev = Evaluator::with_surrogate(spec_from_args(), SurrogateConfig::default());
                 let cfg = OptimizerConfig {
                     fidelity: Fidelity::surrogate_default(),

@@ -717,6 +717,7 @@ fn analytic_seed_points(
         free: free_units as f64 * step,
         watts,
     };
+    let _span = obs::span!("optimizer.analytic_descent");
     obs::counter!("optimizer.analytic_descents").inc();
     let outcome = manifold.descend(&AnalyticConfig::default());
     obs::counter!("optimizer.analytic_grad_evals").add(outcome.grad_evals as u64);

@@ -52,6 +52,7 @@ pub const CANONICAL_COUNTERS: &[&str] = &[
     "evaluator.canonical_hits",
     "evaluator.exact_solves",
     "surrogate.predictions",
+    "surrogate.kernel_solves",
     "optimizer.greedy_starts",
     "optimizer.seeded_starts",
     "optimizer.analytic_descents",
@@ -76,6 +77,7 @@ pub const BASELINE_COUNTERS: &[&str] = &[
     "thermal.mg_refills",
     "thermal.mg_scaffold_hits",
     "evaluator.exact_solves",
+    "surrogate.kernel_solves",
     "serve.shed",
     "serve.deadline_hits",
 ];
@@ -96,11 +98,17 @@ pub const BASELINE_COUNTERS: &[&str] = &[
 /// per run — the currency the analytic seeding saves. Creeping past the
 /// blessed value means the seeding or the draft-then-verify search
 /// quietly stopped firing; spending fewer is the whole point.
+/// `surrogate.kernel_solves` counts unit-response solves spent building
+/// surrogate kernel sets. The shared, single-flight kernel store makes it
+/// the number of distinct (family, edge, r) keys a run touches; creeping
+/// past the blessed value means kernel sets stopped being shared (back
+/// to one build per evaluator or per racing thread).
 pub const ONE_SIDED_COUNTERS: &[&str] = &[
     "thermal.pcg_iterations",
     "thermal.mg_vcycles",
     "thermal.mg_refills",
     "evaluator.exact_solves",
+    "surrogate.kernel_solves",
     "serve.shed",
     "serve.deadline_hits",
 ];

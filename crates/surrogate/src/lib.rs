@@ -27,6 +27,7 @@ pub mod config;
 pub mod corrector;
 pub mod features;
 pub mod kernel;
+mod store;
 mod superpose;
 
 pub use config::SurrogateConfig;
@@ -37,6 +38,7 @@ use features::feature_vector;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use store::{Family, KernelTable};
 use superpose::superpose;
 use tac25d_floorplan::chip::ChipSpec;
 use tac25d_floorplan::layers::StackSpec;
@@ -81,21 +83,14 @@ pub struct Prediction {
     pub trusted: bool,
 }
 
-/// Kernel sets keyed by (half-mm interposer edge, chiplet count); `None`
-/// marks a (edge, n) pair whose kernel construction failed.
-type KernelCache = Mutex<HashMap<(i64, u16), Option<Arc<KernelSet>>>>;
-
 /// The shared, thread-safe surrogate. Cheap to use behind an [`Arc`]:
-/// kernel sets and correctors live behind interior mutexes.
+/// kernel sets live in the process-wide kernel store (shared by every
+/// surrogate of the same package family), correctors behind an interior
+/// mutex (one set per surrogate).
 pub struct ThermalSurrogate {
     cfg: SurrogateConfig,
-    chip: ChipSpec,
-    rules: PackageRules,
-    stack: StackSpec,
-    thermal: ThermalConfig,
-    kernels: KernelCache,
+    kernels: Arc<KernelTable>,
     correctors: Mutex<HashMap<Benchmark, Corrector>>,
-    kernel_solves: AtomicUsize,
     predictions: AtomicUsize,
     observations: AtomicUsize,
 }
@@ -105,7 +100,6 @@ impl std::fmt::Debug for ThermalSurrogate {
         f.debug_struct("ThermalSurrogate")
             .field("predictions", &self.predictions())
             .field("observations", &self.observations())
-            .field("kernel_solves", &self.kernel_solves())
             .finish_non_exhaustive()
     }
 }
@@ -113,6 +107,8 @@ impl std::fmt::Debug for ThermalSurrogate {
 impl ThermalSurrogate {
     /// Creates a surrogate for one package family (chip, rules, 2.5D
     /// stack, thermal configuration — everything that shapes the kernels).
+    /// Surrogates of equal families share their kernel sets; each keeps
+    /// its own residual correctors.
     pub fn new(
         chip: ChipSpec,
         rules: PackageRules,
@@ -122,13 +118,13 @@ impl ThermalSurrogate {
     ) -> Self {
         ThermalSurrogate {
             cfg,
-            chip,
-            rules,
-            stack,
-            thermal,
-            kernels: Mutex::new(HashMap::new()),
+            kernels: KernelTable::shared(Family {
+                chip,
+                rules,
+                stack,
+                thermal,
+            }),
             correctors: Mutex::new(HashMap::new()),
-            kernel_solves: AtomicUsize::new(0),
             predictions: AtomicUsize::new(0),
             observations: AtomicUsize::new(0),
         }
@@ -137,13 +133,6 @@ impl ThermalSurrogate {
     /// The surrogate configuration.
     pub fn config(&self) -> &SurrogateConfig {
         &self.cfg
-    }
-
-    /// Exact solves spent precomputing kernels (reported separately from
-    /// the evaluator's per-candidate simulation count — kernels amortize
-    /// over every spacing probed at their edge).
-    pub fn kernel_solves(&self) -> usize {
-        self.kernel_solves.load(Ordering::Relaxed)
     }
 
     /// Predictions served.
@@ -156,30 +145,25 @@ impl ThermalSurrogate {
         self.observations.load(Ordering::Relaxed)
     }
 
+    fn family(&self) -> &Family {
+        &self.kernels.family
+    }
+
+    /// The kernel set for `edge` rounded to the half-mm lattice. It is
+    /// built at the rounded edge, so the stored set is a function of its
+    /// key alone and no caller's order can change what others read.
     fn kernels_for(&self, edge: Mm, r: u16) -> Option<Arc<KernelSet>> {
-        let key = ((edge.value() * 2.0).round() as i64, r);
-        if let Some(cached) = self.kernels.lock().expect("lock poisoned").get(&key) {
-            return cached.clone();
-        }
-        // Built outside the lock: concurrent duplicate builds only waste
-        // work, and kernel solves are three orders cheaper than holding
-        // every other predictor on the mutex.
-        let _span = obs::span!("surrogate.kernel_build");
-        let built = KernelSet::build(&self.chip, &self.rules, &self.stack, &self.thermal, edge, r)
-            .ok()
-            .flatten()
-            .map(Arc::new);
-        if let Some(set) = &built {
-            self.kernel_solves
-                .fetch_add(set.solves(), Ordering::Relaxed);
-            obs::counter!("surrogate.kernel_solves").add(set.solves() as u64);
-        }
-        self.kernels
-            .lock()
-            .expect("lock poisoned")
-            .entry(key)
-            .or_insert_with(|| built.clone());
-        built
+        let half_mm = (edge.value() * 2.0).round() as i64;
+        self.kernels.get_or_build((half_mm, r), || {
+            let _span = obs::span!("surrogate.kernel_build");
+            let f = self.family();
+            let edge = Mm(half_mm as f64 / 2.0);
+            let built = KernelSet::build(&f.chip, &f.rules, &f.stack, &f.thermal, edge, r)
+                .ok()
+                .flatten()?;
+            obs::counter!("surrogate.kernel_solves").add(built.solves() as u64);
+            Some(Arc::new(built))
+        })
     }
 
     /// Tier-1 peak estimate: superposition with `refine_iters` rounds of
@@ -193,7 +177,8 @@ impl ThermalSurrogate {
         input: &SurrogateInput,
         power_of_core: &dyn Fn(Celsius) -> f64,
     ) -> Option<f64> {
-        let rects = input.layout.chiplet_rects(&self.chip, &self.rules);
+        let f = self.family();
+        let rects = input.layout.chiplet_rects(&f.chip, &f.rules);
         let n = rects.len();
         if input.active_per_chiplet.len() != n || input.noc_per_chiplet.len() != n {
             return None;
@@ -237,7 +222,9 @@ impl ThermalSurrogate {
         if input.layout.is_single_chip() || (r != 2 && r != 4) {
             return None;
         }
-        let edge = input.layout.footprint_edge(&self.chip, &self.rules);
+        let _span = obs::span!("surrogate.predict");
+        let f = self.family();
+        let edge = input.layout.footprint_edge(&f.chip, &f.rules);
         let kernels = self.kernels_for(edge, r)?;
         let raw = self.raw_peak(&kernels, input, power_of_core)?;
         self.predictions.fetch_add(1, Ordering::Relaxed);
@@ -281,7 +268,9 @@ impl ThermalSurrogate {
         if input.layout.is_single_chip() || (r != 2 && r != 4) {
             return;
         }
-        let edge = input.layout.footprint_edge(&self.chip, &self.rules);
+        let _span = obs::span!("surrogate.predict");
+        let f = self.family();
+        let edge = input.layout.footprint_edge(&f.chip, &f.rules);
         let Some(kernels) = self.kernels_for(edge, r) else {
             return;
         };
@@ -303,22 +292,61 @@ impl ThermalSurrogate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Barrier, MutexGuard};
     use tac25d_thermal::model::PackageModel;
 
-    fn surrogate() -> ThermalSurrogate {
+    /// Held by every test that may build kernels through the store, so the
+    /// process-wide `surrogate.kernel_solves` counter moves only for the
+    /// test reading its delta.
+    fn store_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn kernel_solves() -> u64 {
+        obs::counter!("surrogate.kernel_solves").get()
+    }
+
+    /// A family of its own per `thermal` config: tests that count kernel
+    /// builds pick a grid no other test uses, so no earlier test can have
+    /// warmed their keys.
+    fn surrogate_with(thermal: ThermalConfig) -> ThermalSurrogate {
         ThermalSurrogate::new(
             ChipSpec::scc_256(),
             PackageRules::default(),
             StackSpec::system_25d(),
-            ThermalConfig {
-                grid: 16,
-                ..ThermalConfig::default()
-            },
+            thermal,
             SurrogateConfig {
                 min_samples: 3,
                 ..SurrogateConfig::default()
             },
         )
+    }
+
+    fn grid(grid: usize) -> ThermalConfig {
+        ThermalConfig {
+            grid,
+            ..ThermalConfig::default()
+        }
+    }
+
+    fn surrogate() -> ThermalSurrogate {
+        surrogate_with(grid(16))
+    }
+
+    fn assert_bitwise_equal(a: &KernelSet, b: &KernelSet) {
+        assert_eq!((a.r, a.solves()), (b.r, b.solves()));
+        assert_eq!(a.footprint.to_bits(), b.footprint.to_bits());
+        assert_eq!(a.ambient.to_bits(), b.ambient.to_bits());
+        assert_eq!(a.classes.len(), b.classes.len());
+        for (ca, cb) in a.classes.iter().zip(&b.classes) {
+            assert_eq!(ca.rep_center.0.to_bits(), cb.rep_center.0.to_bits());
+            assert_eq!(ca.rep_center.1.to_bits(), cb.rep_center.1.to_bits());
+            let bits = |g: &tac25d_floorplan::raster::Grid| {
+                g.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&ca.rise), bits(&cb.rise));
+        }
     }
 
     fn input(s3: f64) -> SurrogateInput {
@@ -337,6 +365,7 @@ mod tests {
         // Constant per-core power makes the exact answer a single linear
         // solve the tier-1 kernel should approximate closely (the 2×2
         // reference layout *is* the candidate layout here).
+        let _store = store_lock();
         let s = surrogate();
         let inp = input(6.0);
         let per_core = 0.35;
@@ -370,6 +399,7 @@ mod tests {
 
     #[test]
     fn observations_build_trust_and_shrink_the_residual() {
+        let _store = store_lock();
         let s = surrogate();
         let power = |_t: Celsius| 0.35;
         // Pretend the exact solver runs 1.5 °C hotter than tier 1.
@@ -390,6 +420,7 @@ mod tests {
 
     #[test]
     fn far_queries_are_untrusted() {
+        let _store = store_lock();
         let s = surrogate();
         let power = |_t: Celsius| 0.35;
         for s3 in [4.0, 4.5, 5.0] {
@@ -422,16 +453,110 @@ mod tests {
 
     #[test]
     fn kernel_sets_are_cached_per_edge() {
-        let s = surrogate();
+        let _store = store_lock();
+        let s = surrogate_with(grid(14));
         let power = |_t: Celsius| 0.3;
+        let before = kernel_solves();
         let _ = s.predict(&input(6.0), &power);
-        let solves = s.kernel_solves();
-        assert_eq!(solves, 1, "2x2 grid has one symmetry class");
+        assert_eq!(
+            kernel_solves() - before,
+            1,
+            "2x2 grid has one symmetry class"
+        );
         // Same edge: cache hit. (s3 fixes the edge for 4-chiplet layouts.)
         let _ = s.predict(&input(6.0), &power);
-        assert_eq!(s.kernel_solves(), solves);
+        assert_eq!(kernel_solves() - before, 1);
+        // A second surrogate of the same family shares the cached set.
+        let _ = surrogate_with(grid(14)).predict(&input(6.0), &power);
+        assert_eq!(kernel_solves() - before, 1);
         // New edge: one more class solve.
         let _ = s.predict(&input(8.0), &power);
-        assert_eq!(s.kernel_solves(), solves + 1);
+        assert_eq!(kernel_solves() - before, 2);
+    }
+
+    #[test]
+    fn concurrent_misses_on_one_key_build_once() {
+        const THREADS: usize = 8;
+        let _store = store_lock();
+        let barrier = Barrier::new(THREADS);
+        let before = kernel_solves();
+        let sets: Vec<Arc<KernelSet>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let s = surrogate_with(grid(13));
+                        barrier.wait();
+                        s.kernels_for(Mm(24.0), 4).expect("24 mm fits a 4x4 grid")
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(kernel_solves() - before, sets[0].solves() as u64);
+        assert!(sets.iter().all(|set| Arc::ptr_eq(set, &sets[0])));
+    }
+
+    #[test]
+    fn stored_kernel_set_is_bitwise_a_fresh_build() {
+        let _store = store_lock();
+        let s = surrogate();
+        let stored = s.kernels_for(Mm(24.0), 4).expect("24 mm fits a 4x4 grid");
+        let fresh = KernelSet::build(
+            &ChipSpec::scc_256(),
+            &PackageRules::default(),
+            &StackSpec::system_25d(),
+            &grid(16),
+            Mm(24.0),
+            4,
+        )
+        .unwrap()
+        .unwrap();
+        assert_bitwise_equal(&stored, &fresh);
+    }
+
+    #[test]
+    fn families_never_share_entries() {
+        let _store = store_lock();
+        let warm = surrogate_with(grid(15));
+        let a = warm.kernels_for(Mm(24.0), 2).expect("2x2 fits");
+        let before = kernel_solves();
+        let hotter = surrogate_with(ThermalConfig {
+            ambient: Celsius(50.0),
+            ..grid(15)
+        });
+        let b = hotter.kernels_for(Mm(24.0), 2).expect("2x2 fits");
+        assert_eq!(
+            kernel_solves() - before,
+            b.solves() as u64,
+            "must build its own"
+        );
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert_eq!(b.ambient(), 50.0);
+        assert_eq!(a.ambient(), 45.0);
+    }
+
+    #[test]
+    fn a_panicking_build_leaves_the_key_for_the_next_caller() {
+        let table = KernelTable::shared(Family {
+            chip: ChipSpec::scc_256(),
+            rules: PackageRules::default(),
+            stack: StackSpec::system_25d(),
+            thermal: grid(11),
+        });
+        let key = (48, 4);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            table.get_or_build(key, || panic!("builder failed"))
+        }));
+        assert!(panicked.is_err());
+        let mut retried = false;
+        assert!(table
+            .get_or_build(key, || {
+                retried = true;
+                None
+            })
+            .is_none());
+        assert!(retried, "the next caller must rebuild the empty cell");
+        // The retry's result is final: later callers never build again.
+        assert!(table.get_or_build(key, || panic!("built twice")).is_none());
     }
 }
