@@ -204,6 +204,11 @@ pub fn layout_key(layout: &ChipletLayout) -> LayoutKey {
 
 type EvalKey = (LayoutKey, Benchmark, u32, u16);
 
+/// The memo key of one (organization, benchmark, f, p) evaluation point.
+fn eval_key(layout: &ChipletLayout, benchmark: Benchmark, op: OperatingPoint, p: u16) -> EvalKey {
+    (layout_key(layout), benchmark, op.freq_mhz as u32, p)
+}
+
 /// Number of independently-locked stripes per cache. More than the bench
 /// runner's worker count, so concurrent evaluations of different keys
 /// rarely contend on the same lock.
@@ -339,6 +344,12 @@ struct SharedState {
     spec: SystemSpec,
     models: StripedCache<LayoutKey, Arc<PackageModel>>,
     evals: StripedCache<EvalKey, Arc<Evaluation>>,
+    /// Tier-1 surrogate peaks ([`ThermalSurrogate::raw_peak`]) keyed like
+    /// `evals`: the surrogate input and its per-core power law are built
+    /// from the key's (layout, benchmark, op, p) alone, so the key fixes
+    /// the raw peak. Predictions and corrector training both read through
+    /// it, so each distinct point pays one superposition per evaluator.
+    raw_peaks: StripedCache<EvalKey, Option<f64>>,
     /// Lazily-solved single-chip unit response (`None` = not yet built,
     /// `Some(None)` = construction failed and the screen stays off).
     single_unit: Mutex<Option<Option<SingleChipUnit>>>,
@@ -390,16 +401,21 @@ impl fmt::Debug for Evaluator {
 impl Evaluator {
     /// Creates an evaluator for a system specification.
     pub fn new(spec: SystemSpec) -> Self {
+        Evaluator::with_parts(spec, None)
+    }
+
+    fn with_parts(spec: SystemSpec, surrogate: Option<Arc<ThermalSurrogate>>) -> Self {
         Evaluator {
             shared: Arc::new(SharedState {
                 spec,
                 models: StripedCache::new(),
                 evals: StripedCache::new(),
+                raw_peaks: StripedCache::new(),
                 single_unit: Mutex::new(None),
                 bases: Mutex::new(HashMap::new()),
                 inflight: Mutex::new(HashMap::new()),
                 thermal_sims: AtomicUsize::new(0),
-                surrogate: None,
+                surrogate,
             }),
             coupled: None,
             deadline: None,
@@ -431,20 +447,7 @@ impl Evaluator {
             spec.thermal.clone(),
             cfg,
         ));
-        Evaluator {
-            shared: Arc::new(SharedState {
-                spec,
-                models: StripedCache::new(),
-                evals: StripedCache::new(),
-                single_unit: Mutex::new(None),
-                bases: Mutex::new(HashMap::new()),
-                inflight: Mutex::new(HashMap::new()),
-                thermal_sims: AtomicUsize::new(0),
-                surrogate: Some(surrogate),
-            }),
-            coupled: None,
-            deadline: None,
-        }
+        Evaluator::with_parts(spec, Some(surrogate))
     }
 
     /// A new handle onto the same shared caches, surrogate and counters,
@@ -543,9 +546,22 @@ impl Evaluator {
     ) -> Option<Prediction> {
         let surrogate = self.shared.surrogate.as_ref()?;
         let input = self.surrogate_input(layout, benchmark, op, p)?;
-        let profile = benchmark.profile();
+        let raw = self.raw_peak(surrogate, &input)?;
+        Some(surrogate.predict(&input, raw))
+    }
+
+    /// The tier-1 surrogate peak of one point, memoized per evaluator
+    /// (until [`Evaluator::clear`]).
+    fn raw_peak(&self, surrogate: &ThermalSurrogate, input: &SurrogateInput) -> Option<f64> {
+        let key = eval_key(&input.layout, input.benchmark, input.op, input.active_cores);
+        if let Some(raw) = self.shared.raw_peaks.get(&key) {
+            return raw;
+        }
+        let (profile, op) = (input.benchmark.profile(), input.op);
         let core_power = &self.shared.spec.core_power;
-        surrogate.predict(&input, &|t| core_power.active_power(&profile, op, t))
+        let raw = surrogate.raw_peak(input, &|t| core_power.active_power(&profile, op, t));
+        self.shared.raw_peaks.insert(key, raw);
+        raw
     }
 
     /// The single-chip unit response, solved lazily once per evaluator
@@ -634,6 +650,7 @@ impl Evaluator {
     pub fn clear(&self) {
         self.shared.models.clear();
         self.shared.evals.clear();
+        self.shared.raw_peaks.clear();
         self.shared.bases.lock().expect("lock poisoned").clear();
         self.reset_sim_counter();
     }
@@ -722,7 +739,7 @@ impl Evaluator {
         op: OperatingPoint,
         p: u16,
     ) -> Result<Arc<Evaluation>, EvalError> {
-        let key = (layout_key(layout), benchmark, op.freq_mhz as u32, p);
+        let key = eval_key(layout, benchmark, op, p);
         loop {
             if let Some(e) = self.shared.evals.get(&key) {
                 obs::counter!("evaluator.cache_hits").inc();
@@ -880,11 +897,9 @@ impl Evaluator {
         if let Some(surrogate) = &self.shared.surrogate {
             if eval.converged {
                 if let Some(input) = self.surrogate_input(layout, benchmark, op, p) {
-                    surrogate.observe(
-                        &input,
-                        &|t| core_power.active_power(&profile, op, t),
-                        eval.peak,
-                    );
+                    if let Some(raw) = self.raw_peak(surrogate, &input) {
+                        surrogate.observe(&input, raw, eval.peak);
+                    }
                 }
             }
         }
@@ -983,6 +998,102 @@ mod tests {
         let mut spec = SystemSpec::fast();
         spec.thermal.grid = 16; // keep unit tests snappy
         Evaluator::new(spec)
+    }
+
+    fn surrogate_evaluator() -> Evaluator {
+        let mut spec = SystemSpec::fast();
+        spec.thermal.grid = 16;
+        Evaluator::with_surrogate(spec, SurrogateConfig::default())
+    }
+
+    /// Tier-1 superpositions computed on this thread while `f` runs.
+    fn raw_peaks_during(f: impl FnOnce()) -> u64 {
+        obs::trace::begin();
+        f();
+        obs::trace::finish()
+            .expect("collector installed above")
+            .counter_delta("surrogate.raw_peaks")
+    }
+
+    fn assert_bitwise_equal(a: Prediction, b: Prediction) {
+        let bits = |p: Prediction| {
+            (
+                p.raw_peak_c.to_bits(),
+                p.corrected_peak_c.to_bits(),
+                p.confidence.to_bits(),
+                p.trusted,
+            )
+        };
+        assert_eq!(bits(a), bits(b), "{a:?} vs {b:?}");
+    }
+
+    const MEMO_LAYOUT: ChipletLayout = ChipletLayout::Symmetric4 { s3: Mm(4.0) };
+
+    #[test]
+    fn repeated_predictions_compute_tier_one_once() {
+        let ev = surrogate_evaluator();
+        let op = ev.spec().vf.nominal();
+        let mut preds = Vec::new();
+        let computed = raw_peaks_during(|| {
+            for _ in 0..3 {
+                preds.push(
+                    ev.predict_peak(&MEMO_LAYOUT, Benchmark::Hpccg, op, 256)
+                        .unwrap(),
+                );
+            }
+        });
+        assert_eq!(computed, 1, "one superposition for one key");
+        assert_bitwise_equal(preds[0], preds[2]);
+        assert_eq!(ev.surrogate().unwrap().predictions(), 3);
+    }
+
+    #[test]
+    fn observing_a_predicted_point_computes_nothing_new() {
+        let ev = surrogate_evaluator();
+        let op = ev.spec().vf.nominal();
+        ev.predict_peak(&MEMO_LAYOUT, Benchmark::Hpccg, op, 256)
+            .unwrap();
+        let computed = raw_peaks_during(|| {
+            ev.evaluate(&MEMO_LAYOUT, Benchmark::Hpccg, op, 256)
+                .unwrap();
+        });
+        assert_eq!(computed, 0, "training reads the predicted raw peak");
+        assert_eq!(ev.surrogate().unwrap().observations(), 1);
+    }
+
+    #[test]
+    fn clear_drops_the_raw_peak_memo() {
+        let ev = surrogate_evaluator();
+        let op = ev.spec().vf.nominal();
+        let computed = raw_peaks_during(|| {
+            ev.predict_peak(&MEMO_LAYOUT, Benchmark::Hpccg, op, 256);
+            ev.clear();
+            ev.predict_peak(&MEMO_LAYOUT, Benchmark::Hpccg, op, 256);
+        });
+        assert_eq!(computed, 2, "a cleared evaluator recomputes tier 1");
+    }
+
+    #[test]
+    fn memo_hits_match_a_fresh_evaluator_bitwise() {
+        // Same corrector state on both sides (one observation of another
+        // point), so only where the raw peak came from differs.
+        let trained = ChipletLayout::Symmetric4 { s3: Mm(5.0) };
+        let op = SystemSpec::fast().vf.nominal();
+        let warm = surrogate_evaluator();
+        warm.predict_peak(&MEMO_LAYOUT, Benchmark::Hpccg, op, 256)
+            .unwrap();
+        warm.evaluate(&trained, Benchmark::Hpccg, op, 256).unwrap();
+        let mut hit = None;
+        let computed = raw_peaks_during(|| {
+            hit = warm.predict_peak(&MEMO_LAYOUT, Benchmark::Hpccg, op, 256);
+        });
+        assert_eq!(computed, 0, "served from the memo");
+        let fresh = surrogate_evaluator();
+        fresh.evaluate(&trained, Benchmark::Hpccg, op, 256).unwrap();
+        let miss = fresh.predict_peak(&MEMO_LAYOUT, Benchmark::Hpccg, op, 256);
+        let (hit, miss) = (hit.unwrap(), miss.unwrap());
+        assert!(hit.confidence.is_finite(), "the corrector answered");
+        assert_bitwise_equal(hit, miss);
     }
 
     #[test]

@@ -52,6 +52,7 @@ pub const CANONICAL_COUNTERS: &[&str] = &[
     "evaluator.canonical_hits",
     "evaluator.exact_solves",
     "surrogate.predictions",
+    "surrogate.raw_peaks",
     "surrogate.kernel_solves",
     "optimizer.greedy_starts",
     "optimizer.seeded_starts",
@@ -78,6 +79,7 @@ pub const BASELINE_COUNTERS: &[&str] = &[
     "thermal.mg_scaffold_hits",
     "evaluator.exact_solves",
     "surrogate.kernel_solves",
+    "surrogate.raw_peaks",
     "serve.shed",
     "serve.deadline_hits",
 ];
@@ -103,12 +105,18 @@ pub const BASELINE_COUNTERS: &[&str] = &[
 /// the number of distinct (family, edge, r) keys a run touches; creeping
 /// past the blessed value means kernel sets stopped being shared (back
 /// to one build per evaluator or per racing thread).
+/// `surrogate.raw_peaks` counts tier-1 superpositions actually computed;
+/// each evaluator memoizes them per evaluation key, so it is the number
+/// of distinct points each evaluator predicts or trains on. Creeping past
+/// the blessed value means the memo stopped firing and predictions went
+/// back to recomputing the superposition.
 pub const ONE_SIDED_COUNTERS: &[&str] = &[
     "thermal.pcg_iterations",
     "thermal.mg_vcycles",
     "thermal.mg_refills",
     "evaluator.exact_solves",
     "surrogate.kernel_solves",
+    "surrogate.raw_peaks",
     "serve.shed",
     "serve.deadline_hits",
 ];

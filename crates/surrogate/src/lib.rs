@@ -34,12 +34,11 @@ pub use config::SurrogateConfig;
 pub use kernel::KernelSet;
 
 use corrector::Corrector;
-use features::feature_vector;
+use features::{feature_vector, Features};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use store::{Family, KernelTable};
-use superpose::superpose;
 use tac25d_floorplan::chip::ChipSpec;
 use tac25d_floorplan::layers::StackSpec;
 use tac25d_floorplan::organization::{ChipletLayout, PackageRules};
@@ -170,19 +169,34 @@ impl ThermalSurrogate {
     /// the per-chiplet temperature–leakage fixed point (temperatures start
     /// at the evaluator's 60 °C convention and are clamped below the
     /// runaway limit so diverging leakage shows up as a huge — but finite
-    /// and correctly *infeasible* — prediction).
-    fn raw_peak(
+    /// and correctly *infeasible* — prediction). The geometry is sampled
+    /// once; each round re-weights the sampled unit rises with its watts.
+    ///
+    /// `None` when the surrogate does not cover the point (single chip,
+    /// unbuildable kernel, mismatched inputs) and the caller must use the
+    /// exact solver. `power_of_core` is the per-active-core power at a
+    /// given chiplet temperature (dynamic + leakage). The result is a pure
+    /// function of the input and `power_of_core`, so callers may memoize
+    /// it.
+    pub fn raw_peak(
         &self,
-        kernels: &KernelSet,
         input: &SurrogateInput,
         power_of_core: &dyn Fn(Celsius) -> f64,
     ) -> Option<f64> {
+        let r = input.layout.r();
+        if input.layout.is_single_chip() || (r != 2 && r != 4) {
+            return None;
+        }
+        let _span = obs::span!("surrogate.superpose");
+        obs::counter!("surrogate.raw_peaks").inc();
         let f = self.family();
+        let kernels = self.kernels_for(input.layout.footprint_edge(&f.chip, &f.rules), r)?;
         let rects = input.layout.chiplet_rects(&f.chip, &f.rules);
         let n = rects.len();
         if input.active_per_chiplet.len() != n || input.noc_per_chiplet.len() != n {
             return None;
         }
+        let unit_rises = superpose::sample(&kernels, &rects, self.cfg.probes_per_axis);
         let ambient = kernels.ambient();
         let mut temps = vec![60.0f64; n];
         let mut peak = ambient;
@@ -196,7 +210,7 @@ impl ThermalSurrogate {
             if watts.iter().any(|w| !w.is_finite()) {
                 return None;
             }
-            let field = superpose(kernels, &rects, &watts, self.cfg.probes_per_axis);
+            let field = unit_rises.field(&watts);
             peak = ambient + field.peak_rise;
             if !peak.is_finite() {
                 return None;
@@ -208,28 +222,21 @@ impl ThermalSurrogate {
         Some(peak)
     }
 
-    /// Predicts the peak temperature of one evaluation point, or `None`
-    /// when the surrogate does not cover it (single chip, unbuildable
-    /// kernel, mismatched inputs) and the caller must use the exact
-    /// solver. `power_of_core` is the per-active-core power at a given
-    /// chiplet temperature (dynamic + leakage).
-    pub fn predict(
-        &self,
-        input: &SurrogateInput,
-        power_of_core: &dyn Fn(Celsius) -> f64,
-    ) -> Option<Prediction> {
-        let r = input.layout.r();
-        if input.layout.is_single_chip() || (r != 2 && r != 4) {
-            return None;
-        }
-        let _span = obs::span!("surrogate.predict");
+    /// The corrector's feature vector of one evaluation point.
+    fn features(&self, input: &SurrogateInput) -> Features {
         let f = self.family();
         let edge = input.layout.footprint_edge(&f.chip, &f.rules);
-        let kernels = self.kernels_for(edge, r)?;
-        let raw = self.raw_peak(&kernels, input, power_of_core)?;
+        feature_vector(&input.layout, input.op, input.active_cores, edge.value())
+    }
+
+    /// Tier 2: corrects the tier-1 estimate `raw` of one evaluation point
+    /// ([`ThermalSurrogate::raw_peak`]) with the benchmark's learned
+    /// residual.
+    pub fn predict(&self, input: &SurrogateInput, raw: f64) -> Prediction {
+        let _span = obs::span!("surrogate.predict");
         self.predictions.fetch_add(1, Ordering::Relaxed);
         obs::counter!("surrogate.predictions").inc();
-        let x = feature_vector(&input.layout, input.op, input.active_cores, edge.value());
+        let x = self.features(input);
         let correction = self
             .correctors
             .lock()
@@ -239,7 +246,7 @@ impl ThermalSurrogate {
         if correction.is_some() {
             obs::counter!("surrogate.knn_corrector_hits").inc();
         }
-        Some(match correction {
+        match correction {
             Some(c) => Prediction {
                 raw_peak_c: raw,
                 corrected_peak_c: raw + c.offset,
@@ -252,32 +259,14 @@ impl ThermalSurrogate {
                 confidence: f64::INFINITY,
                 trusted: false,
             },
-        })
+        }
     }
 
-    /// Trains the corrector with the exact peak of one evaluation point.
-    /// Call after every converged exact solve; points the surrogate does
-    /// not cover are ignored.
-    pub fn observe(
-        &self,
-        input: &SurrogateInput,
-        power_of_core: &dyn Fn(Celsius) -> f64,
-        exact_peak: Celsius,
-    ) {
-        let r = input.layout.r();
-        if input.layout.is_single_chip() || (r != 2 && r != 4) {
-            return;
-        }
-        let _span = obs::span!("surrogate.predict");
-        let f = self.family();
-        let edge = input.layout.footprint_edge(&f.chip, &f.rules);
-        let Some(kernels) = self.kernels_for(edge, r) else {
-            return;
-        };
-        let Some(raw) = self.raw_peak(&kernels, input, power_of_core) else {
-            return;
-        };
-        let x = feature_vector(&input.layout, input.op, input.active_cores, edge.value());
+    /// Trains the corrector with the exact peak of one evaluation point
+    /// whose tier-1 estimate is `raw`. Call after every converged exact
+    /// solve of a point the surrogate covers.
+    pub fn observe(&self, input: &SurrogateInput, raw: f64, exact_peak: Celsius) {
+        let x = self.features(input);
         self.correctors
             .lock()
             .expect("lock poisoned")
@@ -349,6 +338,15 @@ mod tests {
         }
     }
 
+    /// Tier 1 then tier 2, as the evaluator runs them on a memo miss.
+    fn predict(
+        s: &ThermalSurrogate,
+        inp: &SurrogateInput,
+        power: &dyn Fn(Celsius) -> f64,
+    ) -> Option<Prediction> {
+        s.raw_peak(inp, power).map(|raw| s.predict(inp, raw))
+    }
+
     fn input(s3: f64) -> SurrogateInput {
         SurrogateInput {
             layout: ChipletLayout::Symmetric4 { s3: Mm(s3) },
@@ -369,9 +367,7 @@ mod tests {
         let s = surrogate();
         let inp = input(6.0);
         let per_core = 0.35;
-        let pred = s
-            .predict(&inp, &|_t| per_core)
-            .expect("4-chiplet layouts are covered");
+        let pred = predict(&s, &inp, &|_t| per_core).expect("4-chiplet layouts are covered");
         let model = PackageModel::new(
             &ChipSpec::scc_256(),
             &inp.layout,
@@ -405,10 +401,10 @@ mod tests {
         // Pretend the exact solver runs 1.5 °C hotter than tier 1.
         for s3 in [4.0, 5.0, 6.0] {
             let inp = input(s3);
-            let raw = s.predict(&inp, &power).unwrap().raw_peak_c;
-            s.observe(&inp, &power, Celsius(raw + 1.5));
+            let raw = predict(&s, &inp, &power).unwrap().raw_peak_c;
+            s.observe(&inp, raw, Celsius(raw + 1.5));
         }
-        let pred = s.predict(&input(5.5), &power).unwrap();
+        let pred = predict(&s, &input(5.5), &power).unwrap();
         assert!(pred.trusted, "3 nearby samples with min_samples = 3");
         assert!(
             (pred.corrected_peak_c - pred.raw_peak_c - 1.5).abs() < 0.2,
@@ -425,15 +421,15 @@ mod tests {
         let power = |_t: Celsius| 0.35;
         for s3 in [4.0, 4.5, 5.0] {
             let inp = input(s3);
-            let raw = s.predict(&inp, &power).unwrap().raw_peak_c;
-            s.observe(&inp, &power, Celsius(raw + 1.0));
+            let raw = predict(&s, &inp, &power).unwrap().raw_peak_c;
+            s.observe(&inp, raw, Celsius(raw + 1.0));
         }
         // Same benchmark, very different operating point and core count.
         let mut far = input(4.5);
         far.op = OperatingPoint::new(533.0, 0.8);
         far.active_cores = 64;
         far.active_per_chiplet = vec![16; 4];
-        let pred = s.predict(&far, &power).unwrap();
+        let pred = predict(&s, &far, &power).unwrap();
         assert!(
             !pred.trusted,
             "confidence {} should exceed the radius",
@@ -448,7 +444,7 @@ mod tests {
         inp.layout = ChipletLayout::SingleChip;
         inp.active_per_chiplet = vec![256];
         inp.noc_per_chiplet = vec![0.0];
-        assert!(s.predict(&inp, &|_t| 0.3).is_none());
+        assert!(predict(&s, &inp, &|_t| 0.3).is_none());
     }
 
     #[test]
@@ -457,20 +453,20 @@ mod tests {
         let s = surrogate_with(grid(14));
         let power = |_t: Celsius| 0.3;
         let before = kernel_solves();
-        let _ = s.predict(&input(6.0), &power);
+        let _ = predict(&s, &input(6.0), &power);
         assert_eq!(
             kernel_solves() - before,
             1,
             "2x2 grid has one symmetry class"
         );
         // Same edge: cache hit. (s3 fixes the edge for 4-chiplet layouts.)
-        let _ = s.predict(&input(6.0), &power);
+        let _ = predict(&s, &input(6.0), &power);
         assert_eq!(kernel_solves() - before, 1);
         // A second surrogate of the same family shares the cached set.
-        let _ = surrogate_with(grid(14)).predict(&input(6.0), &power);
+        let _ = predict(&surrogate_with(grid(14)), &input(6.0), &power);
         assert_eq!(kernel_solves() - before, 1);
         // New edge: one more class solve.
-        let _ = s.predict(&input(8.0), &power);
+        let _ = predict(&s, &input(8.0), &power);
         assert_eq!(kernel_solves() - before, 2);
     }
 

@@ -6,8 +6,12 @@
 //! mapped to its symmetry class, the stored representative field is
 //! sampled through the chiplet's octant map plus the small translation
 //! between its mapped center and the representative's, and the rises add.
+//!
+//! The geometry is sampled once per candidate ([`sample`]); each leakage
+//! refinement round then only re-weights the stored unit rises with its
+//! own per-chiplet watts ([`UnitRises::field`]).
 
-use crate::kernel::{bilinear, class_of, KernelSet};
+use crate::kernel::{bilinear, class_of, ClassKernel, KernelSet, OctantMap};
 use tac25d_floorplan::geometry::Rect;
 
 /// Superposed temperature-rise estimates of one candidate layout.
@@ -19,74 +23,106 @@ pub(crate) struct SuperposedField {
     pub chiplet_mean_rise: Vec<f64>,
 }
 
-/// Rise at query point `(x, y)` caused by 1 W on the chiplet at grid
-/// position `(row, col)` centered at `center`.
-fn unit_rise_at(
-    kernels: &KernelSet,
-    row: usize,
-    col: usize,
-    center: (f64, f64),
-    x: f64,
-    y: f64,
-) -> f64 {
-    let (class, map) = class_of(row, col, kernels.r);
-    let k = &kernels.classes[class];
-    let (qx, qy) = map.apply(kernels.footprint, x, y);
-    let (cx, cy) = map.apply(kernels.footprint, center.0, center.1);
-    bilinear(
-        &k.rise,
-        kernels.footprint,
-        qx + k.rep_center.0 - cx,
-        qy + k.rep_center.1 - cy,
-    )
+/// The unit rises of one candidate layout: for every (target chiplet,
+/// probe point) row, the rise per watt on each source chiplet.
+#[derive(Debug, Clone)]
+pub(crate) struct UnitRises {
+    chiplets: usize,
+    probes_per_chiplet: usize,
+    /// Row-major `(target · probe) × source`.
+    rise: Vec<f64>,
 }
 
-/// Superposes the kernel set over the candidate's chiplet rectangles
-/// (row-major over the r×r grid) with the given per-chiplet total watts.
-pub(crate) fn superpose(
-    kernels: &KernelSet,
-    rects: &[Rect],
-    watts: &[f64],
-    probes_per_axis: usize,
-) -> SuperposedField {
+/// One source chiplet's kernel, octant map and mapped center — fixed per
+/// candidate, so hoisted out of the probe loop.
+struct Source<'a> {
+    kernel: &'a ClassKernel,
+    map: OctantMap,
+    center: (f64, f64),
+}
+
+impl Source<'_> {
+    /// Rise at query point `(x, y)` per watt on this source.
+    fn unit_rise(&self, footprint: f64, x: f64, y: f64) -> f64 {
+        let (qx, qy) = self.map.apply(footprint, x, y);
+        let (cx, cy) = self.center;
+        let k = self.kernel;
+        bilinear(
+            &k.rise,
+            footprint,
+            qx + k.rep_center.0 - cx,
+            qy + k.rep_center.1 - cy,
+        )
+    }
+}
+
+/// Samples the kernel set at `probes_per_axis²` probe points on each of
+/// the candidate's chiplet rectangles (row-major over the r×r grid), for
+/// every source chiplet.
+pub(crate) fn sample(kernels: &KernelSet, rects: &[Rect], probes_per_axis: usize) -> UnitRises {
     let r = kernels.r;
     assert_eq!(rects.len(), r * r, "expected one rect per grid cell");
-    assert_eq!(watts.len(), rects.len(), "one power figure per chiplet");
     assert!(probes_per_axis >= 1);
-    let centers: Vec<(f64, f64)> = rects
+    let sources: Vec<Source> = rects
         .iter()
-        .map(|rc| {
+        .enumerate()
+        .map(|(j, rc)| {
+            let (class, map) = class_of(j / r, j % r, r);
             let c = rc.center();
-            (c.x.value(), c.y.value())
+            Source {
+                kernel: &kernels.classes[class],
+                map,
+                center: map.apply(kernels.footprint, c.x.value(), c.y.value()),
+            }
         })
         .collect();
-    let mut peak_rise = f64::NEG_INFINITY;
-    let mut chiplet_mean_rise = Vec::with_capacity(rects.len());
+    let probes_per_chiplet = probes_per_axis * probes_per_axis;
+    let mut rise = Vec::with_capacity(rects.len() * probes_per_chiplet * sources.len());
     for target in rects {
         let (x0, y0) = (target.x0().value(), target.y0().value());
         let (w, h) = (target.x1().value() - x0, target.y1().value() - y0);
-        let mut sum = 0.0;
         for py in 0..probes_per_axis {
             let y = y0 + (py as f64 + 0.5) / probes_per_axis as f64 * h;
             for px in 0..probes_per_axis {
                 let x = x0 + (px as f64 + 0.5) / probes_per_axis as f64 * w;
+                rise.extend(sources.iter().map(|s| s.unit_rise(kernels.footprint, x, y)));
+            }
+        }
+    }
+    UnitRises {
+        chiplets: rects.len(),
+        probes_per_chiplet,
+        rise,
+    }
+}
+
+impl UnitRises {
+    /// Superposes the sampled unit rises with the given per-chiplet total
+    /// watts (row-major over the r×r grid).
+    pub(crate) fn field(&self, watts: &[f64]) -> SuperposedField {
+        let n = self.chiplets;
+        assert_eq!(watts.len(), n, "one power figure per chiplet");
+        let mut peak_rise = f64::NEG_INFINITY;
+        let mut chiplet_mean_rise = Vec::with_capacity(n);
+        for chiplet in self.rise.chunks_exact(self.probes_per_chiplet * n) {
+            let mut sum = 0.0;
+            for row in chiplet.chunks_exact(n) {
                 let mut rise = 0.0;
-                for (j, &center) in centers.iter().enumerate() {
-                    if watts[j] == 0.0 {
+                for (&w, &unit) in watts.iter().zip(row) {
+                    if w == 0.0 {
                         continue;
                     }
-                    let (row, col) = (j / r, j % r);
-                    rise += watts[j] * unit_rise_at(kernels, row, col, center, x, y);
+                    rise += w * unit;
                 }
                 sum += rise;
                 peak_rise = peak_rise.max(rise);
             }
+            chiplet_mean_rise.push(sum / self.probes_per_chiplet as f64);
         }
-        chiplet_mean_rise.push(sum / (probes_per_axis * probes_per_axis) as f64);
-    }
-    SuperposedField {
-        peak_rise,
-        chiplet_mean_rise,
+        SuperposedField {
+            peak_rise,
+            chiplet_mean_rise,
+        }
     }
 }
 
@@ -95,7 +131,7 @@ mod tests {
     use super::*;
     use tac25d_floorplan::chip::ChipSpec;
     use tac25d_floorplan::layers::StackSpec;
-    use tac25d_floorplan::organization::{ChipletLayout, PackageRules};
+    use tac25d_floorplan::organization::{enumerate_symmetric16, ChipletLayout, PackageRules};
     use tac25d_floorplan::units::Mm;
     use tac25d_thermal::model::{PackageModel, ThermalConfig};
 
@@ -115,6 +151,127 @@ mod tests {
         .expect("edge fits")
     }
 
+    /// The per-round superposition the sampled path replaced: every round
+    /// re-samples each (probe, source) unit rise. Kept as the bit-identity
+    /// oracle.
+    fn reference_superpose(
+        kernels: &KernelSet,
+        rects: &[Rect],
+        watts: &[f64],
+        probes_per_axis: usize,
+    ) -> SuperposedField {
+        let r = kernels.r;
+        let unit_rise_at = |row: usize, col: usize, center: (f64, f64), x: f64, y: f64| {
+            let (class, map) = class_of(row, col, r);
+            let k = &kernels.classes[class];
+            let (qx, qy) = map.apply(kernels.footprint, x, y);
+            let (cx, cy) = map.apply(kernels.footprint, center.0, center.1);
+            bilinear(
+                &k.rise,
+                kernels.footprint,
+                qx + k.rep_center.0 - cx,
+                qy + k.rep_center.1 - cy,
+            )
+        };
+        let centers: Vec<(f64, f64)> = rects
+            .iter()
+            .map(|rc| {
+                let c = rc.center();
+                (c.x.value(), c.y.value())
+            })
+            .collect();
+        let mut peak_rise = f64::NEG_INFINITY;
+        let mut chiplet_mean_rise = Vec::with_capacity(rects.len());
+        for target in rects {
+            let (x0, y0) = (target.x0().value(), target.y0().value());
+            let (w, h) = (target.x1().value() - x0, target.y1().value() - y0);
+            let mut sum = 0.0;
+            for py in 0..probes_per_axis {
+                let y = y0 + (py as f64 + 0.5) / probes_per_axis as f64 * h;
+                for px in 0..probes_per_axis {
+                    let x = x0 + (px as f64 + 0.5) / probes_per_axis as f64 * w;
+                    let mut rise = 0.0;
+                    for (j, &center) in centers.iter().enumerate() {
+                        if watts[j] == 0.0 {
+                            continue;
+                        }
+                        rise += watts[j] * unit_rise_at(j / r, j % r, center, x, y);
+                    }
+                    sum += rise;
+                    peak_rise = peak_rise.max(rise);
+                }
+            }
+            chiplet_mean_rise.push(sum / (probes_per_axis * probes_per_axis) as f64);
+        }
+        SuperposedField {
+            peak_rise,
+            chiplet_mean_rise,
+        }
+    }
+
+    /// Deterministic power vectors of `n` chiplets: uniform, graded,
+    /// and two with unpowered chiplets (zeros skip the source entirely).
+    fn power_vectors(n: usize) -> Vec<Vec<f64>> {
+        vec![
+            vec![6.0; n],
+            (0..n).map(|j| 1.5 + 0.37 * j as f64).collect(),
+            (0..n)
+                .map(|j| if j % 3 == 0 { 0.0 } else { 4.0 + j as f64 })
+                .collect(),
+            (0..n)
+                .map(|j| if j == n - 1 { 40.0 } else { 0.0 })
+                .collect(),
+        ]
+    }
+
+    fn assert_bitwise_equal(a: &SuperposedField, b: &SuperposedField, case: &str) {
+        assert_eq!(a.peak_rise.to_bits(), b.peak_rise.to_bits(), "{case}");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&a.chiplet_mean_rise),
+            bits(&b.chiplet_mean_rise),
+            "{case}"
+        );
+    }
+
+    fn assert_sampled_matches_reference(set: &KernelSet, layout: &ChipletLayout) -> usize {
+        let rects = layout.chiplet_rects(&ChipSpec::scc_256(), &PackageRules::default());
+        let mut cases = 0;
+        for probes in [3, 5] {
+            let sampled = sample(set, &rects, probes);
+            for watts in power_vectors(rects.len()) {
+                let case = format!("{layout} probes={probes} watts={watts:?}");
+                let oracle = reference_superpose(set, &rects, &watts, probes);
+                assert_bitwise_equal(&sampled.field(&watts), &oracle, &case);
+                cases += 1;
+            }
+        }
+        cases
+    }
+
+    #[test]
+    fn sampled_superposition_is_bitwise_the_per_round_oracle() {
+        let chip = ChipSpec::scc_256();
+        let rules = PackageRules::default();
+        let mut cases = 0;
+        for edge in [22.0, 26.0, 30.5] {
+            let set = kernels(edge, 4);
+            let lattice = enumerate_symmetric16(&chip, &rules, Mm(edge));
+            assert!(!lattice.is_empty(), "{edge} mm has lattice points");
+            for spacing in lattice {
+                let layout = ChipletLayout::Symmetric16 { spacing };
+                cases += assert_sampled_matches_reference(&set, &layout);
+            }
+        }
+        for edge in [20.0, 23.5, 26.5, 33.0] {
+            let set = kernels(edge, 2);
+            let s3 = edge - chip.edge().value() - 2.0 * rules.guard.value();
+            let layout = ChipletLayout::Symmetric4 { s3: Mm(s3) };
+            cases += assert_sampled_matches_reference(&set, &layout);
+        }
+        assert!(cases > 1000, "only {cases} cases");
+    }
+
     #[test]
     fn superposed_peak_matches_exact_solve_on_the_reference_layout() {
         // On the uniform reference layout itself the translations are all
@@ -129,7 +286,7 @@ mod tests {
         let layout = ChipletLayout::Uniform { r: 4, gap: Mm(gap) };
         let rects = layout.chiplet_rects(&chip, &rules);
         let watts = vec![6.0; 16];
-        let field = superpose(&set, &rects, &watts, 5);
+        let field = sample(&set, &rects, 5).field(&watts);
         let model = PackageModel::new(
             &chip,
             &layout,
@@ -163,7 +320,7 @@ mod tests {
         let rects = layout.chiplet_rects(&chip, &rules);
         // Power only the upper-right chiplet (index 3).
         let watts = vec![0.0, 0.0, 0.0, 40.0];
-        let field = superpose(&set, &rects, &watts, 5);
+        let field = sample(&set, &rects, 5).field(&watts);
         let hot = field.chiplet_mean_rise[3];
         let cold = field.chiplet_mean_rise[0];
         assert!(hot > 2.0 * cold, "hot {hot} vs cold {cold}");
@@ -179,8 +336,9 @@ mod tests {
             s3: Mm(26.0 - chip.edge().value() - 2.0 * rules.guard.value()),
         };
         let rects = layout.chiplet_rects(&chip, &rules);
-        let f1 = superpose(&set, &rects, &[10.0; 4], 4);
-        let f2 = superpose(&set, &rects, &[20.0; 4], 4);
+        let sampled = sample(&set, &rects, 4);
+        let f1 = sampled.field(&[10.0; 4]);
+        let f2 = sampled.field(&[20.0; 4]);
         assert!((f2.peak_rise / f1.peak_rise - 2.0).abs() < 1e-9);
     }
 }
