@@ -33,12 +33,13 @@ use std::path::{Path, PathBuf};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use tac25d_obs as obs;
-use tac25d_thermal::model::{SolverKind, ThermalConfig};
+use tac25d_thermal::model::ThermalConfig;
 
 /// One recorded `fig8` run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fig8Entry {
-    /// Solver kind the run used (`ic0`, `jacobi` or `mg`).
+    /// Solver kind the run used: always `ic0` now; older entries also
+    /// record `jacobi` or `mg`.
     pub solver: String,
     /// Whether `--fast` was passed.
     pub fast: bool,
@@ -91,7 +92,7 @@ pub fn current_entry() -> Fig8Entry {
             .map_or(0, |(_, v)| *v)
     };
     Fig8Entry {
-        solver: solver_name(),
+        solver: ThermalConfig::default().solver.name().to_owned(),
         fast: crate::fast_flag(),
         wall_s: obs::uptime().as_secs_f64(),
         pcg_iterations: counter("thermal.pcg_iterations"),
@@ -101,20 +102,6 @@ pub fn current_entry() -> Fig8Entry {
         git_rev: git_rev(),
         host: host_string(),
     }
-}
-
-/// The name of the solver the run *actually* used: `SolverKind::from_env`
-/// resolved against the grid the `--fast` flag selects, so a
-/// `TAC25D_SOLVER=auto` run is recorded as the concrete `mg` or `ic0`
-/// path it dispatched to — entries stay comparable across selection
-/// modes.
-fn solver_name() -> String {
-    let grid = if crate::fast_flag() {
-        ThermalConfig::fast().grid
-    } else {
-        ThermalConfig::default().grid
-    };
-    SolverKind::from_env().resolve(grid).name().to_owned()
 }
 
 /// CPU model (from `/proc/cpuinfo`) plus logical core count, e.g.
@@ -322,8 +309,7 @@ mod tests {
     #[test]
     fn current_entry_reads_registry_and_env() {
         let e = current_entry();
-        // `auto` can never appear: solver_name records the resolved path.
-        assert!(e.solver == "ic0" || e.solver == "jacobi" || e.solver == "mg");
+        assert_eq!(e.solver, "ic0");
         assert_eq!(e.date.len(), 10);
         assert!(e.wall_s >= 0.0);
         assert!(!e.host.is_empty());

@@ -357,12 +357,7 @@ struct SharedState {
     /// edge) class, used as the patch base for incremental network
     /// assembly of sibling layouts ([`PackageModel::new_like`]). Because
     /// the incremental build is bitwise identical to a full build, results
-    /// never depend on which model seeded the class. The base also carries
-    /// the class's shared multigrid scaffold cell: every sibling derived
-    /// from it refills numeric values into the one symbolic hierarchy
-    /// (and, once the base has solved under `TAC25D_SOLVER=mg`, patches
-    /// only the dirty rows), so hierarchy construction per sweep drops
-    /// from one per model to one per (stack, edge) class.
+    /// never depend on which model seeded the class.
     bases: Mutex<HashMap<(bool, u64), Arc<PackageModel>>>,
     /// Exact evaluations currently being computed, for cross-request
     /// coalescing: concurrent misses on one key elect a single leader and

@@ -136,6 +136,11 @@ pub enum LayoutError {
         /// The offending layout.
         layout: String,
     },
+    /// A spacing or gap was NaN or infinite.
+    NonFiniteSpacing {
+        /// The offending layout.
+        layout: String,
+    },
     /// Eq. (10) violated: the centre chiplets would overlap the outer ring.
     CenterOverlap {
         /// The offending spacing triple.
@@ -176,6 +181,9 @@ impl fmt::Display for LayoutError {
         match self {
             LayoutError::NegativeSpacing { layout } => {
                 write!(f, "negative chiplet spacing in {layout}")
+            }
+            LayoutError::NonFiniteSpacing { layout } => {
+                write!(f, "non-finite chiplet spacing in {layout}")
             }
             LayoutError::CenterOverlap { spacing } => write!(
                 f,
@@ -253,7 +261,7 @@ impl ChipletLayout {
             .unwrap_or_else(|| chip.edge())
     }
 
-    /// Checks all organization constraints (non-negative spacings, Eq. (10),
+    /// Checks all organization constraints (finite, non-negative spacings, Eq. (10),
     /// Eq. (7) interposer bound, geometric non-overlap).
     ///
     /// # Errors
@@ -266,26 +274,11 @@ impl ChipletLayout {
                 if *r < 2 {
                     return Err(LayoutError::DegenerateGrid { r: *r });
                 }
-                if gap.value() < 0.0 {
-                    return Err(LayoutError::NegativeSpacing {
-                        layout: format!("{self:?}"),
-                    });
-                }
+                self.check_spacings(&[*gap])?;
             }
-            ChipletLayout::Symmetric4 { s3 } => {
-                if s3.value() < 0.0 {
-                    return Err(LayoutError::NegativeSpacing {
-                        layout: format!("{self:?}"),
-                    });
-                }
-            }
+            ChipletLayout::Symmetric4 { s3 } => self.check_spacings(&[*s3])?,
             ChipletLayout::Symmetric16 { spacing } => {
-                if spacing.s1.value() < 0.0 || spacing.s2.value() < 0.0 || spacing.s3.value() < 0.0
-                {
-                    return Err(LayoutError::NegativeSpacing {
-                        layout: format!("{self:?}"),
-                    });
-                }
+                self.check_spacings(&[spacing.s1, spacing.s2, spacing.s3])?;
                 if !spacing.satisfies_overlap_rule() {
                     return Err(LayoutError::CenterOverlap { spacing: *spacing });
                 }
@@ -308,6 +301,20 @@ impl ChipletLayout {
                     return Err(LayoutError::ChipletsOverlap { a: i, b: j });
                 }
             }
+        }
+        Ok(())
+    }
+
+    /// Rejects NaN/infinite spacings, then negative ones. NaN compares
+    /// false against every bound, so it must be caught before any
+    /// geometric check.
+    fn check_spacings(&self, spacings: &[Mm]) -> Result<(), LayoutError> {
+        let layout = || format!("{self:?}");
+        if spacings.iter().any(|s| !s.value().is_finite()) {
+            return Err(LayoutError::NonFiniteSpacing { layout: layout() });
+        }
+        if spacings.iter().any(|s| s.value() < 0.0) {
+            return Err(LayoutError::NegativeSpacing { layout: layout() });
         }
         Ok(())
     }
@@ -596,6 +603,34 @@ mod tests {
             l.validate(&chip(), &rules()),
             Err(LayoutError::NegativeSpacing { .. })
         ));
+    }
+
+    #[test]
+    fn non_finite_spacing_rejected() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let layouts = [
+                ChipletLayout::Uniform { r: 4, gap: Mm(bad) },
+                ChipletLayout::Symmetric4 { s3: Mm(bad) },
+                ChipletLayout::Symmetric16 {
+                    spacing: Spacing::new(bad, 1.0, 2.0),
+                },
+                ChipletLayout::Symmetric16 {
+                    spacing: Spacing::new(2.0, bad, 2.0),
+                },
+                ChipletLayout::Symmetric16 {
+                    spacing: Spacing::new(2.0, 1.0, bad),
+                },
+            ];
+            for l in layouts {
+                assert!(
+                    matches!(
+                        l.validate(&chip(), &rules()),
+                        Err(LayoutError::NonFiniteSpacing { .. })
+                    ),
+                    "{l:?} must be rejected as non-finite"
+                );
+            }
+        }
     }
 
     #[test]

@@ -44,11 +44,6 @@ pub const CANONICAL_COUNTERS: &[&str] = &[
     "thermal.exact_solves",
     "thermal.anderson_accepted",
     "thermal.assembly_rows_reused",
-    "thermal.mg_vcycles",
-    "thermal.mg_refills",
-    "thermal.mg_scaffold_hits",
-    "thermal.mg_escalations",
-    "thermal.mg_build_us",
     "evaluator.canonical_hits",
     "evaluator.exact_solves",
     "surrogate.predictions",
@@ -66,17 +61,11 @@ pub const CANONICAL_COUNTERS: &[&str] = &[
 ];
 
 /// Counters the CI `profile` job guards against drift.
-/// `thermal.mg_build_us` is deliberately absent: it measures wall time,
-/// which is machine-dependent — the CI profile job checks it against the
-/// run's own wall clock (≤ 10%) instead of against a blessed value.
 pub const BASELINE_COUNTERS: &[&str] = &[
     "thermal.pcg_iterations",
     "thermal.exact_solves",
     "thermal.anderson_accepted",
     "thermal.assembly_rows_reused",
-    "thermal.mg_vcycles",
-    "thermal.mg_refills",
-    "thermal.mg_scaffold_hits",
     "evaluator.exact_solves",
     "surrogate.kernel_solves",
     "surrogate.raw_peaks",
@@ -87,15 +76,10 @@ pub const BASELINE_COUNTERS: &[&str] = &[
 /// Baseline counters where only *increases* are regressions: dropping
 /// below the blessed value (a faster solver, a better warm start) must
 /// pass the gate without a re-bless, while exceeding it by the tolerance
-/// still fails. `thermal.mg_vcycles` is 0 on the default path (the gate
-/// rides along for free there) and guards V-cycle-count regressions on
-/// the `TAC25D_SOLVER=mg` profile run.
+/// still fails.
 /// `serve.shed` and `serve.deadline_hits` are blessed at 0 — any request
 /// shedding or deadline expiry during a profile run is queue/backpressure
 /// behavior regressing, while staying at 0 rides along for free.
-/// `thermal.mg_refills` counts numeric hierarchy fills — growing past
-/// the blessed value means models stopped sharing hierarchies (or mg ran
-/// where it should not have), while needing fewer is an improvement.
 /// `evaluator.exact_solves` counts exact coupled thermal/leakage solves
 /// per run — the currency the analytic seeding saves. Creeping past the
 /// blessed value means the seeding or the draft-then-verify search
@@ -112,8 +96,6 @@ pub const BASELINE_COUNTERS: &[&str] = &[
 /// back to recomputing the superposition.
 pub const ONE_SIDED_COUNTERS: &[&str] = &[
     "thermal.pcg_iterations",
-    "thermal.mg_vcycles",
-    "thermal.mg_refills",
     "evaluator.exact_solves",
     "surrogate.kernel_solves",
     "surrogate.raw_peaks",
@@ -126,15 +108,8 @@ pub const ONE_SIDED_COUNTERS: &[&str] = &[
 /// rows patched instead of rebuilt), so exceeding the blessed value is
 /// progress and passes outright, while falling below it by the tolerance
 /// means an optimization quietly stopped firing.
-/// `thermal.mg_scaffold_hits` counts symbolic-scaffold reuses on the
-/// multigrid profile run — falling below the blessed value means the
-/// shape-keyed amortization quietly stopped firing (0 on the default
-/// path, where the gate rides along for free).
-pub const ONE_SIDED_MIN_COUNTERS: &[&str] = &[
-    "thermal.anderson_accepted",
-    "thermal.assembly_rows_reused",
-    "thermal.mg_scaffold_hits",
-];
+pub const ONE_SIDED_MIN_COUNTERS: &[&str] =
+    &["thermal.anderson_accepted", "thermal.assembly_rows_reused"];
 
 /// Relative drift allowed against the committed baseline (the parallel
 /// greedy's lowest-index-winner early exit makes solve counts mildly
@@ -489,18 +464,17 @@ mod tests {
     use super::*;
 
     fn fake_profile(pcg_iters: f64, exact: f64) -> Value {
-        fake_profile_full(pcg_iters, exact, 0.0, 0.0, 0.0)
+        fake_profile_full(pcg_iters, exact, 0.0, 0.0)
     }
 
-    fn fake_profile_full(pcg_iters: f64, exact: f64, anderson: f64, rows: f64, hits: f64) -> Value {
+    fn fake_profile_full(pcg_iters: f64, exact: f64, anderson: f64, rows: f64) -> Value {
         parse(&format!(
             r#"{{"schema_version": 1, "bin": "t", "total_wall_s": 1.0,
                 "spans": [], "spans_by_name": {{}},
                 "counters": {{"thermal.pcg_iterations": {pcg_iters},
                              "thermal.exact_solves": {exact},
                              "thermal.anderson_accepted": {anderson},
-                             "thermal.assembly_rows_reused": {rows},
-                             "thermal.mg_scaffold_hits": {hits}}},
+                             "thermal.assembly_rows_reused": {rows}}},
                 "gauges": {{}}, "histograms": {{}}}}"#
         ))
         .expect("fixture parses")
@@ -578,12 +552,11 @@ mod tests {
         // optimization quietly stopped firing.
         let baseline = parse(
             r#"{"thermal.pcg_iterations": 100, "thermal.exact_solves": 10,
-                "thermal.anderson_accepted": 50, "thermal.assembly_rows_reused": 1000,
-                "thermal.mg_scaffold_hits": 20}"#,
+                "thermal.anderson_accepted": 50, "thermal.assembly_rows_reused": 1000}"#,
         )
         .expect("baseline parses");
 
-        let improved = fake_profile_full(100.0, 10.0, 200.0, 4000.0, 80.0);
+        let improved = fake_profile_full(100.0, 10.0, 200.0, 4000.0);
         let drifts = check_drift(&improved, &baseline, DRIFT_TOLERANCE);
         for name in ONE_SIDED_MIN_COUNTERS {
             let d = drifts.iter().find(|d| &d.name == name).unwrap();
@@ -591,7 +564,7 @@ mod tests {
             assert_eq!(d.relative, 0.0);
         }
 
-        let regressed = fake_profile_full(100.0, 10.0, 10.0, 100.0, 2.0);
+        let regressed = fake_profile_full(100.0, 10.0, 10.0, 100.0);
         let drifts = check_drift(&regressed, &baseline, DRIFT_TOLERANCE);
         for name in ONE_SIDED_MIN_COUNTERS {
             assert!(

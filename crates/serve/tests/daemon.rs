@@ -340,3 +340,47 @@ fn graceful_shutdown_drains_and_stops_accepting() {
         .is_err();
     assert!(gone, "daemon still answering after shutdown");
 }
+
+#[test]
+fn non_finite_layouts_get_422_and_keep_the_pool() {
+    let workers = 2;
+    let (handle, addr, engine) = boot(ServerConfig {
+        workers,
+        ..ServerConfig::default()
+    });
+
+    // One fresh connection per request, so each lands on whichever worker
+    // is idle: more bad requests than workers would reach every worker.
+    for _ in 0..workers + 2 {
+        let mut client = Client::connect(&addr).unwrap();
+        let r = client
+            .post(
+                "/v1/evaluate",
+                r#"{"benchmark": "hpccg", "layout": "uniform:4,nan"}"#,
+            )
+            .unwrap();
+        assert_eq!(r.status, 422, "{}", r.text());
+        assert!(r.text().contains("non-finite"), "{}", r.text());
+    }
+
+    let mut client = Client::connect(&addr).unwrap();
+    let health = client.get("/healthz").unwrap();
+    assert_eq!(health.status, 200);
+    assert_eq!(health.text(), r#"{"status":"ok"}"#);
+
+    let body = r#"{"benchmark": "hpccg", "layout": "uniform:4,6"}"#;
+    let expected = engine
+        .evaluate(
+            &tac25d_serve::protocol::EvaluateRequest::from_json(
+                &tac25d_obs::json::parse(body).unwrap(),
+            )
+            .unwrap(),
+            None,
+        )
+        .body;
+    let r = client.post("/v1/evaluate", body).unwrap();
+    assert_eq!(r.status, 200);
+    assert_eq!(r.text(), expected);
+
+    handle.shutdown();
+}

@@ -1,8 +1,6 @@
 //! Criterion timing of the sparse-solver fast path on a fig8-sized
 //! system: the raw SpMV, both PCG preconditioners (legacy Jacobi vs the
-//! IC(0) fast path), the bare IC(0) triangular-solve application, and the
-//! multigrid tier (standalone V-cycle solve and MG-preconditioned PCG) at
-//! two grid sizes to expose its h-scaling.
+//! IC(0) fast path) and the bare IC(0) triangular-solve application.
 //!
 //! The system is the same shape the package models assemble — a layered
 //! 3D conductance grid (n×n nodes per layer, 8 layers, convective
@@ -10,7 +8,6 @@
 //! bench isolates solver cost from model construction.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use tac25d_thermal::mg::{MgHierarchy, MgOptions, MgRaster, MgScaffold};
 use tac25d_thermal::sparse::{pcg, pcg_with, Preconditioner, SolveScratch, TripletMatrix};
 
 const NX: usize = 32;
@@ -19,17 +16,17 @@ const NZ: usize = 8;
 /// A layered 3D grid Laplacian with fig8-like conductance contrasts:
 /// in-plane links of ~1 W/K, vertical links one order weaker, and a
 /// convective ground over the whole top layer.
-fn grid_system_sized(nx: usize) -> (tac25d_thermal::sparse::CsrMatrix, Vec<f64>) {
-    let n2 = nx * nx;
+fn grid_system() -> (tac25d_thermal::sparse::CsrMatrix, Vec<f64>) {
+    let n2 = NX * NX;
     let mut t = TripletMatrix::new(n2 * NZ);
-    let idx = |x: usize, y: usize, z: usize| z * n2 + y * nx + x;
+    let idx = |x: usize, y: usize, z: usize| z * n2 + y * NX + x;
     for z in 0..NZ {
-        for y in 0..nx {
-            for x in 0..nx {
-                if x + 1 < nx {
+        for y in 0..NX {
+            for x in 0..NX {
+                if x + 1 < NX {
                     t.add_conductance(idx(x, y, z), idx(x + 1, y, z), 1.0);
                 }
-                if y + 1 < nx {
+                if y + 1 < NX {
                     t.add_conductance(idx(x, y, z), idx(x, y + 1, z), 1.0);
                 }
                 if z + 1 < NZ {
@@ -38,8 +35,8 @@ fn grid_system_sized(nx: usize) -> (tac25d_thermal::sparse::CsrMatrix, Vec<f64>)
             }
         }
     }
-    for y in 0..nx {
-        for x in 0..nx {
+    for y in 0..NX {
+        for x in 0..NX {
             t.add_ground(idx(x, y, NZ - 1), 0.05);
         }
     }
@@ -47,27 +44,12 @@ fn grid_system_sized(nx: usize) -> (tac25d_thermal::sparse::CsrMatrix, Vec<f64>)
     // Heat injected over a quarter of the bottom layer, like one hot
     // chiplet of a 2×2 organization.
     let mut b = vec![0.0; n2 * NZ];
-    for y in 0..nx / 2 {
-        for x in 0..nx / 2 {
-            b[idx(x, y, 0)] = 180.0 / (nx * nx / 4) as f64;
+    for y in 0..NX / 2 {
+        for x in 0..NX / 2 {
+            b[idx(x, y, 0)] = 180.0 / (NX * NX / 4) as f64;
         }
     }
     (a, b)
-}
-
-fn grid_system() -> (tac25d_thermal::sparse::CsrMatrix, Vec<f64>) {
-    grid_system_sized(NX)
-}
-
-/// The raster the bench grids are laid out on. The bench index order is
-/// `z·n² + y·n + x` — layer-major exactly like the package assembly, so
-/// the hierarchy semicoarsens in-plane with no lumped extras.
-fn bench_raster(nx: usize) -> MgRaster {
-    MgRaster {
-        n: nx,
-        layers: NZ,
-        extras: 0,
-    }
 }
 
 fn bench_mul_vec(c: &mut Criterion) {
@@ -107,89 +89,11 @@ fn bench_triangular_solve(c: &mut Criterion) {
     });
 }
 
-/// Standalone V-cycle solve (f64 defect correction) at two grid sizes:
-/// h-independence means the time per size tracks the node count, not the
-/// condition number.
-fn bench_mg_solve(c: &mut Criterion) {
-    for nx in [32usize, 64] {
-        let (a, b) = grid_system_sized(nx);
-        let h = MgHierarchy::build(&a, bench_raster(nx), MgOptions::default())
-            .expect("bench hierarchy");
-        c.bench_function(&format!("mg_vcycle_solve_{nx}x{nx}x8"), |bench| {
-            bench.iter(|| h.solve(&b, None, 1e-8).expect("mg solve"))
-        });
-    }
-}
-
-/// MG-preconditioned PCG at two grid sizes — the production configuration
-/// of `TAC25D_SOLVER=mg`.
-fn bench_mg_pcg(c: &mut Criterion) {
-    for nx in [32usize, 64] {
-        let (a, b) = grid_system_sized(nx);
-        let h = MgHierarchy::build(&a, bench_raster(nx), MgOptions::default())
-            .expect("bench hierarchy");
-        let m = Preconditioner::Multigrid(std::sync::Arc::new(h));
-        let mut scratch = SolveScratch::new();
-        c.bench_function(&format!("pcg_mg_{nx}x{nx}x8"), |bench| {
-            bench.iter(|| pcg_with(&a, &m, &b, None, 1e-8, 100_000, &mut scratch).expect("mg pcg"))
-        });
-    }
-}
-
-/// The symbolic scaffold build alone — the once-per-shape cost the
-/// amortization moves out of the per-model path.
-fn bench_mg_scaffold_build(c: &mut Criterion) {
-    for nx in [32usize, 64] {
-        let (a, _) = grid_system_sized(nx);
-        c.bench_function(&format!("mg_scaffold_build_{nx}x{nx}x8"), |bench| {
-            bench.iter(|| {
-                MgScaffold::build(&a, bench_raster(nx), MgOptions::default())
-                    .expect("bench scaffold")
-            })
-        });
-    }
-}
-
-/// The per-model numeric refill on a shared scaffold — Galerkin values,
-/// f32 smoother copies and the dense coarsest factor. The amortization
-/// claim is this being much cheaper than `mg_scaffold_build` plus refill
-/// (what `MgHierarchy::build` pays).
-fn bench_mg_refill(c: &mut Criterion) {
-    for nx in [32usize, 64] {
-        let (a, _) = grid_system_sized(nx);
-        let scaffold = std::sync::Arc::new(
-            MgScaffold::build(&a, bench_raster(nx), MgOptions::default()).expect("bench scaffold"),
-        );
-        c.bench_function(&format!("mg_refill_{nx}x{nx}x8"), |bench| {
-            bench.iter(|| MgHierarchy::from_scaffold(scaffold.clone(), &a).expect("bench refill"))
-        });
-    }
-}
-
-/// One fine-level red-black sweep (forward) — the inner loop the
-/// color-major f32 layout targets.
-fn bench_mg_smooth_sweep(c: &mut Criterion) {
-    for nx in [32usize, 64] {
-        let (a, b) = grid_system_sized(nx);
-        let h = MgHierarchy::build(&a, bench_raster(nx), MgOptions::default())
-            .expect("bench hierarchy");
-        let mut x = vec![0.0; b.len()];
-        c.bench_function(&format!("mg_smooth_sweep_{nx}x{nx}x8"), |bench| {
-            bench.iter(|| h.smooth_once(0, &b, &mut x, false))
-        });
-    }
-}
-
 criterion_group!(
     benches,
     bench_mul_vec,
     bench_jacobi_pcg,
     bench_ic0_pcg,
-    bench_triangular_solve,
-    bench_mg_solve,
-    bench_mg_pcg,
-    bench_mg_scaffold_build,
-    bench_mg_refill,
-    bench_mg_smooth_sweep
+    bench_triangular_solve
 );
 criterion_main!(benches);

@@ -14,15 +14,13 @@
 //!
 //! * [`materials`] — bulk and effective-medium conductivities (microbump /
 //!   TSV / C4 composites computed from Table I bump geometry);
-//! * [`sparse`] — CSR matrices and a Jacobi-preconditioned conjugate
-//!   gradient solver;
+//! * [`sparse`] — CSR matrices and the one production solver:
+//!   conjugate gradients preconditioned by IC(0), factored once per
+//!   assembled matrix, falling back to Jacobi when the factorization
+//!   breaks down (the cold Jacobi `pcg` stays as a verification oracle);
 //! * [`network`] (internal) — finite-volume assembly of the package
 //!   conductance network with HotSpot-style lumped spreader/sink periphery
 //!   nodes and convective boundaries;
-//! * [`mg`] — the geometric multigrid solver tier: a raster-aware V-cycle
-//!   (full-weighting/bilinear transfers, red-black Gauss–Seidel f32
-//!   smoothing, Galerkin coarse operators) usable standalone or as a PCG
-//!   preconditioner (`TAC25D_SOLVER=mg`);
 //! * [`model`] — the public [`model::PackageModel`] / ThermalSolution API;
 //! * [`coupled`] — the temperature–leakage fixed-point loop;
 //! * [`transient`] — backward-Euler transient simulation over the same
@@ -54,7 +52,6 @@
 
 pub mod coupled;
 pub mod materials;
-pub mod mg;
 pub mod model;
 pub(crate) mod network;
 pub mod slab;

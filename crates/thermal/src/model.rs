@@ -3,15 +3,12 @@
 //! power maps.
 
 use crate::materials::MaterialLibrary;
-use crate::mg::{MgHierarchy, MgOptions, MgRaster, MgScaffold};
 use crate::network::{assemble, assemble_incremental, GriddedLayer, Network, NetworkGeometry};
-use crate::sparse::{
-    pcg, pcg_escalate, pcg_with, PcgSolution, Preconditioner, SolveError, SolveScratch,
-};
+use crate::sparse::{pcg, pcg_with, PcgSolution, SolveError, SolveScratch};
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use tac25d_floorplan::chip::ChipSpec;
 use tac25d_floorplan::geometry::Rect;
 use tac25d_floorplan::layers::StackSpec;
@@ -20,100 +17,26 @@ use tac25d_floorplan::raster::{coverage_grid, power_grid, Grid};
 use tac25d_floorplan::units::{Celsius, Mm};
 use tac25d_obs as obs;
 
-/// Which PCG preconditioning path a model's solves use.
+/// Which PCG path a model's solves use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolverKind {
-    /// The fast path: IC(0) preconditioner factored once per model build,
-    /// reusable scratch buffers, and deterministic reference-field warm
-    /// starts. The default.
+    /// The production path: IC(0) preconditioner factored once per model
+    /// build (Jacobi when the factorization breaks down), reusable
+    /// scratch buffers, and deterministic reference-field warm starts.
+    /// The default.
     Ic0,
     /// The legacy Jacobi path — byte-for-byte the pre-fast-path solver,
-    /// kept for differential verification and as an escape hatch
-    /// (`TAC25D_SOLVER=jacobi`).
+    /// cold-started. Kept only as the independent oracle that
+    /// differential verification selects in code.
     Jacobi,
-    /// The escalating multigrid tier (`TAC25D_SOLVER=mg`): every solve
-    /// starts as IC(0)-PCG and, only if it has not converged within
-    /// [`MG_ESCALATION_ITERS`] iterations, lazily builds/refills the
-    /// geometric hierarchy ([`crate::mg::MgHierarchy`], shape-keyed
-    /// scaffold shared across models) and continues from the partial
-    /// iterate under V-cycle preconditioning. Warm-started solves that
-    /// finish under the cap — the overwhelming majority in an
-    /// optimization sweep — never pay for the hierarchy; hard cold
-    /// solves get the V-cycle's grid-independent convergence. Falls back
-    /// to IC(0) throughout when a hierarchy cannot be built for the
-    /// raster.
-    Multigrid,
-    /// Grid-dependent selection (`TAC25D_SOLVER=auto`): the escalating
-    /// multigrid tier when the per-layer raster is at least
-    /// [`AUTO_MG_MIN_GRID`] cells per side (where escalated cold solves
-    /// measurably beat pure IC(0) — see DESIGN.md §10 for the measured
-    /// crossover), IC(0) otherwise.
-    Auto,
 }
 
-/// Smallest per-layer raster edge at which [`SolverKind::Auto`] picks the
-/// multigrid tier over IC(0). Below this the cold-solve iteration counts
-/// are too small for escalation to ever fire profitably — the hierarchy
-/// would be built and then idle — while from 32 cells per side upward a
-/// cold escalated solve already beats pure IC(0) wall-for-wall (the
-/// measurement is recorded in DESIGN.md §10).
-pub const AUTO_MG_MIN_GRID: usize = 32;
-
-/// IC(0) iteration budget before a multigrid-tier solve reaches its
-/// escalation checkpoint. Sized from the fig8 `--fast` per-solve
-/// iteration histogram: warm-started production solves finish in ≤ 25
-/// iterations, while cold solves on mg-worthy grids run 40–113 IC(0)
-/// iterations. A solve still going at the checkpoint escalates to
-/// V-cycle preconditioning only when its own contraction rate projects
-/// more remaining iterations than it has already spent (see
-/// [`crate::sparse::pcg_escalate`]) — so a solve that barely crosses the
-/// cap finishes under IC(0) without paying for a hierarchy, and the
-/// 200–500 µs V-cycles are reserved for solves with a long tail ahead
-/// of them.
-pub const MG_ESCALATION_ITERS: usize = 24;
-
 impl SolverKind {
-    /// The solver selected by the `TAC25D_SOLVER` environment variable:
-    /// `jacobi` (case-insensitive) forces the legacy path, `mg` /
-    /// `multigrid` the multigrid tier, `auto` the grid-dependent
-    /// selection, anything else — including unset — selects the IC(0)
-    /// fast path.
-    pub fn from_env() -> Self {
-        match std::env::var("TAC25D_SOLVER") {
-            Ok(v) if v.eq_ignore_ascii_case("jacobi") => SolverKind::Jacobi,
-            Ok(v) if v.eq_ignore_ascii_case("mg") || v.eq_ignore_ascii_case("multigrid") => {
-                SolverKind::Multigrid
-            }
-            Ok(v) if v.eq_ignore_ascii_case("auto") => SolverKind::Auto,
-            _ => SolverKind::Ic0,
-        }
-    }
-
-    /// Stable lowercase name (`ic0` / `jacobi` / `mg` / `auto`) for
-    /// reports and benches.
+    /// Stable lowercase name (`ic0` / `jacobi`) for reports and benches.
     pub fn name(&self) -> &'static str {
         match self {
             SolverKind::Ic0 => "ic0",
             SolverKind::Jacobi => "jacobi",
-            SolverKind::Multigrid => "mg",
-            SolverKind::Auto => "auto",
-        }
-    }
-
-    /// Resolves [`SolverKind::Auto`] against a per-layer raster edge; the
-    /// concrete kinds return themselves. This is the single place the
-    /// crossover decision lives — benches and reports that need to label
-    /// what `auto` actually ran call this too.
-    pub fn resolve(self, grid: usize) -> SolverKind {
-        match self {
-            SolverKind::Auto => {
-                if grid >= AUTO_MG_MIN_GRID {
-                    SolverKind::Multigrid
-                } else {
-                    SolverKind::Ic0
-                }
-            }
-            other => other,
         }
     }
 }
@@ -150,8 +73,7 @@ pub struct ThermalConfig {
     /// (n ≈ 1.3 for bulk silicon). `0.0` (the default) keeps the solve
     /// linear; [`PackageModel::solve_nonlinear`] activates it.
     pub silicon_k_exponent: f64,
-    /// Which preconditioning path solves use (defaults to
-    /// [`SolverKind::from_env`]).
+    /// Which PCG path solves use (defaults to [`SolverKind::Ic0`]).
     pub solver: SolverKind,
 }
 
@@ -172,7 +94,7 @@ impl Default for ThermalConfig {
             rel_tol: 1e-9,
             max_iter: 100_000,
             silicon_k_exponent: 0.0,
-            solver: SolverKind::from_env(),
+            solver: SolverKind::Ic0,
         }
     }
 }
@@ -187,12 +109,6 @@ impl ThermalConfig {
             rel_tol: 1e-8,
             ..ThermalConfig::default()
         }
-    }
-
-    /// The concrete solver this configuration's solves dispatch to —
-    /// [`SolverKind::Auto`] resolved against the configured grid.
-    pub fn resolved_solver(&self) -> SolverKind {
-        self.solver.resolve(self.grid)
     }
 }
 
@@ -487,27 +403,6 @@ struct SolverState {
     /// Iterations of the first cold reference solve — the baseline for
     /// the `thermal.pcg_iterations_saved` metric.
     cold_iterations: AtomicU64,
-    /// The multigrid hierarchy wrapped as a PCG preconditioner, built
-    /// lazily on the first [`SolverKind::Multigrid`] solve and reused by
-    /// every later one (the factor-once/solve-many contract, mirroring the
-    /// IC(0) factor baked into the network at assembly). `None` inside the
-    /// `OnceLock` records a failed hierarchy build, so the fallback is
-    /// decided once per model, deterministically.
-    mg_precond: OnceLock<Option<Preconditioner>>,
-    /// The symbolic multigrid scaffold cell, *shared* (same `Arc`) by
-    /// every model derived through [`PackageModel::new_like`]'s
-    /// incremental path — the multigrid analogue of the network
-    /// `Scaffold`. Whichever same-shape model first needs multigrid pays
-    /// the symbolic build once; all others refill values into it. `None`
-    /// inside the inner `OnceLock` records a shape that cannot build a
-    /// hierarchy.
-    mg_scaffold: Arc<OnceLock<Option<Arc<MgScaffold>>>>,
-    /// The base model's already-built hierarchy plus the dirty-row mask
-    /// from incremental assembly, captured at [`PackageModel::new_like`]
-    /// time. Lets this model's first multigrid solve refill only the
-    /// rows the spacing move touched ([`MgHierarchy::refill_dirty`])
-    /// instead of recomputing every Galerkin value.
-    mg_base: Option<(Arc<MgHierarchy>, Vec<bool>)>,
 }
 
 impl SolverState {
@@ -516,28 +411,6 @@ impl SolverState {
             reference: OnceLock::new(),
             reference_loose: OnceLock::new(),
             cold_iterations: AtomicU64::new(0),
-            mg_precond: OnceLock::new(),
-            mg_scaffold: Arc::new(OnceLock::new()),
-            mg_base: None,
-        }
-    }
-
-    /// State for a model derived from `base` through incremental
-    /// assembly: shares `base`'s scaffold cell (the two networks are the
-    /// same shape by construction) and, when `base` has already built its
-    /// hierarchy, records it with the dirty mask for incremental refill.
-    fn derived(base: &SolverState, dirty: Vec<bool>) -> Self {
-        let mg_base = match base.mg_precond.get() {
-            Some(Some(Preconditioner::Multigrid(h))) => Some((h.clone(), dirty)),
-            _ => None,
-        };
-        SolverState {
-            reference: OnceLock::new(),
-            reference_loose: OnceLock::new(),
-            cold_iterations: AtomicU64::new(0),
-            mg_precond: OnceLock::new(),
-            mg_scaffold: base.mg_scaffold.clone(),
-            mg_base,
         }
     }
 }
@@ -548,9 +421,6 @@ impl Clone for SolverState {
             reference: self.reference.clone(),
             reference_loose: self.reference_loose.clone(),
             cold_iterations: AtomicU64::new(self.cold_iterations.load(Ordering::Relaxed)),
-            mg_precond: self.mg_precond.clone(),
-            mg_scaffold: self.mg_scaffold.clone(),
-            mg_base: self.mg_base.clone(),
         }
     }
 }
@@ -624,17 +494,8 @@ impl PackageModel {
         layout.validate(&base.chip, &base.rules)?;
         let (footprint, rects, geom) =
             Self::prepare_geometry(&base.chip, layout, &base.rules, &base.stack, &base.config);
-        let (net, solver_state) = match assemble_incremental(&geom, &base.geom, &base.net) {
-            Some((net, dirty)) => {
-                // Same shape as the base: share its multigrid scaffold
-                // cell and remember its hierarchy (if built) plus the
-                // dirty rows, so a multigrid solve on this model refills
-                // instead of rebuilding.
-                let state = SolverState::derived(&base.solver_state, dirty);
-                (net, state)
-            }
-            None => (assemble(&geom), SolverState::new()),
-        };
+        let net =
+            assemble_incremental(&geom, &base.geom, &base.net).unwrap_or_else(|| assemble(&geom));
         Ok(PackageModel {
             net,
             config: base.config.clone(),
@@ -645,7 +506,7 @@ impl PackageModel {
             rules: base.rules,
             stack: base.stack.clone(),
             geom,
-            solver_state,
+            solver_state: SolverState::new(),
         })
     }
 
@@ -846,10 +707,9 @@ impl PackageModel {
         allow_reference: bool,
         rel_tol: f64,
     ) -> Result<PcgSolution, SolveError> {
-        let solver = self.config.resolved_solver();
-        match solver {
+        match self.config.solver {
             SolverKind::Jacobi => pcg(&self.net.matrix, b, guess, rel_tol, self.config.max_iter),
-            SolverKind::Ic0 | SolverKind::Multigrid | SolverKind::Auto => {
+            SolverKind::Ic0 => {
                 let reference_guess: Option<Vec<f64>> = if guess.is_none() && allow_reference {
                     self.reference_field(rel_tol).map(|f| {
                         let scale = total_watts / f.watts;
@@ -864,35 +724,15 @@ impl PackageModel {
                 if warm {
                     obs::counter!("thermal.warm_start_hits").inc();
                 }
-                // The multigrid tier is an escalating hybrid: it runs the
-                // same IC(0)-PCG as the fast path up to the escalation
-                // cap, and only a solve that is still going — a hard cold
-                // solve — builds/refills the hierarchy and continues from
-                // its partial iterate under V-cycle preconditioning. Warm
-                // starts, scratch reuse and the iteration bookkeeping are
-                // shared with the IC(0) fast path.
-                let sol = match solver {
-                    SolverKind::Multigrid => pcg_escalate(
-                        &self.net.matrix,
-                        &self.net.precond,
-                        MG_ESCALATION_ITERS,
-                        || self.mg_precond(),
-                        b,
-                        x0,
-                        rel_tol,
-                        self.config.max_iter,
-                        scratch,
-                    )?,
-                    _ => pcg_with(
-                        &self.net.matrix,
-                        &self.net.precond,
-                        b,
-                        x0,
-                        rel_tol,
-                        self.config.max_iter,
-                        scratch,
-                    )?,
-                };
+                let sol = pcg_with(
+                    &self.net.matrix,
+                    &self.net.precond,
+                    b,
+                    x0,
+                    rel_tol,
+                    self.config.max_iter,
+                    scratch,
+                )?;
                 let cold = self.solver_state.cold_iterations.load(Ordering::Relaxed);
                 if warm {
                     if cold > sol.iterations as u64 {
@@ -906,65 +746,6 @@ impl PackageModel {
                 }
                 Ok(sol)
             }
-        }
-    }
-
-    /// The lazily-built multigrid preconditioner of this model — a pure
-    /// function of the assembled network (hierarchy construction is
-    /// deterministic), computed once and shared by every solve of the
-    /// model. `None` when the raster cannot build a hierarchy; the caller
-    /// then falls back to the network's IC(0) factor.
-    ///
-    /// The symbolic scaffold comes from the shared cell in
-    /// [`SolverState`]: models derived through the incremental assembly
-    /// path reuse whichever same-shape model built it first
-    /// (`thermal.mg_scaffold_hits` counts the reuses), and when the base
-    /// model's hierarchy is available the numeric refill patches only the
-    /// dirty rows. Both paths are bitwise identical to a from-scratch
-    /// [`MgHierarchy::build`] of this model's matrix.
-    fn mg_precond(&self) -> Option<&Preconditioner> {
-        self.solver_state
-            .mg_precond
-            .get_or_init(|| {
-                let n = self.geom.n;
-                let layers = self.geom.layers.len();
-                let raster = MgRaster {
-                    n,
-                    layers,
-                    extras: self.net.nodes - layers * n * n,
-                };
-                let prebuilt = self.solver_state.mg_scaffold.get().is_some();
-                let scaffold = self
-                    .solver_state
-                    .mg_scaffold
-                    .get_or_init(|| {
-                        MgScaffold::build(&self.net.matrix, raster, MgOptions::default())
-                            .map(Arc::new)
-                    })
-                    .clone()?;
-                if prebuilt {
-                    obs::counter!("thermal.mg_scaffold_hits").inc();
-                }
-                let hierarchy = match &self.solver_state.mg_base {
-                    Some((base, dirty)) => {
-                        MgHierarchy::refill_dirty(scaffold.clone(), &self.net.matrix, base, dirty)
-                            .or_else(|| MgHierarchy::from_scaffold(scaffold, &self.net.matrix))
-                    }
-                    None => MgHierarchy::from_scaffold(scaffold, &self.net.matrix),
-                }?;
-                Some(Preconditioner::Multigrid(Arc::new(hierarchy)))
-            })
-            .as_ref()
-    }
-
-    /// The multigrid hierarchy of this model's network, built on first use
-    /// (`None` if the raster cannot build one). Exposed for the
-    /// verification ladder and benches; production solves go through
-    /// [`SolverKind::Multigrid`].
-    pub fn mg_hierarchy(&self) -> Option<&Arc<MgHierarchy>> {
-        match self.mg_precond() {
-            Some(Preconditioner::Multigrid(h)) => Some(h),
-            _ => None,
         }
     }
 
@@ -997,34 +778,17 @@ impl PackageModel {
         // it still converge to their own tolerance — so solving it beyond
         // `reference_tol` buys nothing: the guess error for a real power
         // map is dominated by the spatial-shape mismatch, not by the
-        // reference's residual. Still a pure function of the model. Under
-        // the multigrid tier this cold solve escalates like any other —
-        // it is the one guess-less solve every model pays for, so on
-        // mg-worthy grids it is exactly where the hierarchy earns its
-        // refill.
+        // reference's residual. Still a pure function of the model.
         let rel_tol = self.config.rel_tol.max(reference_tol);
-        let sol = match self.config.resolved_solver() {
-            SolverKind::Multigrid => pcg_escalate(
-                &self.net.matrix,
-                &self.net.precond,
-                MG_ESCALATION_ITERS,
-                || self.mg_precond(),
-                &b,
-                None,
-                rel_tol,
-                self.config.max_iter,
-                &mut SolveScratch::new(),
-            ),
-            _ => pcg_with(
-                &self.net.matrix,
-                &self.net.precond,
-                &b,
-                None,
-                rel_tol,
-                self.config.max_iter,
-                &mut SolveScratch::new(),
-            ),
-        }
+        let sol = pcg_with(
+            &self.net.matrix,
+            &self.net.precond,
+            &b,
+            None,
+            rel_tol,
+            self.config.max_iter,
+            &mut SolveScratch::new(),
+        )
         .ok()?;
         if self.solver_state.cold_iterations.load(Ordering::Relaxed) == 0 {
             self.solver_state
@@ -1455,104 +1219,10 @@ mod tests {
     }
 
     #[test]
-    fn multigrid_path_agrees_with_ic0() {
-        // Same differential contract as the Jacobi/IC(0) pair, for the
-        // multigrid tier — including the lumped periphery nodes of the
-        // full package raster (spreader/sink overhang at grid 16).
-        let die = Rect::from_corner(0.0, 0.0, 18.0, 18.0);
-        let solve_with = |solver: SolverKind| {
-            let model = PackageModel::new(
-                &chip(),
-                &ChipletLayout::SingleChip,
-                &rules(),
-                &StackSpec::baseline_2d(),
-                ThermalConfig {
-                    grid: 16,
-                    rel_tol: 1e-12,
-                    solver,
-                    ..ThermalConfig::default()
-                },
-            )
-            .unwrap();
-            let sol = model.solve(&[(die, 180.0)]).unwrap();
-            let mg_built = model.mg_hierarchy().is_some();
-            (sol, mg_built)
-        };
-        let (ic0, _) = solve_with(SolverKind::Ic0);
-        let (mg, mg_built) = solve_with(SolverKind::Multigrid);
-        assert!(mg_built, "package raster must build a hierarchy");
-        let max_dt = ic0
-            .raw_temps()
-            .iter()
-            .zip(mg.raw_temps())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
-        assert!(max_dt < 1e-6, "max |dT| = {max_dt:.3e}");
-    }
-
-    #[test]
-    fn solver_kind_env_parsing() {
+    fn solver_kind_names_and_default() {
         assert_eq!(SolverKind::Ic0.name(), "ic0");
         assert_eq!(SolverKind::Jacobi.name(), "jacobi");
-        assert_eq!(SolverKind::Multigrid.name(), "mg");
-        assert_eq!(SolverKind::Auto.name(), "auto");
-    }
-
-    #[test]
-    fn auto_solver_resolution() {
-        // The crossover decision itself.
-        assert_eq!(
-            SolverKind::Auto.resolve(AUTO_MG_MIN_GRID),
-            SolverKind::Multigrid
-        );
-        assert_eq!(
-            SolverKind::Auto.resolve(AUTO_MG_MIN_GRID - 1),
-            SolverKind::Ic0
-        );
-        // Concrete kinds are unaffected by the grid.
-        assert_eq!(SolverKind::Ic0.resolve(256), SolverKind::Ic0);
-        assert_eq!(SolverKind::Multigrid.resolve(8), SolverKind::Multigrid);
-    }
-
-    #[test]
-    fn auto_solver_selects_both_branches() {
-        // Below the crossover `auto` must run the IC(0) path — observable
-        // because a multigrid dispatch that escalates would populate the
-        // lazy hierarchy cell; at/above it the multigrid path, whose
-        // cold tight solve outruns the escalation checkpoint and does.
-        let die = Rect::from_corner(0.0, 0.0, 18.0, 18.0);
-        let model_with_grid = |grid: usize| {
-            PackageModel::new(
-                &chip(),
-                &ChipletLayout::SingleChip,
-                &rules(),
-                &StackSpec::baseline_2d(),
-                ThermalConfig {
-                    grid,
-                    rel_tol: 1e-10,
-                    solver: SolverKind::Auto,
-                    ..ThermalConfig::default()
-                },
-            )
-            .unwrap()
-        };
-        let small = model_with_grid(AUTO_MG_MIN_GRID / 2);
-        assert_eq!(small.config.resolved_solver(), SolverKind::Ic0);
-        small.solve(&[(die, 150.0)]).unwrap();
-        assert!(
-            small.solver_state.mg_precond.get().is_none(),
-            "below the crossover auto must not touch the multigrid tier"
-        );
-        let large = model_with_grid(AUTO_MG_MIN_GRID);
-        assert_eq!(large.config.resolved_solver(), SolverKind::Multigrid);
-        large.solve(&[(die, 150.0)]).unwrap();
-        assert!(
-            matches!(
-                large.solver_state.mg_precond.get(),
-                Some(Some(Preconditioner::Multigrid(_)))
-            ),
-            "at the crossover a cold tight solve must escalate to the multigrid tier"
-        );
+        assert_eq!(ThermalConfig::default().solver, SolverKind::Ic0);
     }
 
     #[test]

@@ -679,17 +679,12 @@ pub(crate) fn assemble(geom: &NetworkGeometry) -> Network {
 /// coefficients, or changed periphery conductivities) — the caller then
 /// falls back to [`assemble`].
 ///
-/// Alongside the network, returns the dirty-row mask it was patched with
-/// (both ends of every changed link are marked) so downstream factor-once
-/// state — the multigrid hierarchy refill in particular — can ride the
-/// same provenance instead of rederiving it.
-///
 /// The reused-row count is recorded under `thermal.assembly_rows_reused`.
 pub(crate) fn assemble_incremental(
     new_geom: &NetworkGeometry,
     base_geom: &NetworkGeometry,
     base: &Network,
-) -> Option<(Network, Vec<bool>)> {
+) -> Option<Network> {
     let scaffold = Arc::clone(&base.scaffold);
     let dirty = dirty_rows(&scaffold, base_geom, new_geom)?;
     let reused = dirty.iter().filter(|&&d| !d).count();
@@ -713,13 +708,12 @@ pub(crate) fn assemble_incremental(
             None => Preconditioner::ic0_or_jacobi(&matrix)
                 .expect("conductance network has positive diagonal"),
         },
-        // Networks are always built with `ic0_or_jacobi`; a multigrid
-        // preconditioner lives in `SolverState`, never here, so a full
-        // refactor is the correct fallback for any other variant.
-        _ => Preconditioner::ic0_or_jacobi(&matrix)
+        // The base fell back to Jacobi: its factor has no prefix to
+        // reuse, so retry a full IC(0) factorization.
+        Preconditioner::Jacobi { .. } => Preconditioner::ic0_or_jacobi(&matrix)
             .expect("conductance network has positive diagonal"),
     };
-    Some((finish(scaffold, matrix, precond, new_geom), dirty))
+    Some(finish(scaffold, matrix, precond, new_geom))
 }
 
 /// Computes the dirty-row mask of an incremental rebuild, or `None` when
@@ -1011,12 +1005,13 @@ mod tests {
         for c in [7usize, 8, 13, 14] {
             new_geom.layers[2].k[c] = 45.0;
         }
-        let (patched, dirty) = assemble_incremental(&new_geom, &base_geom, &base)
+        let patched = assemble_incremental(&new_geom, &base_geom, &base)
             .expect("same-scaffold rebuild must take the incremental path");
         let full = assemble(&new_geom);
 
-        // The surfaced mask covers the perturbed cells and their stencil
+        // The dirty mask covers the perturbed cells and their stencil
         // neighbours but leaves untouched rows clean.
+        let dirty = dirty_rows(&base.scaffold, &base_geom, &new_geom).unwrap();
         assert!(dirty.iter().any(|&d| d), "perturbation must dirty rows");
         assert!(dirty.iter().any(|&d| !d), "small patch must reuse rows");
 
@@ -1052,8 +1047,8 @@ mod tests {
         target.layers[2].k[12] = 55.0;
         target.layers[2].k[17] = 210.0;
 
-        let (from_a, _) = assemble_incremental(&target, &geom_a, &assemble(&geom_a)).unwrap();
-        let (from_b, _) = assemble_incremental(&target, &geom_b, &assemble(&geom_b)).unwrap();
+        let from_a = assemble_incremental(&target, &geom_a, &assemble(&geom_a)).unwrap();
+        let from_b = assemble_incremental(&target, &geom_b, &assemble(&geom_b)).unwrap();
         assert_eq!(from_a.matrix.values(), from_b.matrix.values());
     }
 

@@ -42,7 +42,6 @@
 //! assert!(sol.energy_balance_error() < 1e-9);
 //! ```
 
-use crate::mg::{MgHierarchy, MgOptions, MgRaster};
 use crate::network::{assemble, GriddedLayer, Network, NetworkGeometry};
 use crate::sparse::{pcg, SolveError};
 use tac25d_floorplan::layers::LayerRole;
@@ -207,37 +206,6 @@ impl SlabModel {
     ) -> Result<SlabSolution, SolveError> {
         let (b, power_in) = self.rhs(fields);
         let sol = pcg(&self.net.matrix, &b, None, rel_tol, max_iter)?;
-        Ok(self.finish(sol.x, power_in, sol.iterations))
-    }
-
-    /// Solves the same injected-field problem with the standalone geometric
-    /// multigrid V-cycle ([`crate::mg`]) instead of PCG. `iterations` in
-    /// the returned solution counts *V-cycles* — the quantity the MMS
-    /// refinement ladder asserts is h-independent.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolveError::NotPositiveDefinite`] if the hierarchy cannot
-    /// be built for this raster, or the V-cycle failure if `rel_tol` is
-    /// not reached within the cycle budget.
-    ///
-    /// # Panics
-    ///
-    /// Same field-shape contract as [`Self::solve_fields`].
-    pub fn solve_fields_mg(
-        &self,
-        fields: &[&[f64]],
-        rel_tol: f64,
-    ) -> Result<SlabSolution, SolveError> {
-        let raster = MgRaster {
-            n: self.n,
-            layers: self.roles.len(),
-            extras: self.net.nodes - self.roles.len() * self.n * self.n,
-        };
-        let h = MgHierarchy::build(&self.net.matrix, raster, MgOptions::default())
-            .ok_or(SolveError::NotPositiveDefinite)?;
-        let (b, power_in) = self.rhs(fields);
-        let sol = h.solve(&b, None, rel_tol)?;
         Ok(self.finish(sol.x, power_in, sol.iterations))
     }
 
@@ -445,26 +413,6 @@ mod tests {
         assert!(sol.source_cell(0, 0, 0) > 0.0);
         assert!(sol.source_cell(0, 3, 3) < 0.0);
         assert!(sol.power_in_w().abs() < 1e-12);
-    }
-
-    #[test]
-    fn multigrid_path_matches_pcg() {
-        let model = SlabModel::assemble(&two_layer(16));
-        let mut field = vec![0.0; 256];
-        for (c, w) in field.iter_mut().enumerate() {
-            *w = 0.05 * (1.0 + ((c % 11) as f64 - 5.0) / 7.0);
-        }
-        let pcg = model.solve_fields(&[&field], 1e-12, 50_000).unwrap();
-        let mg = model.solve_fields_mg(&[&field], 1e-12).unwrap();
-        let max_dt = pcg
-            .raw_temps()
-            .iter()
-            .zip(mg.raw_temps())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
-        assert!(max_dt < 1e-8, "max |dT| = {max_dt}");
-        assert!(mg.iterations() > 0 && mg.iterations() < 60);
-        assert!(mg.energy_balance_error() < 1e-9);
     }
 
     #[test]

@@ -174,21 +174,6 @@ impl CsrMatrix {
         &self.val
     }
 
-    /// Mutable view of the stored values, pattern order; the sparsity
-    /// pattern itself is immutable. Used by in-crate tests that patch
-    /// individual entries.
-    #[cfg(test)]
-    pub(crate) fn values_mut(&mut self) -> &mut [f64] {
-        &mut self.val
-    }
-
-    /// The raw CSR triple `(row_ptr, col, val)` — read-only structure
-    /// access for in-crate kernels (the multigrid smoother and transfer
-    /// operators walk rows directly).
-    pub(crate) fn parts(&self) -> (&[u32], &[u32], &[f64]) {
-        (&self.row_ptr, &self.col, &self.val)
-    }
-
     /// Matrix dimension.
     pub fn n(&self) -> usize {
         self.n
@@ -526,11 +511,6 @@ pub enum Preconditioner {
     },
     /// Incomplete Cholesky, `z = (L·Lᵀ)⁻¹·r`.
     Ic0(Ic0),
-    /// One geometric-multigrid V-cycle on the error equation
-    /// (`z = V(0; r)`, see [`crate::mg::MgHierarchy::precondition`]).
-    /// The hierarchy is factor-once state shared behind an `Arc`, like the
-    /// IC(0) factor.
-    Multigrid(std::sync::Arc<crate::mg::MgHierarchy>),
 }
 
 impl Preconditioner {
@@ -573,11 +553,6 @@ impl Preconditioner {
         matches!(self, Preconditioner::Ic0(_))
     }
 
-    /// True for the multigrid variant.
-    pub fn is_multigrid(&self) -> bool {
-        matches!(self, Preconditioner::Multigrid(_))
-    }
-
     fn apply(&self, r: &[f64], z: &mut [f64]) {
         match self {
             Preconditioner::Jacobi { inv_diag } => {
@@ -586,7 +561,6 @@ impl Preconditioner {
                 }
             }
             Preconditioner::Ic0(f) => f.apply(r, z),
-            Preconditioner::Multigrid(h) => h.precondition(r, z),
         }
     }
 }
@@ -672,108 +646,6 @@ pub fn pcg_with(
     result
 }
 
-/// Outcome of a capped PCG phase: either the solve finished (converged or
-/// failed) within the cap, or it hit the iteration cap with a usable
-/// partial iterate to continue from under a stronger preconditioner.
-enum CapOutcome {
-    Done(Result<PcgSolution, SolveError>),
-    Capped {
-        x: Vec<f64>,
-        iterations: usize,
-        /// Relative residual of the initial iterate (before iteration 1).
-        res0: f64,
-        /// Relative residual at the cap.
-        res: f64,
-    },
-}
-
-/// Escalating solve: runs PCG under the cheap `m0` preconditioner for up
-/// to `cap` iterations; a solve still going at the cap is assessed from
-/// its own trajectory — the capped phase's average contraction rate
-/// `ρ = (res/res0)^(1/cap)` projects the remaining `m0` iterations — and
-/// only a solve with more work left than it has already spent
-/// (`projected > cap`) calls `escalate()` to obtain a stronger
-/// preconditioner (building it lazily) and restarts from the partial
-/// iterate under it. A solve that is nearly done at the cap restarts
-/// under `m0` instead, so crossing the cap by a handful of iterations
-/// never pays for a hierarchy it would not use.
-///
-/// Either continuation is a preconditioner-switch restart — a
-/// warm-started PCG solve — so the combined result is a pure function of
-/// `(a, b, x0)` and fully deterministic; `thermal.mg_escalations` counts
-/// the solves that actually escalated. Reported `iterations` is the
-/// total across both phases. If `escalate()` returns `None` (e.g.
-/// hierarchy construction is unsupported for this matrix), the solve
-/// restarts under `m0` and runs to `max_iter`.
-///
-/// # Errors
-///
-/// Returns [`SolveError`] if convergence fails, the matrix is detected to
-/// be non-SPD, or numerical breakdown occurs.
-#[allow(clippy::too_many_arguments)]
-pub fn pcg_escalate<'a>(
-    a: &CsrMatrix,
-    m0: &'a Preconditioner,
-    cap: usize,
-    escalate: impl FnOnce() -> Option<&'a Preconditioner>,
-    b: &[f64],
-    x0: Option<&[f64]>,
-    rel_tol: f64,
-    max_iter: usize,
-    scratch: &mut SolveScratch,
-) -> Result<PcgSolution, SolveError> {
-    let _span = obs::span!("thermal.pcg_solve");
-    obs::counter!("thermal.pcg_solves").inc();
-    let result = match pcg_capped_inner(a, m0, b, x0, rel_tol, max_iter, Some(cap), scratch) {
-        CapOutcome::Done(r) => r,
-        CapOutcome::Capped {
-            x,
-            iterations,
-            res0,
-            res,
-        } => {
-            let rho = (res / res0).powf(1.0 / iterations.max(1) as f64);
-            let projected = if rho < 1.0 && res > 0.0 {
-                (rel_tol / res).ln() / rho.ln()
-            } else {
-                f64::INFINITY
-            };
-            let m1 = if projected > iterations as f64 {
-                obs::counter!("thermal.mg_escalations").inc();
-                escalate().unwrap_or(m0)
-            } else {
-                m0
-            };
-            match pcg_capped_inner(
-                a,
-                m1,
-                b,
-                Some(&x),
-                rel_tol,
-                max_iter - iterations,
-                None,
-                scratch,
-            ) {
-                CapOutcome::Done(Ok(mut sol)) => {
-                    sol.iterations += iterations;
-                    Ok(sol)
-                }
-                CapOutcome::Done(Err(SolveError::NoConvergence {
-                    iterations: cont_iters,
-                    residual,
-                })) => Err(SolveError::NoConvergence {
-                    iterations: iterations + cont_iters,
-                    residual,
-                }),
-                CapOutcome::Done(Err(e)) => Err(e),
-                CapOutcome::Capped { .. } => unreachable!("continuation phase has no cap"),
-            }
-        }
-    };
-    record_pcg_metrics(&result);
-    result
-}
-
 fn record_pcg_metrics(result: &Result<PcgSolution, SolveError>) {
     match result {
         Ok(sol) => {
@@ -789,6 +661,7 @@ fn record_pcg_metrics(result: &Result<PcgSolution, SolveError>) {
     }
 }
 
+#[allow(clippy::needless_range_loop)]
 fn pcg_with_inner(
     a: &CsrMatrix,
     m: &Preconditioner,
@@ -798,32 +671,15 @@ fn pcg_with_inner(
     max_iter: usize,
     scratch: &mut SolveScratch,
 ) -> Result<PcgSolution, SolveError> {
-    match pcg_capped_inner(a, m, b, x0, rel_tol, max_iter, None, scratch) {
-        CapOutcome::Done(r) => r,
-        CapOutcome::Capped { .. } => unreachable!("uncapped solve cannot hit a cap"),
-    }
-}
-
-#[allow(clippy::needless_range_loop, clippy::too_many_arguments)]
-fn pcg_capped_inner(
-    a: &CsrMatrix,
-    m: &Preconditioner,
-    b: &[f64],
-    x0: Option<&[f64]>,
-    rel_tol: f64,
-    max_iter: usize,
-    cap: Option<usize>,
-    scratch: &mut SolveScratch,
-) -> CapOutcome {
     let n = a.n();
     assert_eq!(b.len(), n, "rhs length mismatch");
     let b_norm = norm(b);
     if b_norm == 0.0 {
-        return CapOutcome::Done(Ok(PcgSolution {
+        return Ok(PcgSolution {
             x: vec![0.0; n],
             iterations: 0,
             residual: 0.0,
-        }));
+        });
     }
     let mut x = match x0 {
         Some(x0) => {
@@ -845,22 +701,14 @@ fn pcg_capped_inner(
     // bitwise identical to a separate `norm(r)` pass.
     let res0 = norm(r) / b_norm;
     if !res0.is_finite() {
-        return CapOutcome::Done(Err(SolveError::NumericalBreakdown));
+        return Err(SolveError::NumericalBreakdown);
     }
     if res0 <= rel_tol {
-        return CapOutcome::Done(Ok(PcgSolution {
+        return Ok(PcgSolution {
             x,
             iterations: 0,
             residual: res0,
-        }));
-    }
-    if cap == Some(0) && max_iter > 0 {
-        return CapOutcome::Capped {
-            x,
-            iterations: 0,
-            res0,
-            res: res0,
-        };
+        });
     }
     m.apply(r, z);
     p.copy_from_slice(z);
@@ -870,7 +718,7 @@ fn pcg_capped_inner(
         a.mul_vec(p, ap);
         let pap = dot(p, ap);
         if pap <= 0.0 || !pap.is_finite() {
-            return CapOutcome::Done(Err(SolveError::NotPositiveDefinite));
+            return Err(SolveError::NotPositiveDefinite);
         }
         let alpha = rz / pap;
         let mut rn2 = 0.0;
@@ -881,25 +729,17 @@ fn pcg_capped_inner(
         }
         let res = rn2.sqrt() / b_norm;
         if !res.is_finite() {
-            return CapOutcome::Done(Err(SolveError::NumericalBreakdown));
+            return Err(SolveError::NumericalBreakdown);
         }
         if res <= rel_tol {
-            return CapOutcome::Done(Ok(PcgSolution {
+            return Ok(PcgSolution {
                 x,
                 iterations: it,
                 residual: res,
-            }));
+            });
         }
         if it == max_iter {
             break;
-        }
-        if cap == Some(it) {
-            return CapOutcome::Capped {
-                x,
-                iterations: it,
-                res0,
-                res,
-            };
         }
         m.apply(r, z);
         let rz_new = dot(r, z);
@@ -910,10 +750,10 @@ fn pcg_capped_inner(
         }
     }
     let res = norm(r) / b_norm;
-    CapOutcome::Done(Err(SolveError::NoConvergence {
+    Err(SolveError::NoConvergence {
         iterations: max_iter,
         residual: res,
-    }))
+    })
 }
 
 fn pcg_inner(
@@ -1340,118 +1180,6 @@ mod tests {
         );
         for i in 0..n * n {
             assert!((ic.x[i] - jac.x[i]).abs() < 1e-7, "i={i}");
-        }
-    }
-
-    /// The 2D grid Laplacian with a weak ground used by the escalation
-    /// tests: slow under Jacobi, fast under IC(0).
-    fn escalation_system() -> (CsrMatrix, Vec<f64>) {
-        let n = 16;
-        let mut t = TripletMatrix::new(n * n);
-        for iy in 0..n {
-            for ix in 0..n {
-                let i = iy * n + ix;
-                if ix + 1 < n {
-                    t.add_conductance(i, i + 1, 1.0);
-                }
-                if iy + 1 < n {
-                    t.add_conductance(i, i + n, 1.0);
-                }
-                t.add_ground(i, 0.01);
-            }
-        }
-        let a = t.to_csr();
-        let b: Vec<f64> = (0..n * n).map(|i| ((i % 7) as f64) * 0.3 + 0.1).collect();
-        (a, b)
-    }
-
-    #[test]
-    fn escalate_is_untouched_under_the_cap() {
-        // A solve that converges within the cap must be bitwise the plain
-        // pcg_with solve and never invoke the escalation closure.
-        let (a, b) = escalation_system();
-        let m = Preconditioner::ic0_or_jacobi(&a).unwrap();
-        let reference = pcg_with(&a, &m, &b, None, 1e-10, 1000, &mut SolveScratch::new()).unwrap();
-        let sol = pcg_escalate(
-            &a,
-            &m,
-            reference.iterations + 5,
-            || panic!("must not escalate a solve that finishes under the cap"),
-            &b,
-            None,
-            1e-10,
-            1000,
-            &mut SolveScratch::new(),
-        )
-        .unwrap();
-        assert_eq!(sol.iterations, reference.iterations);
-        assert!(sol
-            .x
-            .iter()
-            .zip(&reference.x)
-            .all(|(p, q)| p.to_bits() == q.to_bits()));
-    }
-
-    #[test]
-    fn escalate_skips_nearly_done_solves() {
-        // Hitting the cap one iteration short of convergence projects ~1
-        // remaining iteration — far under the cap — so the solve restarts
-        // under the original preconditioner instead of escalating.
-        let (a, b) = escalation_system();
-        let m = Preconditioner::jacobi(&a).unwrap();
-        let full = pcg_with(&a, &m, &b, None, 1e-10, 100_000, &mut SolveScratch::new()).unwrap();
-        assert!(full.iterations > 10);
-        let sol = pcg_escalate(
-            &a,
-            &m,
-            full.iterations - 1,
-            || panic!("a nearly-converged solve must not escalate"),
-            &b,
-            None,
-            1e-10,
-            100_000,
-            &mut SolveScratch::new(),
-        )
-        .unwrap();
-        assert!(sol.residual <= 1e-10);
-        assert!(sol.iterations >= full.iterations - 1);
-    }
-
-    #[test]
-    fn escalate_fires_on_a_long_tail() {
-        // A Jacobi solve capped early with most of its work ahead projects
-        // a long tail and must call the closure; the IC(0) continuation
-        // then finishes in far fewer total iterations.
-        let (a, b) = escalation_system();
-        let m0 = Preconditioner::jacobi(&a).unwrap();
-        let strong = Preconditioner::ic0_or_jacobi(&a).unwrap();
-        assert!(strong.is_ic0());
-        let full = pcg_with(&a, &m0, &b, None, 1e-10, 100_000, &mut SolveScratch::new()).unwrap();
-        let called = std::cell::Cell::new(false);
-        let sol = pcg_escalate(
-            &a,
-            &m0,
-            8,
-            || {
-                called.set(true);
-                Some(&strong)
-            },
-            &b,
-            None,
-            1e-10,
-            100_000,
-            &mut SolveScratch::new(),
-        )
-        .unwrap();
-        assert!(called.get(), "capped long-tail solve must escalate");
-        assert!(
-            sol.iterations < full.iterations,
-            "escalated {} vs jacobi {}",
-            sol.iterations,
-            full.iterations
-        );
-        for (i, (p, q)) in sol.x.iter().zip(&full.x).enumerate() {
-            assert!((p - q).abs() < 1e-7, "i={i}");
         }
     }
 

@@ -3,7 +3,6 @@
 //! ```text
 //! verify mms                 # manufactured-solution suite
 //! verify solver              # IC(0) fast path vs legacy Jacobi path
-//! verify solver-mg           # multigrid tier vs IC(0) + h-refinement ladder
 //! verify fixedpoint [--fast] # Anderson-vs-Picard + canonical-key gate
 //! verify seed [--fast]       # analytic seeding: gradients, snap, parity
 //! verify diff [--fast]       # differential corpus + Fig. 8 guarantees
@@ -33,23 +32,19 @@ use tac25d_verify::fixedpoint::{
     alias_cases, decision_cases, strategy_equivalence_cases, MAX_FIXEDPOINT_DT_C,
 };
 use tac25d_verify::golden::{golden_dir, manifest, run_spec, workspace_root};
-use tac25d_verify::mms::{chain_error, observed_orders, path_split, vcycle_spread, FinCase};
+use tac25d_verify::mms::{chain_error, observed_orders, path_split, FinCase};
 use tac25d_verify::obsguard::{obs_manifest, run_obs_determinism};
 use tac25d_verify::seedcheck::{
     decision_parity_cases, gradient_cases, snap_cases, MAX_GRAD_REL_ERR,
 };
 use tac25d_verify::servecheck::{serve_equivalence_report, CONCURRENT_CLIENTS};
 use tac25d_verify::solvercheck::{solver_equivalence_cases, MAX_SOLVER_DT_C};
-use tac25d_verify::solvermg::{mg_equivalence_cases, mg_refill_cases};
 use tac25d_verify::tracecheck::{
     trace_report, ISOLATION_CLIENTS, MAX_ABS_OVERHEAD_US, MAX_OVERHEAD_RATIO,
 };
 
 /// Acceptance thresholds, mirrored by the in-crate tests.
 const MIN_ORDER: f64 = 1.8;
-/// Maximum V-cycle-count spread across the multigrid refinement ladder:
-/// h-independence means the count stays flat (±2) as the grid doubles.
-const MAX_VCYCLE_SPREAD: usize = 2;
 const MAX_CHAIN_REL_ERR: f64 = 1e-6;
 const MAX_SPLIT_REL_ERR: f64 = 0.02;
 const MAX_BALANCE_ERR: f64 = 1e-3;
@@ -156,105 +151,6 @@ fn run_solver(report: &mut String) -> bool {
         Err(e) => {
             ok = false;
             let _ = writeln!(report, "  ERROR: {e}");
-        }
-    }
-    ok
-}
-
-fn run_solver_mg(report: &mut String) -> bool {
-    let mut ok = true;
-    let _ = writeln!(
-        report,
-        "Multigrid tier equivalence (MG-preconditioned PCG vs IC(0)):"
-    );
-    match mg_equivalence_cases() {
-        Ok(cases) => {
-            for c in &cases {
-                let status = if c.passed() {
-                    "ok"
-                } else {
-                    ok = false;
-                    "FAIL"
-                };
-                let _ = writeln!(
-                    report,
-                    "  {:<18} max|dT|={:.3e} C  iters mg={:<6} ic0={:<6} outer_match={} mg_active={} {status}",
-                    c.name, c.max_abs_dt_c, c.mg_iterations, c.ic0_iterations, c.outer_match, c.mg_active
-                );
-                if !c.passed() {
-                    let _ = writeln!(
-                        report,
-                        "  FAIL: paths must agree to {MAX_SOLVER_DT_C:.0e} C with the hierarchy active and matching outer counts"
-                    );
-                }
-            }
-        }
-        Err(e) => {
-            ok = false;
-            let _ = writeln!(report, "  ERROR: {e}");
-        }
-    }
-
-    let _ = writeln!(
-        report,
-        "Multigrid refill equivalence (shared-scaffold refill vs from-scratch build):"
-    );
-    match mg_refill_cases() {
-        Ok(cases) => {
-            for c in &cases {
-                let status = if c.passed() {
-                    "ok"
-                } else {
-                    ok = false;
-                    "FAIL"
-                };
-                let _ = writeln!(
-                    report,
-                    "  {:<18} bitwise_equal={} iterations_match={} scaffold_shared={} {status}",
-                    c.name, c.bitwise_equal, c.iterations_match, c.scaffold_shared
-                );
-                if !c.passed() {
-                    let _ = writeln!(
-                        report,
-                        "  FAIL: the refilled hierarchy must reproduce the from-scratch build bitwise on the shared scaffold"
-                    );
-                }
-            }
-        }
-        Err(e) => {
-            ok = false;
-            let _ = writeln!(report, "  ERROR: {e}");
-        }
-    }
-
-    let _ = writeln!(
-        report,
-        "Multigrid h-refinement ladder (standalone V-cycle):"
-    );
-    let ladder = FinCase::default().refine_mg(&[32, 64, 128, 256]);
-    for s in &ladder {
-        let _ = writeln!(
-            report,
-            "  n={:<3} dx={:.3e}  max_err={:.3e}  rms={:.3e}  vcycles={}",
-            s.sample.n, s.sample.dx_m, s.sample.max_abs_err, s.sample.rms_err, s.vcycles
-        );
-    }
-    let spread = vcycle_spread(&ladder);
-    let _ = writeln!(report, "  vcycle spread (max-min): {spread}");
-    if spread > MAX_VCYCLE_SPREAD {
-        ok = false;
-        let _ = writeln!(
-            report,
-            "  FAIL: vcycle spread {spread} > {MAX_VCYCLE_SPREAD} — the cycle is not h-independent"
-        );
-    }
-    let samples: Vec<_> = ladder.iter().map(|s| s.sample).collect();
-    let orders = observed_orders(&samples);
-    let _ = writeln!(report, "  observed orders: {orders:.3?}");
-    for p in &orders {
-        if *p < MIN_ORDER {
-            ok = false;
-            let _ = writeln!(report, "  FAIL: order {p:.3} < {MIN_ORDER}");
         }
     }
     ok
@@ -746,7 +642,6 @@ fn main() -> ExitCode {
     let ok = match mode {
         "mms" => run_mms(&mut report),
         "solver" => run_solver(&mut report),
-        "solver-mg" => run_solver_mg(&mut report),
         "fixedpoint" => run_fixedpoint(&mut report, fast),
         "seed" => run_seed(&mut report, fast),
         "diff" => run_diff(&mut report, fast),
@@ -757,7 +652,6 @@ fn main() -> ExitCode {
         "all" => {
             let a = run_mms(&mut report);
             let s = run_solver(&mut report);
-            let m = run_solver_mg(&mut report);
             let f = run_fixedpoint(&mut report, fast);
             let sd = run_seed(&mut report, fast);
             let b = run_diff(&mut report, fast);
@@ -765,11 +659,11 @@ fn main() -> ExitCode {
             let d = run_obs(&mut report);
             let e = run_serve(&mut report);
             let t = run_trace(&mut report);
-            a && s && m && f && sd && b && c && d && e && t
+            a && s && f && sd && b && c && d && e && t
         }
         other => {
             eprintln!(
-                "unknown mode {other:?}; use mms | solver | solver-mg | fixedpoint | seed | diff | golden | obs | serve | trace | all"
+                "unknown mode {other:?}; use mms | solver | fixedpoint | seed | diff | golden | obs | serve | trace | all"
             );
             return ExitCode::FAILURE;
         }

@@ -1,6 +1,6 @@
 //! Cross-crate verification subsystem.
 //!
-//! Three pillars, one per module:
+//! One check per module:
 //!
 //! * [`mms`] — method-of-manufactured-solutions checks for the thermal
 //!   solver: cosine-mode fin fields with measured spatial convergence
@@ -20,9 +20,6 @@
 //! * [`solvercheck`] — solver fast-path equivalence: the IC(0) + warm
 //!   start PCG path against the legacy cold Jacobi path over a small
 //!   organization corpus, max |ΔT| ≤ 1e-6 °C at tight tolerance.
-//! * [`solvermg`] — the same gate one tier up: the geometric multigrid
-//!   path (`TAC25D_SOLVER=mg`) against IC(0), plus the h-refinement
-//!   ladder asserting flat V-cycle counts with observed order ≥ 1.8.
 //! * [`fixedpoint`] — fixed-point equivalence: the adaptive Anderson
 //!   outer loop against the Picard loop, symmetry-canonical cache-key
 //!   aliases evaluated independently, and the Fig. 8 organizer's
@@ -49,14 +46,12 @@ pub mod obsguard;
 pub mod seedcheck;
 pub mod servecheck;
 pub mod solvercheck;
-pub mod solvermg;
 pub mod tracecheck;
 
 pub use differential::{DiffPoint, DiffRecord, Fig8Case};
 pub use fixedpoint::{AliasCase, DecisionCase, StrategyCase};
 pub use golden::{GoldenOutcome, GoldenSpec};
-pub use mms::{FinCase, MgMmsSample, MmsSample, SplitResult};
+pub use mms::{FinCase, MmsSample, SplitResult};
 pub use seedcheck::{GradientCase, ParityCase, SnapCase};
 pub use solvercheck::SolverCase;
-pub use solvermg::{MgRefillCase, MgSolverCase};
 pub use tracecheck::{IsolationCase, TraceIdentityCase, TraceReport};

@@ -109,32 +109,9 @@ impl FinCase {
         self.measure(n, dx, &sol)
     }
 
-    /// Solves the case at resolution `n` with the standalone geometric
-    /// multigrid V-cycle and returns the error sample together with the
-    /// V-cycle count — the quantity the ladder asserts is h-independent.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Self::solve`].
-    pub fn solve_mg(&self, n: usize) -> MgMmsSample {
-        let (model, field, dx) = self.setup(n);
-        let sol = model
-            .solve_fields_mg(&[&field], REL_TOL)
-            .expect("MMS multigrid solve failed");
-        MgMmsSample {
-            sample: self.measure(n, dx, &sol),
-            vcycles: sol.iterations(),
-        }
-    }
-
     /// Runs the case over a refinement ladder.
     pub fn refine(&self, grids: &[usize]) -> Vec<MmsSample> {
         grids.iter().map(|&n| self.solve(n)).collect()
-    }
-
-    /// Runs the multigrid refinement ladder.
-    pub fn refine_mg(&self, grids: &[usize]) -> Vec<MgMmsSample> {
-        grids.iter().map(|&n| self.solve_mg(n)).collect()
     }
 
     /// Assembles the slab model and manufactured source field at `n`.
@@ -182,40 +159,6 @@ impl FinCase {
             rms_err: (sq_sum / (n * n) as f64).sqrt(),
         }
     }
-}
-
-/// One rung of the multigrid refinement ladder: the error sample of the
-/// standalone V-cycle solve plus the cycles it took. H-independence of
-/// multigrid means `vcycles` stays flat as `n` doubles, while `max_abs_err`
-/// keeps converging at second order — both are asserted by `verify
-/// solver-mg`.
-#[derive(Debug, Clone, Copy)]
-pub struct MgMmsSample {
-    /// The error sample (same fields as the PCG ladder).
-    pub sample: MmsSample,
-    /// Defect-correction V-cycles to reach the shared tolerance.
-    pub vcycles: usize,
-}
-
-/// The max − min spread of V-cycle counts across a multigrid ladder. A
-/// spread within ±2 over ≥3 grid doublings is the h-independence signature
-/// (a flat count means O(N) total work).
-///
-/// # Panics
-///
-/// Panics on an empty ladder.
-pub fn vcycle_spread(samples: &[MgMmsSample]) -> usize {
-    let min = samples
-        .iter()
-        .map(|s| s.vcycles)
-        .min()
-        .expect("empty ladder");
-    let max = samples
-        .iter()
-        .map(|s| s.vcycles)
-        .max()
-        .expect("empty ladder");
-    max - min
 }
 
 fn cell_center(dx: f64, ix: usize, iy: usize) -> (f64, f64) {
@@ -359,17 +302,6 @@ mod tests {
             let (x0, y) = cell_center(dx, 0, iy);
             let ghost = case.manufactured(-x0, y);
             assert!((case.manufactured(x0, y) - ghost).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn mg_ladder_is_h_independent_on_small_grids() {
-        let ladder = FinCase::default().refine_mg(&[16, 32, 64]);
-        let spread = vcycle_spread(&ladder);
-        assert!(spread <= 2, "vcycle spread {spread}");
-        let samples: Vec<_> = ladder.iter().map(|s| s.sample).collect();
-        for o in observed_orders(&samples) {
-            assert!(o > 1.5, "observed order {o}");
         }
     }
 
