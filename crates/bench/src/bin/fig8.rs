@@ -12,18 +12,11 @@ use tac25d_bench::runner::{
     benchmarks_from_args, parallel_map_by_cost, seed_from_args, spec_from_args,
 };
 use tac25d_bench::{fmt, Report};
-use tac25d_core::optimizer::SeedMode;
 use tac25d_core::prelude::*;
 use tac25d_floorplan::prelude::ChipletLayout;
 
 fn main() -> std::io::Result<()> {
     let benchmarks = benchmarks_from_args();
-    // Default path: analytic-seeded draft-then-verify search under
-    // surrogate screening. `TAC25D_SEED_MODE=off` restores the exact
-    // legacy search bit-for-bit (shared evaluator, exact fidelity).
-    let seeded = SeedMode::default().enabled();
-    let legacy_ev = (!seeded).then(|| Evaluator::new(spec_from_args()));
-
     // Hotter benchmarks walk a longer feasibility frontier (more throttled
     // operating points probed before a feasible organization appears), so
     // nominal core power is a deterministic proxy for per-benchmark search
@@ -32,24 +25,20 @@ fn main() -> std::io::Result<()> {
     let results = parallel_map_by_cost(
         benchmarks.clone(),
         |b| b.profile().core_power_nominal,
-        |&b| match &legacy_ev {
-            Some(ev) => {
-                optimize(ev, b, &OptimizerConfig::with_seed(seed_from_args())).expect("optimize")
-            }
-            None => {
-                // A fresh evaluator per benchmark keeps the corrector's
-                // training history a function of this benchmark alone, so
-                // the chosen organizations are deterministic under any
-                // thread schedule. Kernel sets are not per evaluator: they
-                // depend only on the package family and (edge, r), so every
-                // benchmark shares the process-wide kernel store.
-                let ev = Evaluator::with_surrogate(spec_from_args(), SurrogateConfig::default());
-                let cfg = OptimizerConfig {
-                    fidelity: Fidelity::surrogate_default(),
-                    ..OptimizerConfig::with_seed(seed_from_args())
-                };
-                optimize(&ev, b, &cfg).expect("optimize")
-            }
+        |&b| {
+            // The analytic-seeded draft-then-verify search under surrogate
+            // screening. A fresh evaluator per benchmark keeps the
+            // corrector's training history a function of this benchmark
+            // alone, so the chosen organizations are deterministic under
+            // any thread schedule. Kernel sets are not per evaluator: they
+            // depend only on the package family and (edge, r), so every
+            // benchmark shares the process-wide kernel store.
+            let ev = Evaluator::with_surrogate(spec_from_args(), SurrogateConfig::default());
+            let cfg = OptimizerConfig {
+                fidelity: Fidelity::surrogate_default(),
+                ..OptimizerConfig::with_seed(seed_from_args())
+            };
+            optimize(&ev, b, &cfg).expect("optimize")
         },
     );
 

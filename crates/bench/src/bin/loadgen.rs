@@ -1,7 +1,8 @@
 //! Load generator for `tac25d serve`: measures the cross-request
 //! amortization the daemon's shared warm caches buy over the naive
-//! one-process-per-request deployment, and appends the result to
-//! `BENCH_serve.json`.
+//! one-process-per-request deployment. The steady serving benchmark is
+//! perfbench's serve-cold and serve-hot workloads; this binary prints one
+//! run's numbers and, with `--check`, gates the amortization claim.
 //!
 //! Two phases over the same pinned request mix:
 //!
@@ -22,9 +23,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use tac25d_bench::servebench::{
-    append_entry, percentile_us, serve_bench_output_path, stamp, ServeEntry,
-};
 use tac25d_core::prelude::SystemSpec;
 use tac25d_obs as obs;
 use tac25d_serve::client::Client;
@@ -58,6 +56,15 @@ fn parsed_mix() -> Vec<EvaluateRequest> {
                 .expect("mix body is a valid request")
         })
         .collect()
+}
+
+/// Latency percentile from sorted microsecond samples (nearest-rank).
+fn percentile_us(sorted: &[u64], p: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 fn counter(name: &str) -> u64 {
@@ -163,31 +170,6 @@ fn main() {
     let evaluate_p50 = evaluate_hist.percentile_upper_bound(50.0);
     let evaluate_p99 = evaluate_hist.percentile_upper_bound(99.0);
 
-    let entry = stamp(ServeEntry {
-        clients: clients as u64,
-        requests: latencies.len() as u64,
-        naive_rps,
-        served_rps,
-        speedup,
-        p50_us: p50,
-        p99_us: p99,
-        evaluate_p50_us: evaluate_p50,
-        evaluate_p99_us: evaluate_p99,
-        cache_hits,
-        singleflight_joins: joins,
-        date: String::new(),
-        git_rev: String::new(),
-        host: String::new(),
-    });
-    let path = serve_bench_output_path();
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    if let Err(e) = append_entry(&path, &entry) {
-        eprintln!("loadgen: failed to record {}: {e}", path.display());
-        std::process::exit(1);
-    }
-
     println!("loadgen results ({} served requests):", latencies.len());
     println!("  naive      {naive_rps:>10.2} req/s  (cold engine per request)");
     println!("  served     {served_rps:>10.2} req/s  ({clients} keep-alive clients)");
@@ -197,7 +179,6 @@ fn main() {
         "  evaluate   p50 <= {evaluate_p50} us, p99 <= {evaluate_p99} us (server handle time)"
     );
     println!("  warm state {cache_hits} cache hits, {joins} single-flight joins");
-    println!("  recorded   {}", path.display());
 
     if check {
         let mut ok = true;
@@ -213,5 +194,20 @@ fn main() {
             std::process::exit(1);
         }
         println!("loadgen --check: PASS (speedup >= 5x, warm caches exercised)");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn percentiles_use_nearest_rank() {
+        let sorted: Vec<u64> = (1..=100).collect();
+        assert_eq!(percentile_us(&sorted, 50.0), 50);
+        assert_eq!(percentile_us(&sorted, 99.0), 99);
+        assert_eq!(percentile_us(&sorted, 100.0), 100);
+        assert_eq!(percentile_us(&[42], 50.0), 42);
+        assert_eq!(percentile_us(&[], 99.0), 0);
     }
 }

@@ -107,7 +107,7 @@ pub fn current_entry() -> Fig8Entry {
 /// CPU model (from `/proc/cpuinfo`) plus logical core count, e.g.
 /// `"Intel(R) Xeon(R) Processor @ 2.10GHz (8 threads)"`. Falls back to
 /// `unknown-cpu` on platforms without `/proc`.
-pub(crate) fn host_string() -> String {
+fn host_string() -> String {
     let threads = std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get);
     let cpu = std::fs::read_to_string("/proc/cpuinfo")
         .ok()
@@ -204,7 +204,7 @@ fn render(entries: &[Fig8Entry]) -> String {
 /// Today's UTC civil date, `YYYY-MM-DD`, from the system clock alone
 /// (no chrono dependency; Gregorian conversion via the classic
 /// days-from-civil inverse).
-pub(crate) fn utc_date() -> String {
+fn utc_date() -> String {
     let secs = SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
@@ -230,7 +230,7 @@ fn civil_from_days(z: i64) -> (i64, u32, u32) {
 
 /// The short git revision of the workspace, `unknown` when git or the
 /// repository is unavailable.
-pub(crate) fn git_rev() -> String {
+fn git_rev() -> String {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)

@@ -19,7 +19,6 @@ use std::sync::OnceLock;
 
 pub mod fig8bench;
 pub mod runner;
-pub mod servebench;
 pub mod sink;
 
 use sink::RenderedReport;

@@ -375,10 +375,9 @@ struct SharedState {
 /// request its own deadline while all requests warm one memo table.
 pub struct Evaluator {
     shared: Arc<SharedState>,
-    /// Explicit coupled-solve options; `None` defers to
-    /// [`CoupledOptions::default`] at call time (which reads the
-    /// `TAC25D_FIXEDPOINT` strategy override from the environment).
-    coupled: Option<CoupledOptions>,
+    /// Coupled-solve options ([`CoupledOptions::default`] unless set by
+    /// [`Evaluator::with_coupled_options`]).
+    coupled: CoupledOptions,
     /// This handle's evaluation deadline. Checked before serving a miss
     /// and threaded into the coupled loop, which aborts between outer
     /// iterations. Cache hits are always served — they cost microseconds.
@@ -412,7 +411,7 @@ impl Evaluator {
                 thermal_sims: AtomicUsize::new(0),
                 surrogate,
             }),
-            coupled: None,
+            coupled: CoupledOptions::default(),
             deadline: None,
         }
     }
@@ -420,11 +419,11 @@ impl Evaluator {
     /// Creates an evaluator whose coupled (temperature–leakage) solves run
     /// with explicit options instead of [`CoupledOptions::default`].
     /// Verification harnesses use this to pin the fixed-point strategy per
-    /// evaluator — comparing, say, Picard against Anderson in one process —
-    /// without racing on the process-global `TAC25D_FIXEDPOINT` override.
+    /// evaluator — comparing, say, the Picard oracle against the default
+    /// Anderson loop in one process.
     pub fn with_coupled_options(spec: SystemSpec, options: CoupledOptions) -> Self {
         Evaluator {
-            coupled: Some(options),
+            coupled: options,
             ..Evaluator::new(spec)
         }
     }
@@ -827,7 +826,7 @@ impl Evaluator {
         // the evaluator spends (cache misses), the organizer's cost metric.
         obs::counter!("evaluator.exact_solves").inc();
         let core_power = &spec.core_power;
-        let mut options = self.coupled.unwrap_or_default();
+        let mut options = self.coupled;
         options.deadline = match (options.deadline, self.deadline) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),

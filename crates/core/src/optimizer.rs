@@ -95,16 +95,6 @@ pub enum PlacementSearch {
     },
     /// Evaluate every lattice placement (the paper's validation baseline).
     Exhaustive,
-    /// Simulated annealing over the same lattice — an ablation alternative
-    /// to the greedy (accepts uphill moves with probability
-    /// `exp(−ΔT_peak / temp)`, geometric cooling).
-    SimulatedAnnealing {
-        /// Total annealing moves.
-        iterations: usize,
-        /// Initial acceptance temperature in °C of peak-temperature
-        /// difference (e.g. 10.0).
-        initial_temp: f64,
-    },
 }
 
 /// Prediction fidelity of the per-candidate spacing search.
@@ -123,8 +113,8 @@ pub enum Fidelity {
     /// cannot screen — so any placement *reported feasible* is always
     /// exact-solver-backed. Screening
     /// applies to the multi-start greedy and the single 4-chiplet
-    /// placement check; the exhaustive and annealing searches stay exact
-    /// (they exist for validation).
+    /// placement check; the exhaustive search stays exact (it exists for
+    /// validation).
     Surrogate {
         /// Exact-verification margin above the temperature threshold, °C.
         guard_band_c: f64,
@@ -138,61 +128,13 @@ impl Fidelity {
     }
 }
 
-/// Whether the analytic-gradient placement seeding phase runs before the
-/// screened multi-start greedy (see the module docs and
-/// `tac25d_surrogate::analytic`). Seeding only changes *where the search
-/// starts* — every feasibility claim stays exact-solver-backed — and it
-/// never applies to the exact, exhaustive or annealing paths, which exist
-/// for paper-equivalence validation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub enum SeedMode {
-    /// Follow the process environment: seeding is on unless
-    /// `TAC25D_SEED_MODE` is set to `off` (or `0`).
-    #[default]
-    Auto,
-    /// Seed regardless of the environment.
-    On,
-    /// Never seed — bit-for-bit the pre-seeding search (same RNG stream,
-    /// same probe order).
-    Off,
-}
-
-/// Reads the `TAC25D_SEED_MODE` escape hatch once per process: `off`/`0`
-/// disables the seeding phase everywhere a config leaves it on `Auto`.
-pub fn env_seed_mode_on() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| {
-        std::env::var("TAC25D_SEED_MODE")
-            .map(|v| {
-                let v = v.trim().to_ascii_lowercase();
-                v != "off" && v != "0"
-            })
-            .unwrap_or(true)
-    })
-}
-
-impl SeedMode {
-    /// Resolves the mode against the process environment.
-    #[must_use]
-    pub fn enabled(self) -> bool {
-        match self {
-            SeedMode::Auto => env_seed_mode_on(),
-            SeedMode::On => true,
-            SeedMode::Off => false,
-        }
-    }
-}
-
 impl OptimizerConfig {
     /// Whether this run uses the draft-then-verify pipeline: analytic
     /// seeds, raw-kernel draft ranking, the screened baseline walk and
-    /// tie-run truncation. Requires surrogate fidelity, an attached
-    /// surrogate and the seed mode on — so the exact paper path and the
-    /// `TAC25D_SEED_MODE=off` hatch keep the legacy search bit-for-bit.
+    /// tie-run truncation. Requires surrogate fidelity and an attached
+    /// surrogate, so the exact paper path keeps the paper's search.
     fn draft(&self, ev: &Evaluator) -> bool {
-        matches!(self.fidelity, Fidelity::Surrogate { .. })
-            && self.seeding.enabled()
-            && ev.surrogate().is_some()
+        matches!(self.fidelity, Fidelity::Surrogate { .. }) && ev.surrogate().is_some()
     }
 }
 
@@ -213,8 +155,6 @@ pub struct OptimizerConfig {
     pub accelerate_ties: bool,
     /// Exact or surrogate-screened placement evaluation.
     pub fidelity: Fidelity,
-    /// Analytic-gradient placement seeding for the screened greedy.
-    pub seeding: SeedMode,
 }
 
 impl Default for OptimizerConfig {
@@ -226,16 +166,15 @@ impl Default for OptimizerConfig {
             chiplet_counts: ChipletCount::both(),
             accelerate_ties: true,
             fidelity: Fidelity::Exact,
-            seeding: SeedMode::Auto,
         }
     }
 }
 
 impl OptimizerConfig {
     /// The default configuration with an explicit RNG seed. Every random
-    /// choice of the search (start points, neighbor visit order, annealing
-    /// moves) derives deterministically from this seed, so two runs with
-    /// the same seed and spec produce identical organizations — the
+    /// choice of the search (start points, neighbor visit order) derives
+    /// deterministically from this seed, so two runs with the same seed
+    /// and spec produce identical organizations — the
     /// contract the golden-trace regression harness pins.
     pub fn with_seed(seed: u64) -> Self {
         OptimizerConfig {
@@ -319,7 +258,7 @@ pub struct SearchStats {
     /// untrusted (warm-up, off-manifold queries, uncovered layouts).
     pub surrogate_fallbacks: usize,
     /// Placements ranked by the uncorrected kernel during the draft
-    /// descent (seed mode): no exact solve was paid and no feasibility
+    /// descent: no exact solve was paid and no feasibility
     /// was claimed — the descent's end point is exact-verified instead.
     pub surrogate_raw_ranked: usize,
     /// Largest |predicted − exact| peak-temperature gap observed across
@@ -667,7 +606,7 @@ const SEED_TOP_K: usize = 4;
 /// Runs the analytic placement descender for one 16-chiplet candidate and
 /// returns its top optima snapped to the spacing lattice, coolest proxy
 /// first. Empty when the candidate's power map cannot be decomposed per
-/// chiplet (the greedy then runs unseeded, bit-for-bit the legacy path).
+/// chiplet (the greedy then runs from random starts only).
 ///
 /// The per-chiplet watts come from the same decomposition the surrogate
 /// uses (mintemp active-core placement plus area-weighted NoC power),
@@ -819,17 +758,14 @@ pub fn find_placement_with(
             let layout = ChipletLayout::Symmetric4 { s3 };
             // Every Symmetric4 candidate *is* the kernel's 2×2 reference
             // layout (a uniform grid at the candidate edge), so the raw
-            // superposition there is corrector-grade. In draft/seed mode
-            // the probe screens with the tight verification band instead
-            // of the wide raw band — clearly-infeasible 4-chiplet
-            // candidates stop paying an exact solve each.
-            let guard = match guard {
-                Some(g) if cfg.seeding.enabled() => Some(Guards {
-                    band: g.band,
-                    raw: g.band,
-                }),
-                other => other,
-            };
+            // superposition there is corrector-grade. The probe screens
+            // with the tight verification band instead of the wide raw
+            // band — clearly-infeasible 4-chiplet candidates do not pay an
+            // exact solve each.
+            let guard = guard.map(|g| Guards {
+                band: g.band,
+                raw: g.band,
+            });
             match probe_placement(
                 ev,
                 benchmark,
@@ -881,50 +817,6 @@ pub fn find_placement_with(
                     }
                     Ok(None)
                 }
-                PlacementSearch::SimulatedAnnealing {
-                    iterations,
-                    initial_temp,
-                } => {
-                    assert!(iterations > 0, "annealing needs at least one move");
-                    assert!(initial_temp > 0.0, "annealing temperature must be positive");
-                    let salt = (candidate.edge.value() * 2.0) as u64
-                        ^ ((candidate.op.freq_mhz as u64) << 16)
-                        ^ (u64::from(candidate.active_cores) << 32);
-                    let mut rng = StdRng::seed_from_u64(seed ^ salt ^ 0x5A5A);
-                    let mut current = LatticePoint {
-                        s1u: rng.gen_range(0..=s1_max),
-                        s2u: rng.gen_range(0..=s2_max),
-                    };
-                    let (layout, e) = try_point(current)?;
-                    if e.feasible(threshold) {
-                        return Ok(Some((layout, e)));
-                    }
-                    let mut current_peak = peak_of(&e);
-                    // Geometric cooling to ~1% of the initial temperature.
-                    let cooling = 0.01f64.powf(1.0 / iterations as f64);
-                    let mut temp = initial_temp;
-                    for _ in 0..iterations {
-                        let nb = LatticePoint {
-                            s1u: (current.s1u + rng.gen_range(-1i64..=1)).clamp(0, s1_max),
-                            s2u: (current.s2u + rng.gen_range(-1i64..=1)).clamp(0, s2_max),
-                        };
-                        if nb != current {
-                            let (layout, e) = try_point(nb)?;
-                            if e.feasible(threshold) {
-                                return Ok(Some((layout, e)));
-                            }
-                            let delta = peak_of(&e) - current_peak;
-                            if delta <= 0.0
-                                || (delta.is_finite() && rng.gen::<f64>() < (-delta / temp).exp())
-                            {
-                                current = nb;
-                                current_peak = peak_of(&e);
-                            }
-                        }
-                        temp *= cooling;
-                    }
-                    Ok(None)
-                }
                 PlacementSearch::MultiStartGreedy { starts } => {
                     assert!(starts > 0, "greedy needs at least one start");
                     // Deterministic per-candidate RNG stream.
@@ -943,13 +835,6 @@ pub fn find_placement_with(
                         let layout_of = |pt: LatticePoint| ChipletLayout::Symmetric16 {
                             spacing: lattice_spacing(pt, free_units, step),
                         };
-                        // Draft mode rides with the seeding switch: when
-                        // on, untrusted points are *ranked* by the raw
-                        // kernel instead of paying an exact solve each —
-                        // the exact solver confirms only at the descent's
-                        // end. When off, the loop below is bit-for-bit
-                        // the legacy warm-up search.
-                        let draft = cfg.seeding.enabled();
                         // Scores one lattice point: Ok((found, peak,
                         // band)) where `found` carries a feasible exact
                         // evaluation, `peak` ranks the point for descent
@@ -977,13 +862,15 @@ pub fn find_placement_with(
                                     stats.surrogate_skips += 1;
                                     return Ok((None, pred.raw_peak_c, Some(guard.band)));
                                 }
-                                if draft {
-                                    // The raw estimate is biased by up to
-                                    // the raw guard band, so minima are
-                                    // verified against that wider margin.
-                                    stats.surrogate_raw_ranked += 1;
-                                    return Ok((None, pred.raw_peak_c, Some(guard.raw)));
-                                }
+                                // Draft ranking: an untrusted point is
+                                // ranked by the raw kernel instead of
+                                // paying an exact solve; the exact solver
+                                // confirms only at the descent's end. The
+                                // raw estimate is biased by up to the raw
+                                // guard band, so minima are verified
+                                // against that wider margin.
+                                stats.surrogate_raw_ranked += 1;
+                                return Ok((None, pred.raw_peak_c, Some(guard.raw)));
                             }
                             stats.surrogate_fallbacks += 1;
                             let e = ev.evaluate(
@@ -998,16 +885,9 @@ pub fn find_placement_with(
                         // Seeding phase: descend the analytic proxy and
                         // start the greedy from its snapped optima,
                         // keeping a small random remainder for coverage.
-                        // With seeding off the seed list is empty and the
-                        // loop below is bit-for-bit the legacy search
-                        // (same RNG stream, same probe order).
-                        let seeds: Vec<LatticePoint> = if cfg.seeding.enabled() {
-                            analytic_seed_points(
-                                ev, benchmark, candidate, free_units, step, s1_max, s2_max,
-                            )
-                        } else {
-                            Vec::new()
-                        };
+                        let seeds = analytic_seed_points(
+                            ev, benchmark, candidate, free_units, step, s1_max, s2_max,
+                        );
                         let random_starts = if seeds.is_empty() {
                             starts
                         } else {
@@ -1281,10 +1161,9 @@ where
 {
     let _span = obs::span!("optimizer.optimize");
     let sims_before = ev.thermal_sims();
-    // The baseline screen rides with the draft/seed mode: only screened
-    // (surrogate-fidelity) seeded searches prune the baseline walk, so the
-    // exact paper path — and the `TAC25D_SEED_MODE=off` escape hatch —
-    // keep the legacy walk bit-for-bit.
+    // The baseline screen rides with draft mode: only screened
+    // (surrogate-fidelity) searches prune the baseline walk, so the exact
+    // paper path keeps the paper's walk.
     let (candidates, baseline) = enumerate_candidates_screened(
         ev,
         benchmark,
@@ -1386,7 +1265,7 @@ fn resolve_tie_run(
     // search their prefix below `best_idx` (often empty — e.g. the
     // 16-chiplet subgroup after a cheap 4-chiplet winner). The selected
     // organization is provably unchanged; only the probe count drops.
-    // Gated on draft mode so the legacy path stays bit-for-bit.
+    // Gated on draft mode so the exact paper path keeps its walk.
     let draft = cfg.draft(ev);
     // The tight 4-chiplet guard (see `find_placement_with`): Symmetric4
     // candidates sit on the kernel's reference layout, so the raw margin
@@ -1710,51 +1589,6 @@ mod tests {
             l.candidate.ips.0,
             s.candidate.ips.0
         );
-    }
-
-    #[test]
-    #[cfg_attr(
-        debug_assertions,
-        ignore = "slow under the debug profile; validated by the release suite"
-    )]
-    fn annealing_finds_placements_too() {
-        let ev = evaluator();
-        let spec = ev.spec();
-        let op = spec.vf.nominal();
-        let edge = Mm(36.0);
-        let wc = spec.chip.edge().value() / 4.0;
-        let cand = Candidate {
-            count: ChipletCount::Sixteen,
-            edge,
-            op,
-            active_cores: 256,
-            ips: ev.ips(Benchmark::Hpccg, op, 256),
-            cost: spec
-                .cost
-                .assembly_cost(16, wc * wc, edge.value() * edge.value())
-                .total(),
-            objective: 0.0,
-        };
-        let greedy = find_placement(
-            &ev,
-            Benchmark::Hpccg,
-            &cand,
-            PlacementSearch::MultiStartGreedy { starts: 10 },
-            7,
-        )
-        .unwrap();
-        let sa = find_placement(
-            &ev,
-            Benchmark::Hpccg,
-            &cand,
-            PlacementSearch::SimulatedAnnealing {
-                iterations: 120,
-                initial_temp: 8.0,
-            },
-            7,
-        )
-        .unwrap();
-        assert_eq!(greedy.is_some(), sa.is_some(), "both searches agree here");
     }
 
     #[test]

@@ -108,6 +108,32 @@ fn optional_f64(v: &Value, key: &str, default: f64) -> Result<f64, String> {
     }
 }
 
+fn optional_finite(v: &Value, key: &str, default: f64) -> Result<f64, String> {
+    let x = optional_f64(v, key, default)?;
+    if x.is_finite() {
+        Ok(x)
+    } else {
+        Err(format!("{key:?} must be finite"))
+    }
+}
+
+/// An integral number in `lo..=hi`. JSON numbers decode as `f64`, so an
+/// `as` cast alone would silently truncate `2.5` and saturate `-1` or `1e9`.
+fn optional_int(v: &Value, key: &str, default: u64, lo: u64, hi: u64) -> Result<u64, String> {
+    let x = optional_f64(v, key, default as f64)?;
+    if x.fract() == 0.0 && x >= lo as f64 && x <= hi as f64 {
+        Ok(x as u64)
+    } else {
+        Err(format!("{key:?} must be an integer in {lo}..={hi}"))
+    }
+}
+
+/// Largest integer a JSON number carries exactly.
+const MAX_EXACT_INT: u64 = 1 << 53;
+
+/// Most greedy starts one optimize request may ask for.
+const MAX_STARTS: u64 = 1000;
+
 fn optional_bool(v: &Value, key: &str, default: bool) -> Result<bool, String> {
     match v.get(key) {
         None | Some(Value::Null) => Ok(default),
@@ -160,9 +186,9 @@ impl EvaluateRequest {
         Ok(EvaluateRequest {
             benchmark: parse_benchmark(required_str(v, "benchmark")?)?,
             layout: parse_layout(required_str(v, "layout")?)?,
-            freq_mhz: optional_f64(v, "freq_mhz", 1000.0)?,
-            cores: optional_f64(v, "cores", 256.0)? as u16,
-            threshold_c: optional_f64(v, "threshold_c", 85.0)?,
+            freq_mhz: optional_finite(v, "freq_mhz", 1000.0)?,
+            cores: optional_int(v, "cores", 256, 0, u64::from(u16::MAX))? as u16,
+            threshold_c: optional_finite(v, "threshold_c", 85.0)?,
             deadline_ms: optional_deadline_ms(v)?,
         })
     }
@@ -197,18 +223,24 @@ impl OptimizeRequest {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message for missing or mistyped fields.
+    /// Returns a human-readable message for missing, mistyped or
+    /// out-of-range fields, including weights `Weights::new` would reject.
     pub fn from_json(v: &Value) -> Result<OptimizeRequest, String> {
         if v.as_object().is_none() {
             return Err("request body must be a JSON object".into());
         }
+        let alpha = optional_finite(v, "alpha", 1.0)?;
+        let beta = optional_finite(v, "beta", 0.0)?;
+        if alpha < 0.0 || beta < 0.0 || alpha + beta <= 0.0 {
+            return Err("\"alpha\" and \"beta\" must be non-negative, not both zero".into());
+        }
         Ok(OptimizeRequest {
             benchmark: parse_benchmark(required_str(v, "benchmark")?)?,
-            alpha: optional_f64(v, "alpha", 1.0)?,
-            beta: optional_f64(v, "beta", 0.0)?,
-            starts: optional_f64(v, "starts", 10.0)? as usize,
-            seed: optional_f64(v, "seed", 42.0)? as u64,
-            threshold_c: optional_f64(v, "threshold_c", 85.0)?,
+            alpha,
+            beta,
+            starts: optional_int(v, "starts", 10, 1, MAX_STARTS)? as usize,
+            seed: optional_int(v, "seed", 42, 0, MAX_EXACT_INT)?,
+            threshold_c: optional_finite(v, "threshold_c", 85.0)?,
             iso_cost: optional_bool(v, "iso_cost", false)?,
             exhaustive: optional_bool(v, "exhaustive", false)?,
             deadline_ms: optional_deadline_ms(v)?,
@@ -283,6 +315,11 @@ mod tests {
             r#"{"benchmark": "shock", "layout": "hex:1"}"#,
             r#"{"benchmark": "shock", "layout": "2d", "deadline_ms": -5}"#,
             r#"{"benchmark": "shock", "layout": "2d", "cores": "many"}"#,
+            r#"{"benchmark": "shock", "layout": "2d", "cores": 2.5}"#,
+            r#"{"benchmark": "shock", "layout": "2d", "cores": -1}"#,
+            r#"{"benchmark": "shock", "layout": "2d", "cores": 1e9}"#,
+            r#"{"benchmark": "shock", "layout": "2d", "freq_mhz": 1e999}"#,
+            r#"{"benchmark": "shock", "layout": "2d", "threshold_c": -1e999}"#,
         ] {
             let v = parse(body).unwrap();
             assert!(EvaluateRequest::from_json(&v).is_err(), "accepted {body}");
@@ -299,5 +336,35 @@ mod tests {
         assert_eq!(r.seed, 42);
         assert!(!r.iso_cost);
         assert!(!r.exhaustive);
+    }
+
+    #[test]
+    fn optimize_request_rejects_bad_fields() {
+        for body in [
+            r#"{"benchmark": "canneal", "alpha": 1e999}"#,
+            r#"{"benchmark": "canneal", "beta": -1e999}"#,
+            r#"{"benchmark": "canneal", "alpha": -1}"#,
+            r#"{"benchmark": "canneal", "beta": -0.5}"#,
+            r#"{"benchmark": "canneal", "alpha": 0, "beta": 0}"#,
+            r#"{"benchmark": "canneal", "threshold_c": 1e999}"#,
+            r#"{"benchmark": "canneal", "starts": 0}"#,
+            r#"{"benchmark": "canneal", "starts": 1001}"#,
+            r#"{"benchmark": "canneal", "starts": 2.5}"#,
+            r#"{"benchmark": "canneal", "seed": 1.5}"#,
+            r#"{"benchmark": "canneal", "seed": -1}"#,
+            r#"{"benchmark": "canneal", "seed": 1e300}"#,
+        ] {
+            let v = parse(body).unwrap();
+            assert!(OptimizeRequest::from_json(&v).is_err(), "accepted {body}");
+        }
+    }
+
+    #[test]
+    fn optimize_request_accepts_edge_values() {
+        let v =
+            parse(r#"{"benchmark": "canneal", "alpha": 0, "beta": 1, "starts": 1000, "seed": 0}"#)
+                .unwrap();
+        let r = OptimizeRequest::from_json(&v).unwrap();
+        assert_eq!((r.alpha, r.beta, r.starts, r.seed), (0.0, 1.0, 1000, 0));
     }
 }

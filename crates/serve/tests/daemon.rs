@@ -384,3 +384,50 @@ fn non_finite_layouts_get_422_and_keep_the_pool() {
 
     handle.shutdown();
 }
+
+#[test]
+fn hostile_optimize_fields_get_422_and_keep_the_pool() {
+    let workers = 2;
+    let (handle, addr, engine) = boot(ServerConfig {
+        workers,
+        ..ServerConfig::default()
+    });
+
+    // Each body once panicked a worker inside the organizer or the
+    // objective, or answered 200 with a meaningless objective. More of
+    // them than workers, one connection each, so every worker sees one.
+    let hostile = [
+        r#"{"benchmark": "canneal", "starts": 0}"#,
+        r#"{"benchmark": "canneal", "alpha": -1}"#,
+        r#"{"benchmark": "canneal", "alpha": 0, "beta": 0}"#,
+        r#"{"benchmark": "canneal", "alpha": 1e999}"#,
+        r#"{"benchmark": "canneal", "starts": 2.5}"#,
+    ];
+    assert!(hostile.len() > workers);
+    for body in hostile {
+        let mut client = Client::connect(&addr).unwrap();
+        let r = client.post("/v1/optimize", body).unwrap();
+        assert_eq!(r.status, 422, "{body}: {}", r.text());
+    }
+
+    let mut client = Client::connect(&addr).unwrap();
+    let health = client.get("/healthz").unwrap();
+    assert_eq!(health.status, 200);
+    assert_eq!(health.text(), r#"{"status":"ok"}"#);
+
+    let body = r#"{"benchmark": "canneal", "starts": 2}"#;
+    let r = client.post("/v1/optimize", body).unwrap();
+    assert_eq!(r.status, 200, "{}", r.text());
+    let expected = engine
+        .optimize(
+            &tac25d_serve::protocol::OptimizeRequest::from_json(
+                &tac25d_obs::json::parse(body).unwrap(),
+            )
+            .unwrap(),
+            None,
+        )
+        .body;
+    assert_eq!(r.text(), expected);
+
+    handle.shutdown();
+}

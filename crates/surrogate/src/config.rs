@@ -10,11 +10,6 @@ use serde::{Deserialize, Serialize};
 /// large majority of exact solves.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SurrogateConfig {
-    /// Exact verification margin around the temperature threshold: a
-    /// candidate predicted at or below `threshold + guard_band_c` is
-    /// verified with the exact solver; hotter predictions are trusted to
-    /// be infeasible and skipped. Larger bands are safer and slower.
-    pub guard_band_c: f64,
     /// Screening margin for the *uncorrected* kernel: even before the
     /// residual corrector is trusted, a raw superposition prediction more
     /// than this far above the threshold is skipped. The raw kernel's
@@ -47,7 +42,6 @@ pub struct SurrogateConfig {
 impl Default for SurrogateConfig {
     fn default() -> Self {
         SurrogateConfig {
-            guard_band_c: 5.0,
             raw_guard_band_c: 12.0,
             trust_radius: 0.35,
             min_samples: 8,
@@ -67,8 +61,7 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let c = SurrogateConfig::default();
-        assert!(c.guard_band_c > 0.0);
-        assert!(c.raw_guard_band_c >= c.guard_band_c);
+        assert!(c.raw_guard_band_c > 0.0);
         assert!(c.trust_radius > 0.0);
         assert!(c.min_samples > 0 && c.min_samples <= c.max_samples);
         assert!(c.refine_iters >= 1);

@@ -11,8 +11,8 @@
 //!
 //! * [`CoupledStrategy::Picard`] — the plain successive-substitution loop,
 //!   every inner solve at the model's full PCG tolerance. Byte-for-byte the
-//!   pre-acceleration behavior; kept for differential verification and as
-//!   an escape hatch (`TAC25D_FIXEDPOINT=picard`).
+//!   pre-acceleration behavior; kept, selectable only in code, as the
+//!   independent oracle `verify fixedpoint` compares the default against.
 //! * [`CoupledStrategy::Anderson`] (the default) — an inexact outer loop
 //!   with Eisenstat–Walker-style adaptive forcing terms plus safeguarded
 //!   depth-2 Anderson mixing. Early iterations solve PCG only to a loose
@@ -90,18 +90,6 @@ pub enum CoupledStrategy {
 }
 
 impl CoupledStrategy {
-    /// The strategy selected by the `TAC25D_FIXEDPOINT` environment
-    /// variable: `picard` (case-insensitive) forces the legacy loop,
-    /// anything else — including unset — selects the accelerated path.
-    /// Read per call (not cached) so verification harnesses can compare
-    /// both paths in one process.
-    pub fn from_env() -> Self {
-        match std::env::var("TAC25D_FIXEDPOINT") {
-            Ok(v) if v.eq_ignore_ascii_case("picard") => CoupledStrategy::Picard,
-            _ => CoupledStrategy::Anderson,
-        }
-    }
-
     /// Stable lowercase name (`picard` / `anderson`) for reports.
     pub fn name(&self) -> &'static str {
         match self {
@@ -121,7 +109,7 @@ pub struct CoupledOptions {
     /// Peak temperature above which the loop aborts with
     /// [`ThermalError::Runaway`] (a diverging leakage feedback loop).
     pub runaway: Celsius,
-    /// Iteration strategy (defaults to [`CoupledStrategy::from_env`]).
+    /// Iteration strategy (defaults to [`CoupledStrategy::Anderson`]).
     pub strategy: CoupledStrategy,
     /// Wall-clock instant after which the outer loop aborts with
     /// [`ThermalError::DeadlineExpired`] instead of starting another
@@ -138,7 +126,7 @@ impl Default for CoupledOptions {
             tol: Celsius(0.05),
             max_iter: 60,
             runaway: Celsius(400.0),
-            strategy: CoupledStrategy::from_env(),
+            strategy: CoupledStrategy::Anderson,
             deadline: None,
         }
     }
@@ -701,7 +689,7 @@ mod tests {
     }
 
     #[test]
-    fn strategy_env_parsing() {
+    fn strategy_names() {
         assert_eq!(CoupledStrategy::Picard.name(), "picard");
         assert_eq!(CoupledStrategy::Anderson.name(), "anderson");
     }

@@ -4,7 +4,7 @@
 //! verify mms                 # manufactured-solution suite
 //! verify solver              # IC(0) fast path vs legacy Jacobi path
 //! verify fixedpoint [--fast] # Anderson-vs-Picard + canonical-key gate
-//! verify seed [--fast]       # analytic seeding: gradients, snap, parity
+//! verify seed                # analytic seeding: gradients, snap
 //! verify diff [--fast]       # differential corpus + Fig. 8 guarantees
 //! verify golden [--bless] [--only <bin>]
 //! verify obs                 # observability determinism guard
@@ -34,9 +34,7 @@ use tac25d_verify::fixedpoint::{
 use tac25d_verify::golden::{golden_dir, manifest, run_spec, workspace_root};
 use tac25d_verify::mms::{chain_error, observed_orders, path_split, FinCase};
 use tac25d_verify::obsguard::{obs_manifest, run_obs_determinism};
-use tac25d_verify::seedcheck::{
-    decision_parity_cases, gradient_cases, snap_cases, MAX_GRAD_REL_ERR,
-};
+use tac25d_verify::seedcheck::{gradient_cases, snap_cases, MAX_GRAD_REL_ERR};
 use tac25d_verify::servecheck::{serve_equivalence_report, CONCURRENT_CLIENTS};
 use tac25d_verify::solvercheck::{solver_equivalence_cases, MAX_SOLVER_DT_C};
 use tac25d_verify::tracecheck::{
@@ -251,7 +249,7 @@ fn run_fixedpoint(report: &mut String, fast: bool) -> bool {
     ok
 }
 
-fn run_seed(report: &mut String, fast: bool) -> bool {
+fn run_seed(report: &mut String) -> bool {
     let mut ok = true;
     let _ = writeln!(
         report,
@@ -286,51 +284,6 @@ fn run_seed(report: &mut String, fast: bool) -> bool {
         );
     }
 
-    let spec = verification_spec(fast);
-    let _ = writeln!(
-        report,
-        "Fig. 8 decisions, seeded vs unseeded screened organizer (seed 42, signature-level):"
-    );
-    let cases = decision_parity_cases(&spec, 42);
-    let (mut matched, mut seeded, mut unseeded) = (0usize, 0usize, 0usize);
-    for c in &cases {
-        let status = if c.matched() {
-            matched += 1;
-            "ok"
-        } else {
-            ok = false;
-            "FAIL"
-        };
-        seeded += c.seeded_solves;
-        unseeded += c.unseeded_solves;
-        let _ = writeln!(
-            report,
-            "  {:<14} seeded {:<22} ({:>3} solves) unseeded {:<22} ({:>3} solves) {status}",
-            c.benchmark.name(),
-            c.seeded_desc,
-            c.seeded_solves,
-            c.unseeded_desc,
-            c.unseeded_solves
-        );
-    }
-    let _ = writeln!(
-        report,
-        "  decision match: {matched}/{}  exact solves: seeded {seeded} vs unseeded {unseeded}",
-        cases.len()
-    );
-    if matched != cases.len() {
-        let _ = writeln!(
-            report,
-            "  FAIL: seeding must not change the organizer's decisions"
-        );
-    }
-    if seeded > unseeded {
-        ok = false;
-        let _ = writeln!(
-            report,
-            "  FAIL: seeding must not cost extra exact solves ({seeded} > {unseeded})"
-        );
-    }
     ok
 }
 
@@ -643,7 +596,7 @@ fn main() -> ExitCode {
         "mms" => run_mms(&mut report),
         "solver" => run_solver(&mut report),
         "fixedpoint" => run_fixedpoint(&mut report, fast),
-        "seed" => run_seed(&mut report, fast),
+        "seed" => run_seed(&mut report),
         "diff" => run_diff(&mut report, fast),
         "golden" => run_golden(&mut report, bless, only.as_deref()),
         "obs" => run_obs(&mut report),
@@ -653,7 +606,7 @@ fn main() -> ExitCode {
             let a = run_mms(&mut report);
             let s = run_solver(&mut report);
             let f = run_fixedpoint(&mut report, fast);
-            let sd = run_seed(&mut report, fast);
+            let sd = run_seed(&mut report);
             let b = run_diff(&mut report, fast);
             let c = run_golden(&mut report, bless, only.as_deref());
             let d = run_obs(&mut report);

@@ -16,8 +16,8 @@
 //!   package, so evaluating each *independently* (separate evaluators,
 //!   no shared cache) must agree on the field and on feasibility;
 //! * **organization decisions** — the Fig. 8 organizer run end-to-end
-//!   under both strategies (pinned per evaluator, not via the
-//!   process-global `TAC25D_FIXEDPOINT` override) must choose the same
+//!   under both strategies (pinned per evaluator through
+//!   `Evaluator::with_coupled_options`) must choose the same
 //!   organization decision for every benchmark: identical candidate
 //!   signature (frequency/cores/edge/layout class) with each winner's
 //!   placement feasible under the other strategy. Spacing is reported
@@ -346,8 +346,8 @@ fn signature(r: &OptimizeResult) -> Option<(u64, u16, u64, &'static str)> {
 }
 
 /// Runs the Fig. 8 organizer per benchmark under both strategies — pinned
-/// through [`Evaluator::with_coupled_options`], never the process-global
-/// environment override — and records the chosen organizations, their
+/// through [`Evaluator::with_coupled_options`] — and records the chosen
+/// organizations, their
 /// signature agreement and the cross-strategy feasibility of each winner.
 ///
 /// # Panics

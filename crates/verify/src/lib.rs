@@ -25,9 +25,8 @@
 //!   aliases evaluated independently, and the Fig. 8 organizer's
 //!   decisions under both strategies.
 //! * [`seedcheck`] — analytic seeding gate: exact-gradient consistency
-//!   against central finite differences, descend-and-snap determinism,
-//!   and seeded-vs-unseeded decision parity of the screened organizer
-//!   over the Fig. 8 corpus.
+//!   against central finite differences and descend-and-snap
+//!   determinism.
 //! * [`servecheck`] — daemon byte-identity: a pinned request corpus
 //!   against a fresh local engine, sequentially and under concurrent
 //!   keep-alive clients.
@@ -52,6 +51,6 @@ pub use differential::{DiffPoint, DiffRecord, Fig8Case};
 pub use fixedpoint::{AliasCase, DecisionCase, StrategyCase};
 pub use golden::{GoldenOutcome, GoldenSpec};
 pub use mms::{FinCase, MmsSample, SplitResult};
-pub use seedcheck::{GradientCase, ParityCase, SnapCase};
+pub use seedcheck::{GradientCase, SnapCase};
 pub use solvercheck::SolverCase;
 pub use tracecheck::{IsolationCase, TraceIdentityCase, TraceReport};

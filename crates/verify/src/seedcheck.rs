@@ -2,7 +2,7 @@
 //! and its draft-then-verify search must be a decision-preserving
 //! acceleration of the screened organizer.
 //!
-//! Three contracts, one per section of the report:
+//! Two contracts, one per section of the report:
 //!
 //! * **gradient consistency** — on a deterministic corpus of random
 //!   manifolds and power maps, the proxy's exact analytic gradient must
@@ -13,19 +13,13 @@
 //! * **snap determinism** — descending and lattice-snapping the same
 //!   manifold twice must produce bit-identical seed points (the seeds
 //!   feed a seeded RNG search, so any wobble would break run-to-run
-//!   reproducibility of the organizer);
-//! * **decision parity** — the full organizer over the Fig. 8 benchmark
-//!   corpus, seeded versus unseeded (both under surrogate screening,
-//!   independent evaluators), must pick the same organization signature
-//!   (frequency / cores / interposer edge / layout class) for every
-//!   benchmark, while the seeded run spends no more exact coupled solves
-//!   in total. Spacing within the winning candidate is *not* part of the
-//!   signature: the Eq. (5) objective is spacing-independent, so any
-//!   exact-verified feasible spacing is an equally valid witness.
+//!   reproducibility of the organizer).
+//!
+//! The seeded search is the only screened search, so its decisions are
+//! checked against the exact paper search by `verify diff`, and its
+//! exact-solve budget by the one-sided `evaluator.exact_solves` gate of
+//! `obs-report --baseline`.
 
-use tac25d_core::optimizer::SeedMode;
-use tac25d_core::prelude::*;
-use tac25d_floorplan::organization::ChipletLayout;
 use tac25d_surrogate::analytic::{snap_to_lattice, AnalyticConfig, Manifold16};
 
 /// Maximum tolerated relative error between the analytic gradient and a
@@ -68,29 +62,6 @@ impl SnapCase {
     #[must_use]
     pub fn passed(&self) -> bool {
         self.deterministic
-    }
-}
-
-/// One benchmark's seeded-vs-unseeded organizer comparison.
-#[derive(Debug, Clone)]
-pub struct ParityCase {
-    /// The benchmark.
-    pub benchmark: Benchmark,
-    /// Signature of the seeded winner (`freq/cores/edge/class`).
-    pub seeded_desc: String,
-    /// Signature of the unseeded winner.
-    pub unseeded_desc: String,
-    /// Exact coupled solves the seeded run spent.
-    pub seeded_solves: usize,
-    /// Exact coupled solves the unseeded run spent.
-    pub unseeded_solves: usize,
-}
-
-impl ParityCase {
-    /// Whether both searches chose the same organization signature.
-    #[must_use]
-    pub fn matched(&self) -> bool {
-        self.seeded_desc == self.unseeded_desc
     }
 }
 
@@ -193,70 +164,9 @@ pub fn snap_cases() -> Vec<SnapCase> {
         .collect()
 }
 
-/// `freq/cores/edge/layout-class` signature of an organizer result. The
-/// class collapses spacing detail (`4c`, `16c`, …): the objective is
-/// spacing-independent, so equally-feasible spacings are interchangeable
-/// witnesses of the same decision.
-fn signature(r: &OptimizeResult) -> String {
-    r.best.as_ref().map_or_else(
-        || "-".to_owned(),
-        |o| {
-            let class = match o.layout {
-                ChipletLayout::SingleChip => "1c".to_owned(),
-                ChipletLayout::Symmetric4 { .. } => "4c".to_owned(),
-                ChipletLayout::Symmetric16 { .. } => "16c".to_owned(),
-                ChipletLayout::Uniform { r, .. } => format!("u{}", u32::from(r) * u32::from(r)),
-            };
-            format!(
-                "{:.0}MHz/{}c/{:.0}mm/{class}",
-                o.candidate.op.freq_mhz,
-                o.candidate.active_cores,
-                o.candidate.edge.value(),
-            )
-        },
-    )
-}
-
-/// Runs the screened organizer over the Fig. 8 corpus with seeding
-/// forced on and forced off (fresh, independent evaluators — the modes
-/// must not share corrector state) and records the decision signatures
-/// and exact-solve spend.
-///
-/// # Panics
-///
-/// Panics if an optimize run fails outright (solver error, no baseline).
-pub fn decision_parity_cases(spec: &SystemSpec, seed: u64) -> Vec<ParityCase> {
-    Benchmark::all()
-        .into_iter()
-        .map(|b| {
-            let run = |mode: SeedMode| {
-                let ev = Evaluator::with_surrogate(spec.clone(), SurrogateConfig::default());
-                let cfg = OptimizerConfig {
-                    fidelity: Fidelity::surrogate_default(),
-                    seeding: mode,
-                    ..OptimizerConfig::with_seed(seed)
-                };
-                let r = optimize(&ev, b, &cfg).expect("optimize");
-                (signature(&r), ev.thermal_sims())
-            };
-            let (seeded_desc, seeded_solves) = run(SeedMode::On);
-            let (unseeded_desc, unseeded_solves) = run(SeedMode::Off);
-            ParityCase {
-                benchmark: b,
-                seeded_desc,
-                unseeded_desc,
-                seeded_solves,
-                unseeded_solves,
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tac25d_core::system::SystemSpec;
-    use tac25d_floorplan::units::Mm;
 
     #[test]
     fn gradient_corpus_is_consistent() {
@@ -270,29 +180,5 @@ mod tests {
         for c in snap_cases() {
             assert!(c.passed(), "{}: seeds diverged", c.name);
         }
-    }
-
-    #[test]
-    fn seeded_and_unseeded_decisions_agree_on_the_smoke_spec() {
-        let mut spec = SystemSpec::fast();
-        spec.thermal.grid = 16;
-        spec.edge_step = Mm(2.0);
-        let cases = decision_parity_cases(&spec, 42);
-        let (mut seeded, mut unseeded) = (0, 0);
-        for c in &cases {
-            assert!(
-                c.matched(),
-                "{}: seeded {} vs unseeded {}",
-                c.benchmark.name(),
-                c.seeded_desc,
-                c.unseeded_desc
-            );
-            seeded += c.seeded_solves;
-            unseeded += c.unseeded_solves;
-        }
-        assert!(
-            seeded <= unseeded,
-            "seeding must not cost extra exact solves: {seeded} vs {unseeded}"
-        );
     }
 }

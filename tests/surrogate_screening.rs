@@ -65,6 +65,10 @@ fn screened_optimizer_matches_exact_and_is_exact_backed() {
         "some placements screened out"
     );
     assert!(
+        screened.stats.surrogate_raw_ranked > 0,
+        "the draft descent ranks untrusted points by the raw kernel"
+    );
+    assert!(
         screened.stats.thermal_sims <= exact.stats.thermal_sims,
         "screened run must not cost more exact solves ({} vs {})",
         screened.stats.thermal_sims,
