@@ -153,7 +153,11 @@ use tac25d_serve::protocol::parse_layout;
 fn get_f64(opts: &HashMap<String, String>, key: &str, default: f64) -> Result<f64, String> {
     match opts.get(key) {
         None => Ok(default),
-        Some(v) => v.parse().map_err(|e| format!("bad --{key} {v:?}: {e}")),
+        Some(v) => match v.parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(x),
+            Ok(_) => Err(format!("bad --{key} {v:?}: must be finite")),
+            Err(e) => Err(format!("bad --{key} {v:?}: {e}")),
+        },
     }
 }
 
@@ -171,15 +175,17 @@ fn make_spec(opts: &HashMap<String, String>) -> Result<SystemSpec, String> {
 }
 
 fn cmd_evaluate(opts: &HashMap<String, String>) -> Result<(), String> {
-    let benchmark = parse_benchmark(opts)?;
-    let layout = parse_layout(opts.get("layout").ok_or("--layout is required")?)?;
+    use tac25d_serve::protocol::EvaluateRequest;
+
+    let req = EvaluateRequest::from_json(&parse_body(&query_body(opts, false)?)?)?;
     let spec = make_spec(opts)?;
-    let freq = get_f64(opts, "freq", 1000.0)?;
-    let cores = get_f64(opts, "cores", 256.0)? as u16;
+    let freq = req.freq_mhz;
     let op = spec
         .vf
         .at_frequency(freq)
         .ok_or_else(|| format!("no VF point at {freq} MHz (have 1000/800/533/400/320)"))?;
+    req.check_cores(spec.chip.core_count())?;
+    let (layout, benchmark, cores) = (req.layout, req.benchmark, req.cores);
     let threshold = spec.threshold;
     let ev = Evaluator::new(spec);
     let e = ev
@@ -202,26 +208,18 @@ fn cmd_evaluate(opts: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_optimize(opts: &HashMap<String, String>) -> Result<(), String> {
-    let benchmark = parse_benchmark(opts)?;
+    use tac25d_serve::protocol::OptimizeRequest;
+
+    // The daemon's validator: weights, start count and seed are checked
+    // once, in one place, for both front ends.
+    let req = OptimizeRequest::from_json(&parse_body(&query_body(opts, true)?)?)?;
     let spec = make_spec(opts)?;
-    let alpha = get_f64(opts, "alpha", 1.0)?;
-    let beta = get_f64(opts, "beta", 0.0)?;
-    let starts = get_f64(opts, "starts", 10.0)? as usize;
-    let cfg = OptimizerConfig {
-        weights: Weights::new(alpha, beta),
-        search: if opts.contains_key("exhaustive") {
-            PlacementSearch::Exhaustive
-        } else {
-            PlacementSearch::MultiStartGreedy { starts }
-        },
-        seed: get_f64(opts, "seed", 42.0)? as u64,
-        ..OptimizerConfig::default()
-    };
+    let cfg = req.config();
     let ev = Evaluator::new(spec);
-    let result = if opts.contains_key("iso-cost") {
-        optimize_with_filter(&ev, benchmark, &cfg, |c, base| c.cost <= base.cost)
+    let result = if req.iso_cost {
+        optimize_with_filter(&ev, req.benchmark, &cfg, |c, base| c.cost <= base.cost)
     } else {
-        optimize(&ev, benchmark, &cfg)
+        optimize(&ev, req.benchmark, &cfg)
     }
     .map_err(|e| e.to_string())?;
     let base = &result.baseline;
@@ -451,18 +449,19 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds the request body shared by the remote and local query paths.
-fn query_body(opts: &HashMap<String, String>) -> Result<(String, bool), String> {
+/// Builds the request body shared by `evaluate`, `optimize` and the remote
+/// and local query paths. Numbers pass through unchanged, so the request
+/// validators see exactly what the flags said.
+fn query_body(opts: &HashMap<String, String>, optimize: bool) -> Result<String, String> {
     use tac25d_obs::json::{obj, Value};
 
     let benchmark = parse_benchmark(opts)?;
-    let optimize = opts.contains_key("optimize");
     let mut fields: Vec<(&str, Value)> = vec![("benchmark", Value::from(benchmark.name()))];
     if optimize {
         fields.push(("alpha", Value::from(get_f64(opts, "alpha", 1.0)?)));
         fields.push(("beta", Value::from(get_f64(opts, "beta", 0.0)?)));
-        fields.push(("starts", Value::from(get_f64(opts, "starts", 10.0)? as u64)));
-        fields.push(("seed", Value::from(get_f64(opts, "seed", 42.0)? as u64)));
+        fields.push(("starts", Value::from(get_f64(opts, "starts", 10.0)?)));
+        fields.push(("seed", Value::from(get_f64(opts, "seed", 42.0)?)));
         fields.push(("iso_cost", Value::from(opts.contains_key("iso-cost"))));
         fields.push(("exhaustive", Value::from(opts.contains_key("exhaustive"))));
     } else {
@@ -470,7 +469,7 @@ fn query_body(opts: &HashMap<String, String>) -> Result<(String, bool), String> 
         parse_layout(layout)?; // validate before shipping
         fields.push(("layout", Value::from(layout.as_str())));
         fields.push(("freq_mhz", Value::from(get_f64(opts, "freq", 1000.0)?)));
-        fields.push(("cores", Value::from(get_f64(opts, "cores", 256.0)? as u64)));
+        fields.push(("cores", Value::from(get_f64(opts, "cores", 256.0)?)));
     }
     fields.push((
         "threshold_c",
@@ -482,19 +481,24 @@ fn query_body(opts: &HashMap<String, String>) -> Result<(String, bool), String> 
             .map_err(|e| format!("bad --deadline-ms {ms:?}: {e}"))?;
         fields.push(("deadline_ms", Value::from(ms)));
     }
-    Ok((obj(fields).render(), optimize))
+    Ok(obj(fields).render())
+}
+
+fn parse_body(body: &str) -> Result<tac25d_obs::json::Value, String> {
+    tac25d_obs::json::parse(body).map_err(|e| e.to_string())
 }
 
 fn cmd_query(opts: &HashMap<String, String>) -> Result<(), String> {
     use tac25d_serve::engine::EngineState;
     use tac25d_serve::protocol::{EvaluateRequest, OptimizeRequest};
 
-    let (body, optimize) = query_body(opts)?;
+    let optimize = opts.contains_key("optimize");
+    let body = query_body(opts, optimize)?;
     let (status, response) = if opts.contains_key("local") {
         // One-shot local answer through the same engine code path the
         // daemon runs — byte-identical by construction.
         let engine = EngineState::new(make_spec(opts)?);
-        let value = tac25d_obs::json::parse(&body).map_err(|e| e.to_string())?;
+        let value = parse_body(&body)?;
         let deadline = opts
             .get("deadline-ms")
             .and_then(|v| v.parse::<u64>().ok())

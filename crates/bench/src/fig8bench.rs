@@ -1,6 +1,6 @@
 //! The canonical Fig. 8 solver-performance record: `BENCH_fig8.json`.
 //!
-//! Every observed `fig8` run appends one entry capturing the solver kind,
+//! Every observed `fig8` run appends one entry capturing the solver,
 //! wall time and PCG effort, so the file accumulates a before/after
 //! trajectory across solver changes (the legacy Jacobi baseline next to
 //! the IC(0) fast path) instead of silently overwriting history. The
@@ -33,13 +33,13 @@ use std::path::{Path, PathBuf};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use tac25d_obs as obs;
-use tac25d_thermal::model::ThermalConfig;
 
 /// One recorded `fig8` run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fig8Entry {
-    /// Solver kind the run used: always `ic0` now; older entries also
-    /// record `jacobi` or `mg`.
+    /// Solver the run used: always `ic0` now (IC(0)-preconditioned PCG,
+    /// the only path left); older entries also record `jacobi`, `mg` or
+    /// `auto`, kept verbatim when the file is re-rendered.
     pub solver: String,
     /// Whether `--fast` was passed.
     pub fast: bool,
@@ -92,7 +92,7 @@ pub fn current_entry() -> Fig8Entry {
             .map_or(0, |(_, v)| *v)
     };
     Fig8Entry {
-        solver: ThermalConfig::default().solver.name().to_owned(),
+        solver: "ic0".to_owned(),
         fast: crate::fast_flag(),
         wall_s: obs::uptime().as_secs_f64(),
         pcg_iterations: counter("thermal.pcg_iterations"),

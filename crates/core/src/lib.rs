@@ -44,7 +44,6 @@ pub mod evaluator;
 pub mod multiapp;
 pub mod objective;
 pub mod optimizer;
-pub mod sweeps;
 pub mod system;
 pub mod transient_eval;
 
@@ -62,9 +61,6 @@ pub mod prelude {
         best_at_edge, enumerate_candidates, find_placement, find_placement_with, interposer_edges,
         optimize, optimize_with_filter, Candidate, ChipletCount, Fidelity, OptimizeError,
         OptimizeResult, OptimizerConfig, Organization, PlacementSearch, SearchStats,
-    };
-    pub use crate::sweeps::{
-        perf_cost_sweep, threshold_crossing, uniform_spacing_sweep, PerfCostPoint, SpacingPoint,
     };
     pub use crate::system::SystemSpec;
     pub use crate::transient_eval::{evaluate_transient, TransientEvaluation};

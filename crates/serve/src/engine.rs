@@ -90,11 +90,8 @@ impl EngineState {
             return EngineResult::error(422, format!("no VF point at {} MHz", req.freq_mhz));
         };
         let core_count = spec.chip.core_count();
-        if req.cores == 0 || req.cores > core_count {
-            return EngineResult::error(
-                422,
-                format!("cores must be in 1..={core_count}, got {}", req.cores),
-            );
+        if let Err(message) = req.check_cores(core_count) {
+            return EngineResult::error(422, message);
         }
         let threshold = Celsius(req.threshold_c);
         let ev = self.handle(deadline);
@@ -125,16 +122,7 @@ impl EngineState {
     pub fn optimize(&self, req: &OptimizeRequest, deadline: Option<Instant>) -> EngineResult {
         let _span = tac25d_obs::span!("serve.optimize");
         let spec = self.spec();
-        let cfg = OptimizerConfig {
-            weights: Weights::new(req.alpha, req.beta),
-            search: if req.exhaustive {
-                PlacementSearch::Exhaustive
-            } else {
-                PlacementSearch::MultiStartGreedy { starts: req.starts }
-            },
-            seed: req.seed,
-            ..OptimizerConfig::default()
-        };
+        let cfg = req.config();
         // A request at the server threshold shares the warm evaluator
         // family; any other threshold gets a dedicated cold evaluator
         // (thresholds steer the *search*, and the memoized evaluations are

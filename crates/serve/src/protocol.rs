@@ -6,6 +6,7 @@
 //! strings the `tac25d` subcommands take; [`parse_layout`] is the single
 //! parser both sides share.
 
+use tac25d_core::prelude::{OptimizerConfig, PlacementSearch, Weights};
 use tac25d_floorplan::organization::{ChipletLayout, Spacing};
 use tac25d_floorplan::units::Mm;
 use tac25d_obs::json::Value;
@@ -192,6 +193,22 @@ impl EvaluateRequest {
             deadline_ms: optional_deadline_ms(v)?,
         })
     }
+
+    /// Checks the active core count against the chip: `1..=core_count`.
+    /// The daemon and the `tac25d evaluate` command share this check.
+    ///
+    /// # Errors
+    ///
+    /// Returns a human-readable message when `cores` is out of range.
+    pub fn check_cores(&self, core_count: u16) -> Result<(), String> {
+        if self.cores == 0 || self.cores > core_count {
+            return Err(format!(
+                "cores must be in 1..={core_count}, got {}",
+                self.cores
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// `POST /v1/optimize` — a full organizer run.
@@ -245,6 +262,22 @@ impl OptimizeRequest {
             exhaustive: optional_bool(v, "exhaustive", false)?,
             deadline_ms: optional_deadline_ms(v)?,
         })
+    }
+
+    /// The organizer configuration this request asks for.
+    pub fn config(&self) -> OptimizerConfig {
+        OptimizerConfig {
+            weights: Weights::new(self.alpha, self.beta),
+            search: if self.exhaustive {
+                PlacementSearch::Exhaustive
+            } else {
+                PlacementSearch::MultiStartGreedy {
+                    starts: self.starts,
+                }
+            },
+            seed: self.seed,
+            ..OptimizerConfig::default()
+        }
     }
 }
 

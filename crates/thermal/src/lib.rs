@@ -14,10 +14,10 @@
 //!
 //! * [`materials`] — bulk and effective-medium conductivities (microbump /
 //!   TSV / C4 composites computed from Table I bump geometry);
-//! * [`sparse`] — CSR matrices and the one production solver:
-//!   conjugate gradients preconditioned by IC(0), factored once per
-//!   assembled matrix, falling back to Jacobi when the factorization
-//!   breaks down (the cold Jacobi `pcg` stays as a verification oracle);
+//! * [`sparse`] — CSR matrices and the one conjugate-gradient loop:
+//!   preconditioned by IC(0), factored once per assembled matrix, falling
+//!   back to Jacobi when the factorization breaks down; an exact envelope
+//!   Cholesky solve is the verification oracle;
 //! * [`network`] (internal) — finite-volume assembly of the package
 //!   conductance network with HotSpot-style lumped spreader/sink periphery
 //!   nodes and convective boundaries;

@@ -4,7 +4,7 @@
 
 use crate::materials::MaterialLibrary;
 use crate::network::{assemble, assemble_incremental, GriddedLayer, Network, NetworkGeometry};
-use crate::sparse::{pcg, pcg_with, PcgSolution, SolveError, SolveScratch};
+use crate::sparse::{pcg_with, PcgSolution, SolveError, SolveScratch};
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -16,30 +16,6 @@ use tac25d_floorplan::organization::{ChipletLayout, LayoutError, PackageRules};
 use tac25d_floorplan::raster::{coverage_grid, power_grid, Grid};
 use tac25d_floorplan::units::{Celsius, Mm};
 use tac25d_obs as obs;
-
-/// Which PCG path a model's solves use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolverKind {
-    /// The production path: IC(0) preconditioner factored once per model
-    /// build (Jacobi when the factorization breaks down), reusable
-    /// scratch buffers, and deterministic reference-field warm starts.
-    /// The default.
-    Ic0,
-    /// The legacy Jacobi path — byte-for-byte the pre-fast-path solver,
-    /// cold-started. Kept only as the independent oracle that
-    /// differential verification selects in code.
-    Jacobi,
-}
-
-impl SolverKind {
-    /// Stable lowercase name (`ic0` / `jacobi`) for reports and benches.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SolverKind::Ic0 => "ic0",
-            SolverKind::Jacobi => "jacobi",
-        }
-    }
-}
 
 /// Solver and boundary-condition configuration.
 ///
@@ -68,13 +44,6 @@ pub struct ThermalConfig {
     pub rel_tol: f64,
     /// PCG iteration budget.
     pub max_iter: usize,
-    /// Exponent of the temperature dependence of silicon conductivity,
-    /// `k(T) = k₀ · (T/T₀)^(−n)` with T in kelvin and T₀ = 300 K
-    /// (n ≈ 1.3 for bulk silicon). `0.0` (the default) keeps the solve
-    /// linear; [`PackageModel::solve_nonlinear`] activates it.
-    pub silicon_k_exponent: f64,
-    /// Which PCG path solves use (defaults to [`SolverKind::Ic0`]).
-    pub solver: SolverKind,
 }
 
 impl Default for ThermalConfig {
@@ -93,8 +62,6 @@ impl Default for ThermalConfig {
             materials: MaterialLibrary::default(),
             rel_tol: 1e-9,
             max_iter: 100_000,
-            silicon_k_exponent: 0.0,
-            solver: SolverKind::Ic0,
         }
     }
 }
@@ -323,7 +290,7 @@ impl ThermalSolution {
     }
 
     /// Raw node temperatures — used as a warm start by
-    /// [`PackageModel::solve_with_guess`].
+    /// [`PackageModel::solve_with_scratch_tol`].
     pub fn raw_temps(&self) -> &[f64] {
         &self.temps
     }
@@ -360,8 +327,9 @@ pub struct PackageModel {
     config: ThermalConfig,
     footprint: Mm,
     die_rects: Vec<Rect>,
-    // Construction inputs, retained so the nonlinear solve can reassemble
-    // the network with temperature-rescaled conductivities.
+    // Construction inputs. `new_like` validates and rasterizes sibling
+    // layouts against the same chip, rules and stack; `layout` backs
+    // [`PackageModel::layout`].
     chip: ChipSpec,
     layout: ChipletLayout,
     rules: PackageRules,
@@ -563,54 +531,6 @@ impl PackageModel {
         (footprint, rects, geom)
     }
 
-    /// Steady-state solve with temperature-dependent silicon conductivity
-    /// (`k(T) = k₀·(T_K/300)^(−n)` with n = `config.silicon_k_exponent`).
-    ///
-    /// Outer fixed point: solve, estimate the area-average die temperature,
-    /// rescale the silicon conductivity, reassemble, repeat until the peak
-    /// moves less than `tol`. Returns the converged solution and the outer
-    /// iteration count. With the exponent at 0 this reduces to one linear
-    /// solve.
-    ///
-    /// # Errors
-    ///
-    /// Propagates construction/solver errors from the inner solves.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tol` is not positive or `max_outer` is zero.
-    pub fn solve_nonlinear(
-        &self,
-        sources: &[(Rect, f64)],
-        tol: Celsius,
-        max_outer: usize,
-    ) -> Result<(ThermalSolution, usize), ThermalError> {
-        assert!(tol.value() > 0.0, "tolerance must be positive");
-        assert!(max_outer > 0, "need at least one outer iteration");
-        let n_exp = self.config.silicon_k_exponent;
-        let mut current = self.solve(sources)?;
-        if n_exp == 0.0 {
-            return Ok((current, 1));
-        }
-        let k0 = self.config.materials.silicon;
-        let die = Rect::from_corner(0.0, 0.0, self.footprint.value(), self.footprint.value());
-        for outer in 2..=max_outer {
-            let t_avg_k = current.rect_avg(&die).value() + 273.15;
-            let scale = (t_avg_k / 300.0).powf(-n_exp);
-            let mut config = self.config.clone();
-            config.materials.silicon = k0 * scale;
-            let model =
-                PackageModel::new(&self.chip, &self.layout, &self.rules, &self.stack, config)?;
-            let next = model.solve_with_guess(sources, Some(&current))?;
-            let delta = (next.peak().value() - current.peak().value()).abs();
-            current = next;
-            if delta <= tol.value() {
-                return Ok((current, outer));
-            }
-        }
-        Ok((current, max_outer))
-    }
-
     /// The package footprint edge (interposer or baseline chip).
     pub fn footprint_edge(&self) -> Mm {
         self.footprint
@@ -639,37 +559,17 @@ impl PackageModel {
     /// or sources outside the footprint, and [`ThermalError::Solve`] if PCG
     /// fails.
     pub fn solve(&self, sources: &[(Rect, f64)]) -> Result<ThermalSolution, ThermalError> {
-        self.solve_with_guess(sources, None)
+        self.solve_with_scratch_tol(sources, None, &mut SolveScratch::new(), self.config.rel_tol)
     }
 
-    /// Like [`Self::solve`], warm-starting PCG from a previous solution of
-    /// the same model (several times faster inside leakage loops).
-    pub fn solve_with_guess(
-        &self,
-        sources: &[(Rect, f64)],
-        guess: Option<&ThermalSolution>,
-    ) -> Result<ThermalSolution, ThermalError> {
-        self.solve_with_scratch(sources, guess, &mut SolveScratch::new())
-    }
-
-    /// Like [`Self::solve_with_guess`], additionally reusing the caller's
-    /// [`SolveScratch`] across solves — the leakage fixed-point loop
-    /// threads one scratch through all of its inner solves so the PCG work
-    /// vectors are allocated once per coupled solve.
-    pub fn solve_with_scratch(
-        &self,
-        sources: &[(Rect, f64)],
-        guess: Option<&ThermalSolution>,
-        scratch: &mut SolveScratch,
-    ) -> Result<ThermalSolution, ThermalError> {
-        self.solve_with_scratch_tol(sources, guess, scratch, self.config.rel_tol)
-    }
-
-    /// Like [`Self::solve_with_scratch`] with an explicit PCG relative
-    /// tolerance for this one solve. The adaptive coupled loop uses this
-    /// to run early leakage iterations loosely (Eisenstat–Walker forcing
-    /// terms) and only its convergence candidates at the configured full
-    /// tolerance. `rel_tol` is clamped to at least `config.rel_tol`: a
+    /// Like [`Self::solve`], warm-starting PCG from `guess` (a previous
+    /// solution of the same model), reusing the caller's [`SolveScratch`]
+    /// and solving to an explicit PCG relative tolerance. The leakage
+    /// fixed-point loop threads one scratch through all of its inner
+    /// solves, warm-starts each from the previous field, and (in the
+    /// adaptive strategy) runs early iterations loosely (Eisenstat–Walker
+    /// forcing terms) and only its convergence candidates at the configured
+    /// full tolerance. `rel_tol` is clamped to at least `config.rel_tol`: a
     /// per-solve override can only *loosen* a solve, so the configured
     /// tolerance stays the accuracy contract of every converged result.
     pub fn solve_with_scratch_tol(
@@ -692,10 +592,10 @@ impl PackageModel {
         Ok(self.make_solution(sol.x, total_power, sol.iterations))
     }
 
-    /// Dispatches one linear solve to the configured solver path.
-    ///
-    /// On the IC(0) path a guess-less solve is warm-started from the
-    /// model's [`ReferenceField`] scaled to the requested total power
+    /// Runs one linear solve: IC(0)-preconditioned CG (Jacobi when the
+    /// factorization broke down) with the model's factor and the caller's
+    /// scratch. A guess-less solve is warm-started from the model's
+    /// [`ReferenceField`] scaled to the requested total power
     /// (`allow_reference` gates this off for multi-tier loads, whose
     /// spatial distribution the single-tier reference does not match).
     fn run_pcg(
@@ -707,46 +607,40 @@ impl PackageModel {
         allow_reference: bool,
         rel_tol: f64,
     ) -> Result<PcgSolution, SolveError> {
-        match self.config.solver {
-            SolverKind::Jacobi => pcg(&self.net.matrix, b, guess, rel_tol, self.config.max_iter),
-            SolverKind::Ic0 => {
-                let reference_guess: Option<Vec<f64>> = if guess.is_none() && allow_reference {
-                    self.reference_field(rel_tol).map(|f| {
-                        let scale = total_watts / f.watts;
-                        let ambient = self.config.ambient.value();
-                        f.rise.iter().map(|r| ambient + r * scale).collect()
-                    })
-                } else {
-                    None
-                };
-                let x0 = guess.or(reference_guess.as_deref());
-                let warm = x0.is_some();
-                if warm {
-                    obs::counter!("thermal.warm_start_hits").inc();
-                }
-                let sol = pcg_with(
-                    &self.net.matrix,
-                    &self.net.precond,
-                    b,
-                    x0,
-                    rel_tol,
-                    self.config.max_iter,
-                    scratch,
-                )?;
-                let cold = self.solver_state.cold_iterations.load(Ordering::Relaxed);
-                if warm {
-                    if cold > sol.iterations as u64 {
-                        obs::counter!("thermal.pcg_iterations_saved")
-                            .add(cold - sol.iterations as u64);
-                    }
-                } else if cold == 0 {
-                    self.solver_state
-                        .cold_iterations
-                        .store(sol.iterations as u64, Ordering::Relaxed);
-                }
-                Ok(sol)
-            }
+        let reference_guess: Option<Vec<f64>> = if guess.is_none() && allow_reference {
+            self.reference_field(rel_tol).map(|f| {
+                let scale = total_watts / f.watts;
+                let ambient = self.config.ambient.value();
+                f.rise.iter().map(|r| ambient + r * scale).collect()
+            })
+        } else {
+            None
+        };
+        let x0 = guess.or(reference_guess.as_deref());
+        let warm = x0.is_some();
+        if warm {
+            obs::counter!("thermal.warm_start_hits").inc();
         }
+        let sol = pcg_with(
+            &self.net.matrix,
+            &self.net.precond,
+            b,
+            x0,
+            rel_tol,
+            self.config.max_iter,
+            scratch,
+        )?;
+        let cold = self.solver_state.cold_iterations.load(Ordering::Relaxed);
+        if warm {
+            if cold > sol.iterations as u64 {
+                obs::counter!("thermal.pcg_iterations_saved").add(cold - sol.iterations as u64);
+            }
+        } else if cold == 0 {
+            self.solver_state
+                .cold_iterations
+                .store(sol.iterations as u64, Ordering::Relaxed);
+        }
+        Ok(sol)
     }
 
     /// The lazily-computed reference rise field (1 W per chiplet) matched
@@ -829,20 +723,21 @@ impl PackageModel {
         &self.net
     }
 
-    /// Reference solve by dense Cholesky factorization — O(n³), intended
-    /// only for validating the iterative solver on small grids (tests and
-    /// debugging).
+    /// Reference solve by exact (envelope) Cholesky factorization — the
+    /// direct oracle `verify solver` and the tests check the iterative
+    /// solver against. Costs about one grid plane squared per node, so it
+    /// is meant for small grids, never for production solves.
     ///
     /// # Errors
     ///
     /// Same contract as [`Self::solve`].
     #[doc(hidden)]
-    pub fn solve_dense_reference(
+    pub fn solve_direct_reference(
         &self,
         sources: &[(Rect, f64)],
     ) -> Result<ThermalSolution, ThermalError> {
         let (b, total_power) = self.rhs_for(sources)?;
-        let x = crate::sparse::dense_cholesky_solve(&self.net.matrix, &b)?;
+        let x = crate::sparse::cholesky_solve(&self.net.matrix, &b)?;
         Ok(self.make_solution(x, total_power, 0))
     }
 
@@ -1117,28 +1012,39 @@ mod tests {
 
     #[test]
     fn warm_start_matches_cold_start() {
-        // Pinned to the legacy Jacobi path, where a fresh solve really is
-        // cold; the fast path warm-starts every solve from the reference
-        // field (see reference_field_accelerates_fresh_solves).
-        let model = PackageModel::new(
-            &chip(),
-            &ChipletLayout::SingleChip,
-            &rules(),
-            &StackSpec::baseline_2d(),
-            ThermalConfig {
-                solver: SolverKind::Jacobi,
-                ..cfg()
-            },
+        // A guessed solve must land on the exact field (the direct
+        // reference) in fewer iterations than a genuinely cold IC(0) solve
+        // of the same system.
+        let model = single_chip_model();
+        let die = Rect::from_corner(0.0, 0.0, 18.0, 18.0);
+        let previous = model.solve(&[(die, 150.0)]).unwrap();
+        let warm = model
+            .solve_with_scratch_tol(
+                &[(die, 151.0)],
+                Some(&previous),
+                &mut SolveScratch::new(),
+                model.config.rel_tol,
+            )
+            .unwrap();
+        let (b, _) = model.rhs_for(&[(die, 151.0)]).unwrap();
+        let cold = pcg_with(
+            &model.net.matrix,
+            &model.net.precond,
+            &b,
+            None,
+            model.config.rel_tol,
+            model.config.max_iter,
+            &mut SolveScratch::new(),
         )
         .unwrap();
-        let die = Rect::from_corner(0.0, 0.0, 18.0, 18.0);
-        let cold = model.solve(&[(die, 150.0)]).unwrap();
-        let warm = model
-            .solve_with_guess(&[(die, 151.0)], Some(&cold))
-            .unwrap();
-        let fresh = model.solve(&[(die, 151.0)]).unwrap();
-        assert!((warm.peak().value() - fresh.peak().value()).abs() < 1e-4);
-        assert!(warm.iterations() < fresh.iterations());
+        assert!(
+            warm.iterations() < cold.iterations,
+            "warm {} vs cold {}",
+            warm.iterations(),
+            cold.iterations
+        );
+        let exact = model.solve_direct_reference(&[(die, 151.0)]).unwrap();
+        assert!((warm.peak().value() - exact.peak().value()).abs() < 1e-4);
     }
 
     #[test]
@@ -1149,7 +1055,6 @@ mod tests {
         // solve's iterations — the per-model reference cost amortizes
         // after one solve.
         let model = single_chip_model();
-        assert_eq!(model.config().solver, SolverKind::Ic0);
         let die = Rect::from_corner(0.0, 0.0, 18.0, 18.0);
         let first = model.solve(&[(die, 150.0)]).unwrap();
         let second = model.solve(&[(die, 300.0)]).unwrap();
@@ -1185,47 +1090,6 @@ mod tests {
     }
 
     #[test]
-    fn jacobi_and_ic0_paths_agree() {
-        // The differential contract the verify gate enforces at scale:
-        // both solver paths at the same (tight) tolerance produce the same
-        // temperature field to well under a microkelvin.
-        let die = Rect::from_corner(0.0, 0.0, 18.0, 18.0);
-        let solve_with = |solver: SolverKind| {
-            let model = PackageModel::new(
-                &chip(),
-                &ChipletLayout::SingleChip,
-                &rules(),
-                &StackSpec::baseline_2d(),
-                ThermalConfig {
-                    grid: 16,
-                    rel_tol: 1e-12,
-                    solver,
-                    ..ThermalConfig::default()
-                },
-            )
-            .unwrap();
-            model.solve(&[(die, 180.0)]).unwrap()
-        };
-        let jac = solve_with(SolverKind::Jacobi);
-        let ic0 = solve_with(SolverKind::Ic0);
-        let max_dt = jac
-            .raw_temps()
-            .iter()
-            .zip(ic0.raw_temps())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
-        assert!(max_dt < 1e-6, "max |dT| = {max_dt:.3e}");
-        assert!(ic0.iterations() <= jac.iterations());
-    }
-
-    #[test]
-    fn solver_kind_names_and_default() {
-        assert_eq!(SolverKind::Ic0.name(), "ic0");
-        assert_eq!(SolverKind::Jacobi.name(), "jacobi");
-        assert_eq!(ThermalConfig::default().solver, SolverKind::Ic0);
-    }
-
-    #[test]
     fn rect_queries_consistent() {
         let model = single_chip_model();
         let die = Rect::from_corner(0.0, 0.0, 18.0, 18.0);
@@ -1256,58 +1120,15 @@ mod tests {
         let rects = layout.chiplet_rects(&chip(), &rules());
         let sources: Vec<_> = rects.iter().map(|r| (*r, 80.0)).collect();
         let iterative = model.solve(&sources).unwrap();
-        let dense = model.solve_dense_reference(&sources).unwrap();
+        let direct = model.solve_direct_reference(&sources).unwrap();
         let n = model.config().grid;
         for iy in 0..n {
             for ix in 0..n {
                 let a = iterative.die_cell(ix, iy).value();
-                let b = dense.die_cell(ix, iy).value();
+                let b = direct.die_cell(ix, iy).value();
                 assert!((a - b).abs() < 1e-5, "cell ({ix},{iy}): {a} vs {b}");
             }
         }
-    }
-
-    #[test]
-    fn nonlinear_silicon_runs_hotter_than_linear() {
-        // k_Si falls with temperature, so accounting for it must raise the
-        // predicted peak for a hot die.
-        let die = Rect::from_corner(0.0, 0.0, 18.0, 18.0);
-        let linear = single_chip_model().solve(&[(die, 350.0)]).unwrap();
-        let model_nl = PackageModel::new(
-            &chip(),
-            &ChipletLayout::SingleChip,
-            &rules(),
-            &StackSpec::baseline_2d(),
-            ThermalConfig {
-                silicon_k_exponent: 1.3,
-                ..cfg()
-            },
-        )
-        .unwrap();
-        let (nl, outer) = model_nl
-            .solve_nonlinear(&[(die, 350.0)], Celsius(0.05), 20)
-            .unwrap();
-        assert!(outer >= 2, "nonlinearity must iterate");
-        assert!(
-            nl.peak() > linear.peak(),
-            "nonlinear {} vs linear {}",
-            nl.peak(),
-            linear.peak()
-        );
-        // The correction is a perturbation, not a blow-up.
-        assert!(nl.peak().value() - linear.peak().value() < 15.0);
-    }
-
-    #[test]
-    fn nonlinear_with_zero_exponent_is_linear() {
-        let die = Rect::from_corner(0.0, 0.0, 18.0, 18.0);
-        let m = single_chip_model();
-        let (nl, outer) = m
-            .solve_nonlinear(&[(die, 200.0)], Celsius(0.1), 10)
-            .unwrap();
-        assert_eq!(outer, 1);
-        let lin = m.solve(&[(die, 200.0)]).unwrap();
-        assert!((nl.peak().value() - lin.peak().value()).abs() < 1e-12);
     }
 
     #[test]

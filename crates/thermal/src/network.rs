@@ -79,9 +79,9 @@ pub(crate) struct NetworkGeometry {
 pub(crate) struct Network {
     pub matrix: CsrMatrix,
     /// Preconditioner factored once at assembly and reused by every solve
-    /// of this matrix (the factor-once/solve-many fast path). IC(0) on the
-    /// conductance networks assembly produces; the enum carries the Jacobi
-    /// fallback for completeness.
+    /// of this matrix (factor once, solve many). Always IC(0) on the
+    /// M-matrices assembly produces; Jacobi only if the factorization ever
+    /// broke down (see [`Preconditioner::ic0_or_jacobi`]).
     pub precond: Preconditioner,
     /// `(node, conductance-to-ambient)` for every boundary node.
     pub conv: Vec<(usize, f64)>,

@@ -13,7 +13,7 @@
 //! solver applies; each step warm-starts from the previous temperatures.
 
 use crate::model::{PackageModel, ThermalError, ThermalSolution};
-use crate::sparse::pcg;
+use crate::sparse::{pcg_with, Preconditioner, SolveScratch};
 use tac25d_floorplan::geometry::Rect;
 use tac25d_floorplan::units::Celsius;
 
@@ -96,6 +96,9 @@ impl PackageModel {
         let a = net
             .matrix
             .with_added_diagonal(&net.cap.iter().map(|c| c / dt_s).collect::<Vec<_>>());
+        // One Jacobi preconditioner and one scratch serve every step.
+        let m = Preconditioner::jacobi(&a)?;
+        let mut scratch = SolveScratch::new();
 
         let mut temps: Vec<f64> = match initial {
             Some(s) => {
@@ -114,12 +117,14 @@ impl PackageModel {
             for i in 0..n_nodes {
                 b[i] += net.cap[i] / dt_s * temps[i];
             }
-            let sol = pcg(
+            let sol = pcg_with(
                 &a,
+                &m,
                 &b,
                 Some(&temps),
                 self.config().rel_tol,
                 self.config().max_iter,
+                &mut scratch,
             )?;
             temps = sol.x;
             let snapshot = self.make_solution(temps.clone(), total_power, sol.iterations);

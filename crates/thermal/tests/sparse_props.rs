@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use tac25d_thermal::sparse::{
-    dense_cholesky_solve, pcg, pcg_with, CsrMatrix, Preconditioner, SolveScratch, TripletMatrix,
+    cholesky_solve, pcg, pcg_with, CsrMatrix, Preconditioner, SolveScratch, TripletMatrix,
 };
 
 /// Deterministic xorshift-style generator for filling matrices: proptest
@@ -65,14 +65,55 @@ proptest! {
         );
     }
 
-    /// A grounded conductance network is SPD: the dense Cholesky
+    /// A grounded conductance network is SPD: the Cholesky
     /// factorization (which fails on any non-positive pivot) must succeed.
     #[test]
     fn grounded_networks_are_spd(n in 2usize..40, seed in 0u64..10_000) {
         let mut rng = splitmix(seed);
         let a = random_network(n, &mut rng);
         let b: Vec<f64> = (0..n).map(|_| rng() * 5.0).collect();
-        prop_assert!(dense_cholesky_solve(&a, &b).is_ok(), "Cholesky pivot failed");
+        prop_assert!(cholesky_solve(&a, &b).is_ok(), "Cholesky pivot failed");
+    }
+
+    /// The direct oracle is exact on the package network's shape: a band
+    /// (the layer-major grid rows) plus a dense trailing border (the lumped
+    /// periphery nodes, appended last and coupled to everything). Random
+    /// signed entries inside that envelope, diagonally dominant, must solve
+    /// to ‖Ax − b‖ ≤ 1e-10·‖b‖.
+    #[test]
+    fn cholesky_solves_band_plus_border_systems(
+        n in 2usize..60,
+        band in 1usize..12,
+        border in 0usize..5,
+        seed in 0u64..10_000,
+    ) {
+        let mut rng = splitmix(seed);
+        let total = n + border;
+        let mut t = TripletMatrix::new(total);
+        let mut off_sums = vec![0.0f64; total];
+        for i in 0..total {
+            let lo = if i < n { i.saturating_sub(band) } else { 0 };
+            for j in lo..i {
+                if rng() < 0.6 {
+                    let v = rng() - 0.5;
+                    t.add(i, j, v);
+                    t.add(j, i, v);
+                    off_sums[i] += v.abs();
+                    off_sums[j] += v.abs();
+                }
+            }
+        }
+        for (i, off) in off_sums.iter().enumerate() {
+            t.add(i, i, off + 0.05 + rng());
+        }
+        let a = t.to_csr();
+        let b: Vec<f64> = (0..total).map(|_| rng() * 10.0 - 5.0).collect();
+        let x = cholesky_solve(&a, &b).unwrap();
+        let mut ax = vec![0.0; total];
+        a.mul_vec(&x, &mut ax);
+        let res: f64 = ax.iter().zip(&b).map(|(l, r)| (l - r) * (l - r)).sum::<f64>().sqrt();
+        let bn: f64 = b.iter().map(|v| v * v).sum::<f64>().sqrt();
+        prop_assert!(res <= 1e-10 * bn, "residual {res} vs ‖b‖ {bn}");
     }
 
     /// The backward-Euler diagonal shift keeps both properties: the
@@ -91,7 +132,7 @@ proptest! {
         let xy = bilinear(&shifted, &x, &y);
         let yx = bilinear(&shifted, &y, &x);
         prop_assert!((xy - yx).abs() <= 1e-12 * xy.abs().max(1.0));
-        prop_assert!(dense_cholesky_solve(&shifted, &x).is_ok());
+        prop_assert!(cholesky_solve(&shifted, &x).is_ok());
     }
 
     /// PCG meets its advertised relative-residual tolerance on random
@@ -131,8 +172,8 @@ proptest! {
         prop_assert!(sol.residual <= tol, "reported residual {}", sol.residual);
     }
 
-    /// The solver fast path's equivalence contract: IC(0)-PCG, Jacobi-PCG
-    /// and the dense Cholesky reference agree to 1e-8 on random SPD
+    /// The solver's equivalence contract: IC(0)-PCG, Jacobi-PCG and the
+    /// exact Cholesky reference agree to 1e-8 on random SPD
     /// conductance networks. Networks are M-matrices, so the incomplete
     /// factorization must also succeed without a diagonal shift.
     #[test]
@@ -140,7 +181,7 @@ proptest! {
         let mut rng = splitmix(seed);
         let a = random_network(n, &mut rng);
         let b: Vec<f64> = (0..n).map(|_| rng() * 4.0 - 1.0).collect();
-        let dense = dense_cholesky_solve(&a, &b).unwrap();
+        let dense = cholesky_solve(&a, &b).unwrap();
         let jac = pcg(&a, &b, None, 1e-12, 100_000).unwrap();
         let m = Preconditioner::ic0_or_jacobi(&a).unwrap();
         prop_assert!(m.is_ic0(), "IC(0) must not break down on an M-matrix");
@@ -182,7 +223,7 @@ proptest! {
     /// The diagonal-shift breakdown fallback: general SPD systems built
     /// from signed off-diagonals can defeat plain IC(0); whatever
     /// `ic0_or_jacobi` returns (shifted IC(0) or the Jacobi fallback)
-    /// must still solve the system to the dense reference.
+    /// must still solve the system to the exact reference.
     #[test]
     fn shifted_or_fallback_preconditioner_still_solves(
         n in 2usize..30,
@@ -209,7 +250,7 @@ proptest! {
         }
         let a = t.to_csr();
         let b: Vec<f64> = (0..n).map(|_| rng() * 2.0 - 1.0).collect();
-        let dense = dense_cholesky_solve(&a, &b).unwrap();
+        let dense = cholesky_solve(&a, &b).unwrap();
         let m = Preconditioner::ic0_or_jacobi(&a).unwrap();
         let mut scratch = SolveScratch::new();
         let sol = pcg_with(&a, &m, &b, None, 1e-12, 100_000, &mut scratch).unwrap();

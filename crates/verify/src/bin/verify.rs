@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! verify mms                 # manufactured-solution suite
-//! verify solver              # IC(0) fast path vs legacy Jacobi path
+//! verify solver              # IC(0) path vs direct Cholesky oracle
 //! verify fixedpoint [--fast] # Anderson-vs-Picard + canonical-key gate
 //! verify seed                # analytic seeding: gradients, snap
 //! verify diff [--fast]       # differential corpus + Fig. 8 guarantees
@@ -122,7 +122,7 @@ fn run_solver(report: &mut String) -> bool {
     let mut ok = true;
     let _ = writeln!(
         report,
-        "Solver fast-path equivalence (IC(0)+warm start vs cold Jacobi):"
+        "Solver oracle (IC(0)+warm start vs direct Cholesky, steady + leakage fixed point):"
     );
     match solver_equivalence_cases() {
         Ok(cases) => {
@@ -135,13 +135,13 @@ fn run_solver(report: &mut String) -> bool {
                 };
                 let _ = writeln!(
                     report,
-                    "  {:<18} max|dT|={:.3e} C  iters ic0={:<6} jacobi={:<6} outer_match={} {status}",
-                    c.name, c.max_abs_dt_c, c.ic0_iterations, c.jacobi_iterations, c.outer_match
+                    "  {:<18} max|dT|={:.3e} C  ic0_iters={:<5} outer={} outer_match={} {status}",
+                    c.name, c.max_abs_dt_c, c.ic0_iterations, c.outer_iterations, c.outer_match
                 );
                 if !c.passed() {
                     let _ = writeln!(
                         report,
-                        "  FAIL: paths must agree to {MAX_SOLVER_DT_C:.0e} C with ic0 iters <= jacobi iters"
+                        "  FAIL: fields must agree to {MAX_SOLVER_DT_C:.0e} C with matching outer counts"
                     );
                 }
             }

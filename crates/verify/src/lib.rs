@@ -17,9 +17,10 @@
 //! * [`obsguard`] — observability determinism guard: enabling
 //!   `TAC25D_OBS` must change no CSV byte, and the emitted JSONL/profile
 //!   artifacts must be valid and complete.
-//! * [`solvercheck`] — solver fast-path equivalence: the IC(0) + warm
-//!   start PCG path against the legacy cold Jacobi path over a small
-//!   organization corpus, max |ΔT| ≤ 1e-6 °C at tight tolerance.
+//! * [`solvercheck`] — solver oracle: the IC(0) + warm start PCG path
+//!   against an exact envelope Cholesky solve over a small organization
+//!   corpus (steady and leakage fixed point), max |ΔT| ≤ 1e-6 °C at tight
+//!   tolerance.
 //! * [`fixedpoint`] — fixed-point equivalence: the adaptive Anderson
 //!   outer loop against the Picard loop, symmetry-canonical cache-key
 //!   aliases evaluated independently, and the Fig. 8 organizer's
