@@ -805,8 +805,10 @@ impl Evaluator {
         }
         let spec = &self.shared.spec;
         let profile = benchmark.profile();
-        let model = self.model_for(layout)?;
+        // Placing the cores first refuses a chiplet count that does not
+        // divide the core grid before a thermal model is built for it.
         let placed = place_cores(&spec.chip, layout, &spec.rules)?;
+        let model = self.model_for(layout)?;
         let active = mintemp_active_cores(&spec.chip, p);
         let active_rects: Vec<_> = active.iter().map(|c| placed[c.0 as usize].rect).collect();
 

@@ -44,6 +44,7 @@ pub const CANONICAL_COUNTERS: &[&str] = &[
     "thermal.exact_solves",
     "thermal.anderson_accepted",
     "thermal.assembly_rows_reused",
+    "thermal.balance_violations",
     "evaluator.canonical_hits",
     "evaluator.exact_solves",
     "surrogate.predictions",
@@ -66,6 +67,7 @@ pub const BASELINE_COUNTERS: &[&str] = &[
     "thermal.exact_solves",
     "thermal.anderson_accepted",
     "thermal.assembly_rows_reused",
+    "thermal.balance_violations",
     "evaluator.exact_solves",
     "surrogate.kernel_solves",
     "surrogate.raw_peaks",
@@ -94,8 +96,12 @@ pub const BASELINE_COUNTERS: &[&str] = &[
 /// of distinct points each evaluator predicts or trains on. Creeping past
 /// the blessed value means the memo stopped firing and predictions went
 /// back to recomputing the superposition.
+/// `thermal.balance_violations` is blessed at 0: it counts converged
+/// coupled solves whose energy balance misses by more than
+/// `tac25d_thermal::coupled::BALANCE_TOL`, so any count is a broken solve.
 pub const ONE_SIDED_COUNTERS: &[&str] = &[
     "thermal.pcg_iterations",
+    "thermal.balance_violations",
     "evaluator.exact_solves",
     "surrogate.kernel_solves",
     "surrogate.raw_peaks",
@@ -104,7 +110,7 @@ pub const ONE_SIDED_COUNTERS: &[&str] = &[
 ];
 
 /// The mirror image: improvement counters where only *decreases* are
-/// regressions. These count work *saved* (accepted Anderson steps, CSR
+/// regressions. These count work *saved* (accepted Anderson steps, matrix
 /// rows patched instead of rebuilt), so exceeding the blessed value is
 /// progress and passes outright, while falling below it by the tolerance
 /// means an optimization quietly stopped firing.

@@ -37,8 +37,17 @@ pub fn parse_layout(s: &str) -> Result<ChipletLayout, String> {
             if v.len() != 2 {
                 return Err("uniform needs <r>,<gap>".into());
             }
+            // An exact integer in range: a cast would truncate 2.5 to 2
+            // and saturate negatives and huge counts.
+            let r = v[0];
+            if !(r.fract() == 0.0 && (2.0..=f64::from(u16::MAX)).contains(&r)) {
+                return Err(format!(
+                    "uniform chiplet count must be an integer in 2..={}, got {r}",
+                    u16::MAX
+                ));
+            }
             Ok(ChipletLayout::Uniform {
-                r: v[0] as u16,
+                r: r as u16,
                 gap: Mm(v[1]),
             })
         }
@@ -306,6 +315,34 @@ mod tests {
         ));
         assert!(parse_layout("hex:1").is_err());
         assert!(parse_layout("uniform:4").is_err());
+    }
+
+    #[test]
+    fn uniform_chiplet_counts_must_be_integers_in_range() {
+        for bad in [
+            "uniform:2.5,4",
+            "uniform:-3,4",
+            "uniform:0,4",
+            "uniform:1,4",
+            "uniform:65536,4",
+            "uniform:1e9,4",
+            "uniform:nan,4",
+            "uniform:inf,4",
+            "uniform:-inf,4",
+        ] {
+            let err = parse_layout(bad).expect_err(bad);
+            assert!(err.contains("chiplet count"), "{bad}: {err}");
+        }
+        for (good, r) in [
+            ("uniform:2,4", 2),
+            ("uniform:4.0,6", 4),
+            ("uniform:65535,0", 65535),
+        ] {
+            assert!(
+                matches!(parse_layout(good), Ok(ChipletLayout::Uniform { r: got, .. }) if got == r),
+                "{good}"
+            );
+        }
     }
 
     #[test]

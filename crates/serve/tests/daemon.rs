@@ -386,6 +386,36 @@ fn non_finite_layouts_get_422_and_keep_the_pool() {
 }
 
 #[test]
+fn indivisible_uniform_layouts_get_422_without_a_model_build() {
+    let (handle, addr, _engine) = boot(ServerConfig::default());
+    let mut client = Client::connect(&addr).unwrap();
+    // 3 and 64 do not divide the 16-core rows; at gap 0 a 64×64 grid
+    // still fits the interposer bound, so only the divisibility check
+    // stands between the request and a 4096-chiplet model.
+    for (i, layout) in ["uniform:3,4", "uniform:64,0"].iter().enumerate() {
+        let id = format!("itest-indivisible-{i}");
+        let body = format!(r#"{{"benchmark": "hpccg", "layout": "{layout}"}}"#);
+        let r = client
+            .post_with("/v1/evaluate", &body, &[("X-Request-Id", &id)])
+            .unwrap();
+        assert_eq!(r.status, 422, "{layout}: {}", r.text());
+        // The request's own counter deltas: immune to other tests
+        // building models concurrently in this process.
+        let trace = client.get(&format!("/v1/traces/{id}")).unwrap();
+        assert_eq!(trace.status, 200, "{}", trace.text());
+        let doc = tac25d_obs::json::parse(&trace.text()).expect("trace parses");
+        let builds = doc
+            .get("counters")
+            .expect("trace carries counter deltas")
+            .get("thermal.model_builds")
+            .and_then(|v| v.as_f64())
+            .unwrap_or(0.0);
+        assert_eq!(builds, 0.0, "{layout} built a thermal model");
+    }
+    handle.shutdown();
+}
+
+#[test]
 fn hostile_optimize_fields_get_422_and_keep_the_pool() {
     let workers = 2;
     let (handle, addr, engine) = boot(ServerConfig {

@@ -1,99 +1,131 @@
-//! Criterion timing of the sparse-solver fast path on a fig8-sized
-//! system: the raw SpMV, both PCG preconditioners (legacy Jacobi vs the
-//! IC(0) fast path) and the bare IC(0) triangular-solve application.
+//! Criterion timing of the package solver's kernels on a fig8-sized
+//! system: the layered operator's fill, its IC(0) factorization, the
+//! matrix-vector product, one IC(0) application (both triangular sweeps)
+//! and a warm-started PCG solve.
 //!
-//! The system is the same shape the package models assemble — a layered
-//! 3D conductance grid (n×n nodes per layer, 8 layers, convective
-//! ground on the top layer) built directly from `TripletMatrix`, so the
-//! bench isolates solver cost from model construction.
+//! The system has the shape the package models assemble — 8 stacked
+//! 32×32 grid layers followed by 12 lumped periphery nodes (four per
+//! band, coupled to the boundary cells of the two top layers and chained
+//! outwards), with convection over the top layer and the outer bands —
+//! built through the same public `layered` API the network assembler
+//! uses, so the bench times exactly the kernels that ship while leaving
+//! out rasterization and the package geometry.
+
+use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use tac25d_thermal::sparse::{pcg, pcg_with, Preconditioner, SolveScratch, TripletMatrix};
+use tac25d_thermal::layered::{Axis, LayeredIc0, LayeredMatrix, Preconditioner, Shape};
+use tac25d_thermal::sparse::{pcg_with, LinearOperator, Precondition, SolveScratch};
 
 const NX: usize = 32;
 const NZ: usize = 8;
 
-/// A layered 3D grid Laplacian with fig8-like conductance contrasts:
-/// in-plane links of ~1 W/K, vertical links one order weaker, and a
-/// convective ground over the whole top layer.
-fn grid_system() -> (tac25d_thermal::sparse::CsrMatrix, Vec<f64>) {
+/// The border: spreader (layer 1) and sink (layer 0) bands on the four
+/// sides, spreader–sink and sink inner–outer chains, and grounds.
+fn shape() -> Arc<Shape> {
     let n2 = NX * NX;
-    let mut t = TripletMatrix::new(n2 * NZ);
+    let ng = n2 * NZ;
     let idx = |x: usize, y: usize, z: usize| z * n2 + y * NX + x;
-    for z in 0..NZ {
+    let mut links = Vec::new();
+    for (layer, base) in [(1, ng), (0, ng + 4)] {
         for y in 0..NX {
-            for x in 0..NX {
-                if x + 1 < NX {
-                    t.add_conductance(idx(x, y, z), idx(x + 1, y, z), 1.0);
-                }
-                if y + 1 < NX {
-                    t.add_conductance(idx(x, y, z), idx(x, y + 1, z), 1.0);
-                }
-                if z + 1 < NZ {
-                    t.add_conductance(idx(x, y, z), idx(x, y, z + 1), 0.1);
-                }
-            }
+            links.push((idx(0, y, layer), base, 0.8));
+            links.push((idx(NX - 1, y, layer), base + 1, 0.8));
         }
-    }
-    for y in 0..NX {
         for x in 0..NX {
-            t.add_ground(idx(x, y, NZ - 1), 0.05);
+            links.push((idx(x, 0, layer), base + 2, 0.8));
+            links.push((idx(x, NX - 1, layer), base + 3, 0.8));
         }
     }
-    let a = t.to_csr();
-    // Heat injected over a quarter of the bottom layer, like one hot
-    // chiplet of a 2×2 organization.
-    let mut b = vec![0.0; n2 * NZ];
+    for s in 0..4 {
+        links.push((ng + s, ng + 4 + s, 6.0));
+        links.push((ng + 4 + s, ng + 8 + s, 4.0));
+    }
+    let mut grounds: Vec<(usize, f64)> = (0..n2).map(|c| (c, 0.05)).collect();
+    grounds.extend((ng + 4..ng + 12).map(|p| (p, 1.5)));
+    Arc::new(Shape::new(NX, NZ, 12, &links, &grounds))
+}
+
+/// Fig8-like conductance contrasts: in-plane links around 1 W/K with a
+/// cell-dependent ripple, vertical links one order weaker.
+fn conductance(axis: Axis, layer: usize, cell: usize) -> f64 {
+    let ripple = 1.0 + 0.25 * ((cell * 7 + layer * 3) % 11) as f64 / 11.0;
+    match axis {
+        Axis::X | Axis::Y => ripple,
+        Axis::Z => 0.1 * ripple,
+    }
+}
+
+/// Heat injected over a quarter of the bottom layer, like one hot
+/// chiplet of a 2×2 organization.
+fn rhs(nodes: usize) -> Vec<f64> {
+    let mut b = vec![0.0; nodes];
     for y in 0..NX / 2 {
         for x in 0..NX / 2 {
-            b[idx(x, y, 0)] = 180.0 / (NX * NX / 4) as f64;
+            b[(NZ - 1) * NX * NX + y * NX + x] = 180.0 / (NX * NX / 4) as f64;
         }
     }
-    (a, b)
+    b
+}
+
+fn bench_fill(c: &mut Criterion) {
+    let shape = shape();
+    c.bench_function("layered_fill_32x32x8", |bench| {
+        bench.iter(|| LayeredMatrix::assemble(Arc::clone(&shape), conductance))
+    });
+}
+
+fn bench_factor(c: &mut Criterion) {
+    let a = LayeredMatrix::assemble(shape(), conductance);
+    c.bench_function("layered_ic0_factor_32x32x8", |bench| {
+        bench.iter(|| LayeredIc0::factor(&a).expect("grid network factors"))
+    });
 }
 
 fn bench_mul_vec(c: &mut Criterion) {
-    let (a, b) = grid_system();
+    let a = LayeredMatrix::assemble(shape(), conductance);
+    let b = rhs(a.dim());
     let mut out = vec![0.0; b.len()];
-    c.bench_function("sparse_mul_vec_32x32x8", |bench| {
+    c.bench_function("layered_mul_vec_32x32x8", |bench| {
         bench.iter(|| a.mul_vec(&b, &mut out))
     });
 }
 
-fn bench_jacobi_pcg(c: &mut Criterion) {
-    let (a, b) = grid_system();
-    c.bench_function("pcg_jacobi_32x32x8", |bench| {
-        bench.iter(|| pcg(&a, &b, None, 1e-8, 100_000).expect("jacobi pcg"))
-    });
-}
-
-fn bench_ic0_pcg(c: &mut Criterion) {
-    let (a, b) = grid_system();
-    let m = Preconditioner::ic0_or_jacobi(&a).expect("preconditioner");
-    assert!(m.is_ic0(), "grid Laplacian must factor");
-    let mut scratch = SolveScratch::new();
-    c.bench_function("pcg_ic0_32x32x8", |bench| {
-        bench.iter(|| pcg_with(&a, &m, &b, None, 1e-8, 100_000, &mut scratch).expect("ic0 pcg"))
-    });
-}
-
-fn bench_triangular_solve(c: &mut Criterion) {
-    let (a, b) = grid_system();
-    let m = Preconditioner::ic0_or_jacobi(&a).expect("preconditioner");
-    let Preconditioner::Ic0(ic) = m else {
-        panic!("grid Laplacian must factor");
-    };
+fn bench_ic0_apply(c: &mut Criterion) {
+    let a = LayeredMatrix::assemble(shape(), conductance);
+    let f = LayeredIc0::factor(&a).expect("grid network factors");
+    let b = rhs(a.dim());
     let mut z = vec![0.0; b.len()];
-    c.bench_function("ic0_triangular_solve_32x32x8", |bench| {
-        bench.iter(|| ic.apply(&b, &mut z))
+    c.bench_function("layered_ic0_apply_32x32x8", |bench| {
+        bench.iter(|| f.apply(&b, &mut z))
+    });
+}
+
+fn bench_warm_pcg(c: &mut Criterion) {
+    let a = LayeredMatrix::assemble(shape(), conductance);
+    let m = Preconditioner::ic0_or_jacobi(&a).expect("preconditioner");
+    assert!(m.is_ic0(), "grid network must factor");
+    let b = rhs(a.dim());
+    let mut scratch = SolveScratch::new();
+    let x0 = pcg_with(&a, &m, &b, None, 1e-8, 100_000, &mut scratch)
+        .expect("cold pcg")
+        .x;
+    // A 5% hotter load from the previous field: the coupled loop's
+    // warm-started re-solve.
+    let b2: Vec<f64> = b.iter().map(|v| v * 1.05).collect();
+    c.bench_function("layered_pcg_warm_32x32x8", |bench| {
+        bench.iter(|| {
+            pcg_with(&a, &m, &b2, Some(&x0), 1e-8, 100_000, &mut scratch).expect("warm pcg")
+        })
     });
 }
 
 criterion_group!(
     benches,
+    bench_fill,
+    bench_factor,
     bench_mul_vec,
-    bench_jacobi_pcg,
-    bench_ic0_pcg,
-    bench_triangular_solve
+    bench_ic0_apply,
+    bench_warm_pcg
 );
 criterion_main!(benches);

@@ -156,6 +156,10 @@ pub struct CoupledSolution {
     pub converged: bool,
 }
 
+/// Relative energy-balance error above which a converged coupled solve
+/// counts under `thermal.balance_violations`.
+pub const BALANCE_TOL: f64 = 1e-6;
+
 /// Iterates `power(T) → solve → power(T) → …` to a fixed point.
 ///
 /// `power_map` receives `None` on the first call (use nominal/initial
@@ -186,6 +190,12 @@ where
         obs::counter!("thermal.leakage_outer_iterations").add(c.outer_iterations as u64);
         obs::histogram!("thermal.leakage_outer_iterations_per_solve")
             .record(c.outer_iterations as u64);
+        // Post-condition: a converged steady state conserves energy to
+        // the solver tolerance (the `verify diff` corpus stays below
+        // 1e-9), so a larger imbalance means a broken solve.
+        if c.converged && c.solution.energy_balance_error() > BALANCE_TOL {
+            obs::counter!("thermal.balance_violations").inc();
+        }
     }
     result
 }

@@ -14,10 +14,13 @@
 //!
 //! * [`materials`] — bulk and effective-medium conductivities (microbump /
 //!   TSV / C4 composites computed from Table I bump geometry);
-//! * [`sparse`] — CSR matrices and the one conjugate-gradient loop:
-//!   preconditioned by IC(0), factored once per assembled matrix, falling
-//!   back to Jacobi when the factorization breaks down; an exact envelope
-//!   Cholesky solve is the verification oracle;
+//! * [`sparse`] — the one conjugate-gradient loop over a small operator
+//!   trait, Jacobi preconditioning, CSR matrices (the PDN grid and the
+//!   oracles: general IC(0) and an exact envelope Cholesky solve);
+//! * [`layered`] — the package network's operator: diagonal and three
+//!   lower bands per grid row plus a CSR periphery border, with its
+//!   closed-form IC(0) factored once per assembled matrix (Jacobi when
+//!   the factorization breaks down);
 //! * [`network`] (internal) — finite-volume assembly of the package
 //!   conductance network with HotSpot-style lumped spreader/sink periphery
 //!   nodes and convective boundaries;
@@ -51,6 +54,7 @@
 //! ```
 
 pub mod coupled;
+pub mod layered;
 pub mod materials;
 pub mod model;
 pub(crate) mod network;

@@ -737,7 +737,7 @@ impl PackageModel {
         sources: &[(Rect, f64)],
     ) -> Result<ThermalSolution, ThermalError> {
         let (b, total_power) = self.rhs_for(sources)?;
-        let x = crate::sparse::cholesky_solve(&self.net.matrix, &b)?;
+        let x = crate::sparse::cholesky_solve(&self.net.matrix.to_csr(), &b)?;
         Ok(self.make_solution(x, total_power, 0))
     }
 
@@ -1253,12 +1253,118 @@ mod tests {
         let full = PackageModel::new(&chip(), &moved, &rules(), &stack, cfg()).unwrap();
         assert_eq!(patched.footprint.value(), full.footprint.value());
         assert_eq!(
-            patched.net.matrix.values(),
-            full.net.matrix.values(),
+            patched.net.matrix.to_csr().values(),
+            full.net.matrix.to_csr().values(),
             "incremental model must be bitwise identical to a full build"
         );
         assert_eq!(patched.net.cap, full.net.cap);
         assert_eq!(patched.die_rects, full.die_rects);
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Checks a model's banded operator against the retired CSR path bit
+    /// for bit: the fill against the emission-order scaffold fill, then
+    /// the product, the IC(0) factor and whole PCG solves against CSR
+    /// and the general up-looking [`crate::sparse::Ic0`].
+    fn assert_matches_csr_oracle(model: &PackageModel, what: &str) {
+        use crate::layered::Preconditioner;
+        use crate::sparse::{Ic0, LinearOperator, Precondition};
+        let net = &model.net;
+        let csr = crate::network::emission_order_csr(&model.geom, &net.scaffold);
+        let banded = net.matrix.to_csr();
+        assert_eq!(banded.nnz(), csr.nnz(), "{what}: pattern size");
+        assert_eq!(bits(banded.values()), bits(csr.values()), "{what}: fill");
+        // Probes with negative entries and exact zeros.
+        let probe: Vec<f64> = (0..net.nodes)
+            .map(|i| {
+                if i % 7 == 3 {
+                    0.0
+                } else {
+                    (i as f64 * 0.37).sin() * 4.0 - 0.5
+                }
+            })
+            .collect();
+        let (mut y_band, mut y_csr) = (vec![0.0; net.nodes], vec![0.0; net.nodes]);
+        let dot_band = net.matrix.mul_vec_dot(&probe, &mut y_band);
+        let dot_csr = LinearOperator::mul_vec_dot(&csr, &probe, &mut y_csr);
+        assert_eq!(bits(&y_band), bits(&y_csr), "{what}: product");
+        assert_eq!(dot_band.to_bits(), dot_csr.to_bits(), "{what}: fused dot");
+        let Preconditioner::Ic0(factor) = &net.precond else {
+            panic!("{what}: package network must factor");
+        };
+        let oracle = Ic0::factor(&csr).expect("CSR IC(0)");
+        assert_eq!(factor.shift().to_bits(), oracle.shift().to_bits());
+        factor.apply(&probe, &mut y_band);
+        oracle.apply(&probe, &mut y_csr);
+        assert_eq!(bits(&y_band), bits(&y_csr), "{what}: IC(0) apply");
+        let rects = model.chiplet_rects().to_vec();
+        let sources: Vec<_> = rects.iter().map(|r| (*r, 30.0)).collect();
+        let (b, _) = model.rhs_for(&sources).unwrap();
+        let guess = vec![model.config.ambient.value() + 10.0; net.nodes];
+        for x0 in [None, Some(guess.as_slice())] {
+            let tol = model.config.rel_tol;
+            let ours = pcg_with(
+                &net.matrix,
+                &net.precond,
+                &b,
+                x0,
+                tol,
+                10_000,
+                &mut SolveScratch::new(),
+            )
+            .unwrap();
+            let theirs =
+                pcg_with(&csr, &oracle, &b, x0, tol, 10_000, &mut SolveScratch::new()).unwrap();
+            assert_eq!(ours.iterations, theirs.iterations, "{what}: iterations");
+            assert_eq!(
+                ours.residual.to_bits(),
+                theirs.residual.to_bits(),
+                "{what}: residual"
+            );
+            assert_eq!(bits(&ours.x), bits(&theirs.x), "{what}: solution");
+        }
+    }
+
+    #[test]
+    fn banded_operator_matches_the_csr_oracle_bitwise() {
+        let chip = chip();
+        let r = rules();
+        let sym16 = |s2: f64| ChipletLayout::Symmetric16 {
+            spacing: Spacing::new(2.0, s2, 3.0),
+        };
+        for grid in [24, 32] {
+            let config = ThermalConfig {
+                grid,
+                ..ThermalConfig::fast()
+            };
+            let build = |layout: &ChipletLayout, stack: &StackSpec| {
+                PackageModel::new(&chip, layout, &r, stack, config.clone()).unwrap()
+            };
+            let uniform = ChipletLayout::Uniform { r: 4, gap: Mm(4.0) };
+            let base = build(&sym16(2.0), &StackSpec::system_25d());
+            let cases = [
+                ("uniform", build(&uniform, &StackSpec::system_25d())),
+                (
+                    "baseline_2d",
+                    build(&ChipletLayout::SingleChip, &StackSpec::baseline_2d()),
+                ),
+                (
+                    "stacked_3d",
+                    build(&ChipletLayout::SingleChip, &StackSpec::stacked_3d()),
+                ),
+                (
+                    "new_like",
+                    PackageModel::new_like(&base, &sym16(3.5)).unwrap(),
+                ),
+                ("symmetric16", base),
+            ];
+            for (name, model) in &cases {
+                assert_matches_csr_oracle(model, &format!("{name} at grid {grid}"));
+            }
+        }
     }
 
     #[test]
@@ -1276,6 +1382,9 @@ mod tests {
         let patched = PackageModel::new_like(&base, &wider).unwrap();
         let full = PackageModel::new(&chip(), &wider, &rules(), &stack, cfg()).unwrap();
         assert_eq!(patched.footprint.value(), full.footprint.value());
-        assert_eq!(patched.net.matrix.values(), full.net.matrix.values());
+        assert_eq!(
+            patched.net.matrix.to_csr().values(),
+            full.net.matrix.to_csr().values()
+        );
     }
 }

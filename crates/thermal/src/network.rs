@@ -19,21 +19,23 @@
 //! positive-definite Laplacian plus positive boundary terms, solved with
 //! PCG ([`crate::sparse`]).
 //!
-//! Assembly is split into a symbolic [`Scaffold`] (CSR sparsity pattern
-//! plus the ordered conductance-link list with precomputed value slots)
-//! and a numeric value fill. The scaffold depends only on the package
-//! *geometry* — grid size, edges, layer roles/thicknesses, boundary
-//! coefficients and the homogeneous periphery conductivities — not on the
-//! per-cell conductivity fields, so two layouts on the same footprint
-//! share it. [`assemble_incremental`] exploits this: when only a few
-//! cells' conductivities changed (a chiplet moved along one axis), it
-//! refills just the affected CSR rows and refactors the IC(0) prefix,
-//! producing a matrix and preconditioner *bitwise identical* to a
-//! from-scratch [`assemble`] of the same geometry. Results therefore never
-//! depend on which base model a rebuild was patched from — a requirement
-//! for determinism under parallel evaluation order.
+//! Assembly is split into a symbolic [`Scaffold`] (node layout, the
+//! periphery links and grounds in emission order, and the layered
+//! operator's [`Shape`]) and a numeric fill of the grid bands. The
+//! scaffold depends only on the package *geometry* — grid size, edges,
+//! layer roles/thicknesses, boundary coefficients and the homogeneous
+//! periphery conductivities — not on the per-cell conductivity fields, so
+//! two layouts on the same footprint share it. [`assemble_incremental`]
+//! exploits this: when only a few cells' conductivities changed (a
+//! chiplet moved along one axis), it refills just the affected rows and
+//! refactors the IC(0) suffix, producing a matrix and preconditioner
+//! *bitwise identical* to a from-scratch [`assemble`] of the same
+//! geometry. Results therefore never depend on which base model a rebuild
+//! was patched from — a requirement for determinism under parallel
+//! evaluation order. This module is the only one that knows the
+//! periphery layout (W/E/S/N bands); the operator sees only links.
 
-use crate::sparse::{CsrMatrix, Ic0, Preconditioner};
+use crate::layered::{Axis, LayeredIc0, LayeredMatrix, Preconditioner, Shape};
 use std::sync::Arc;
 use tac25d_floorplan::layers::LayerRole;
 use tac25d_obs as obs;
@@ -77,7 +79,7 @@ pub(crate) struct NetworkGeometry {
 /// and post-process solutions.
 #[derive(Debug, Clone)]
 pub(crate) struct Network {
-    pub matrix: CsrMatrix,
+    pub matrix: LayeredMatrix,
     /// Preconditioner factored once at assembly and reused by every solve
     /// of this matrix (factor once, solve many). Always IC(0) on the
     /// M-matrices assembly produces; Jacobi only if the factorization ever
@@ -113,38 +115,35 @@ impl NetworkGeometry {
     }
 }
 
-/// How a link's conductance is derived at value-fill time.
-#[derive(Debug, Clone, Copy)]
-enum LinkKind {
-    /// Lateral link between grid cells `cell` and `cell+1` of layer `li`.
-    LatX,
-    /// Lateral link between grid cells `cell` and `cell+n` of layer `li`.
-    LatY,
-    /// Vertical link between cell `cell` of layers `li` and `li+1`.
-    Vert,
-    /// Geometry-only conductance baked at scaffold build (periphery and
-    /// boundary couplings through homogeneous copper).
-    Fixed(f64),
-}
-
-/// One two-node conductance with its four CSR value slots —
-/// `(i,i)`, `(j,j)`, `(i,j)`, `(j,i)` — precomputed by the scaffold so
-/// the value fill is a branch-free scatter in emission order.
-#[derive(Debug, Clone)]
-struct Link {
-    kind: LinkKind,
-    li: u32,
-    cell: u32,
-    ends: [u32; 2],
-    slots: [u32; 4],
-}
-
-/// A conductance to ambient: touches only its node's diagonal slot.
-#[derive(Debug, Clone)]
-struct Ground {
-    node: u32,
-    g: f64,
-    slot: u32,
+/// The finite-volume conductance of each grid link, `g(axis, layer,
+/// cell)`: lateral `t·w / (d/(2k₁) + d/(2k₂))`, vertical
+/// `A / (t₁/(2k₁) + t₂/(2k₂))`.
+fn link_conductances(geom: &NetworkGeometry) -> impl Fn(Axis, usize, usize) -> f64 + '_ {
+    let n = geom.n;
+    let dx = geom.footprint_m / n as f64;
+    let dy = dx;
+    let cell_area = dx * dy;
+    move |axis, li, c| {
+        let layer = &geom.layers[li];
+        match axis {
+            Axis::X => {
+                let ka = layer.k[c];
+                let kb = layer.k[c + 1];
+                layer.thickness_m * dy / (dx / (2.0 * ka) + dx / (2.0 * kb))
+            }
+            Axis::Y => {
+                let ka = layer.k[c];
+                let kb = layer.k[c + n];
+                layer.thickness_m * dx / (dy / (2.0 * ka) + dy / (2.0 * kb))
+            }
+            Axis::Z => {
+                let below = &geom.layers[li + 1];
+                let ka = layer.k[c];
+                let kb = below.k[c];
+                cell_area / (layer.thickness_m / (2.0 * ka) + below.thickness_m / (2.0 * kb))
+            }
+        }
+    }
 }
 
 /// A four-node lumped periphery band (capacitance bookkeeping).
@@ -155,61 +154,46 @@ struct PeripheryBand {
     area_side: f64,
 }
 
-/// The symbolic half of assembly: CSR sparsity pattern, the ordered link
-/// list with precomputed value slots, boundary conductances and node
-/// bookkeeping.
+/// The symbolic half of assembly: node layout, the operator [`Shape`]
+/// (periphery links and grounds in emission order), boundary
+/// conductances and node bookkeeping.
 ///
-/// Both full and incremental builds write matrix values through the same
-/// scaffold in the same emission order, so a patched rebuild is bitwise
-/// identical to a from-scratch build of the same geometry.
+/// Both full and incremental builds sum matrix values in the same
+/// (emission) order, so a patched rebuild is bitwise identical to a
+/// from-scratch build of the same geometry.
 #[derive(Debug, Clone)]
 pub(crate) struct Scaffold {
     n: usize,
     nodes: usize,
-    row_ptr: Vec<u32>,
-    col: Vec<u32>,
-    links: Vec<Link>,
-    grounds: Vec<Ground>,
+    shape: Arc<Shape>,
     conv: Vec<(usize, f64)>,
     die_base: usize,
     heat_bases: Vec<usize>,
     periphery: Vec<PeripheryBand>,
-    /// Layers whose `k[0]` is baked into `Fixed` link conductances
+    /// Layers whose `k[0]` is baked into the periphery link conductances
     /// (homogeneous spreader/sink); an incremental rebuild may only reuse
     /// the scaffold while those values are unchanged.
     fixed_k_layers: Vec<usize>,
+    /// The periphery links in emission order, kept for the emission-order
+    /// oracle.
+    #[cfg(test)]
+    links: Vec<(usize, usize, f64)>,
 }
 
-/// Pattern/link collector used by [`Scaffold::build`]; the order links
-/// and grounds are pushed here is the order the value fill replays.
+/// Periphery link and convection collector used by [`Scaffold::build`];
+/// the order they are pushed here is the order their terms are summed.
 #[derive(Default)]
 struct Emit {
-    pattern: Vec<(u32, u32)>,
-    links: Vec<Link>,
-    grounds: Vec<(u32, f64)>,
+    links: Vec<(usize, usize, f64)>,
     conv: Vec<(usize, f64)>,
 }
 
 impl Emit {
-    fn link(&mut self, kind: LinkKind, li: usize, cell: usize, i: usize, j: usize) {
-        let (i, j) = (i as u32, j as u32);
-        self.pattern.extend([(i, i), (j, j), (i, j), (j, i)]);
-        self.links.push(Link {
-            kind,
-            li: li as u32,
-            cell: cell as u32,
-            ends: [i, j],
-            slots: [0; 4],
-        });
-    }
-
     fn fixed(&mut self, i: usize, j: usize, g: f64) {
-        self.link(LinkKind::Fixed(g), 0, 0, i, j);
+        self.links.push((i, j, g));
     }
 
     fn convection(&mut self, node: usize, g: f64) {
-        self.pattern.push((node as u32, node as u32));
-        self.grounds.push((node as u32, g));
         self.conv.push((node, g));
     }
 }
@@ -299,26 +283,8 @@ impl Scaffold {
         let mut periphery: Vec<PeripheryBand> = Vec::new();
         let mut fixed_k_layers: Vec<usize> = Vec::new();
 
-        // --- Intra-layer lateral conduction + inter-layer vertical
-        //     conduction. Conductance values are field-dependent, so only
-        //     the link topology is recorded here.
-        for li in 0..nl {
-            for iy in 0..n {
-                for ix in 0..n {
-                    let c = iy * n + ix;
-                    let a = geom.node(li, ix, iy);
-                    if ix + 1 < n {
-                        e.link(LinkKind::LatX, li, c, a, geom.node(li, ix + 1, iy));
-                    }
-                    if iy + 1 < n {
-                        e.link(LinkKind::LatY, li, c, a, geom.node(li, ix, iy + 1));
-                    }
-                    if li + 1 < nl {
-                        e.link(LinkKind::Vert, li, c, a, geom.node(li + 1, ix, iy));
-                    }
-                }
-            }
-        }
+        // Intra-layer lateral and inter-layer vertical conduction are the
+        // operator's grid bands, filled from the conductivity fields.
 
         // --- Convection from the sink grid cells.
         if let Some(sl) = sink_layer {
@@ -445,139 +411,17 @@ impl Scaffold {
         fixed_k_layers.sort_unstable();
         fixed_k_layers.dedup();
 
-        // --- Symbolic CSR pattern: sorted, deduplicated (row, col) pairs.
-        let mut pattern = e.pattern;
-        pattern.sort_unstable();
-        pattern.dedup();
-        let mut row_ptr = vec![0u32; nodes + 1];
-        for &(r, _) in &pattern {
-            row_ptr[r as usize + 1] += 1;
-        }
-        for i in 0..nodes {
-            row_ptr[i + 1] += row_ptr[i];
-        }
-        let col: Vec<u32> = pattern.iter().map(|&(_, c)| c).collect();
-
-        let slot = |i: u32, j: u32| -> u32 {
-            let lo = row_ptr[i as usize] as usize;
-            let hi = row_ptr[i as usize + 1] as usize;
-            let off = col[lo..hi]
-                .binary_search(&j)
-                .expect("pattern entry must exist");
-            (lo + off) as u32
-        };
-        let mut links = e.links;
-        for link in &mut links {
-            let [i, j] = link.ends;
-            link.slots = [slot(i, i), slot(j, j), slot(i, j), slot(j, i)];
-        }
-        let grounds: Vec<Ground> = e
-            .grounds
-            .iter()
-            .map(|&(node, g)| Ground {
-                node,
-                g,
-                slot: slot(node, node),
-            })
-            .collect();
-
         Scaffold {
             n,
             nodes,
-            row_ptr,
-            col,
-            links,
-            grounds,
+            shape: Arc::new(Shape::new(n, nl, nodes - nl * n2, &e.links, &e.conv)),
+            #[cfg(test)]
+            links: e.links,
             conv: e.conv,
             die_base: die_layer * n2,
             heat_bases: heat_layers.iter().map(|&l| l * n2).collect(),
             periphery,
             fixed_k_layers,
-        }
-    }
-
-    /// Writes the CSR values for `geom` through the scaffold. With
-    /// `dirty == None` every value is written; with a dirty-row mask only
-    /// the masked rows are zeroed and refilled. Because both paths add
-    /// each row's contributions in the identical (emission) order, a
-    /// dirty-row refill is bitwise identical to a full fill.
-    fn fill_values(&self, geom: &NetworkGeometry, dirty: Option<&[bool]>, val: &mut [f64]) {
-        let n = self.n;
-        let dx = geom.footprint_m / n as f64;
-        let dy = dx;
-        let cell_area = dx * dy;
-        let eval = |link: &Link| -> f64 {
-            let li = link.li as usize;
-            let c = link.cell as usize;
-            match link.kind {
-                LinkKind::LatX => {
-                    let layer = &geom.layers[li];
-                    let ka = layer.k[c];
-                    let kb = layer.k[c + 1];
-                    layer.thickness_m * dy / (dx / (2.0 * ka) + dx / (2.0 * kb))
-                }
-                LinkKind::LatY => {
-                    let layer = &geom.layers[li];
-                    let ka = layer.k[c];
-                    let kb = layer.k[c + n];
-                    layer.thickness_m * dx / (dy / (2.0 * ka) + dy / (2.0 * kb))
-                }
-                LinkKind::Vert => {
-                    let layer = &geom.layers[li];
-                    let below = &geom.layers[li + 1];
-                    let ka = layer.k[c];
-                    let kb = below.k[c];
-                    cell_area / (layer.thickness_m / (2.0 * ka) + below.thickness_m / (2.0 * kb))
-                }
-                LinkKind::Fixed(g) => g,
-            }
-        };
-        match dirty {
-            None => {
-                val.fill(0.0);
-                for link in &self.links {
-                    let g = eval(link);
-                    let [s_ii, s_jj, s_ij, s_ji] = link.slots;
-                    val[s_ii as usize] += g;
-                    val[s_jj as usize] += g;
-                    val[s_ij as usize] -= g;
-                    val[s_ji as usize] -= g;
-                }
-                for gr in &self.grounds {
-                    val[gr.slot as usize] += gr.g;
-                }
-            }
-            Some(dirty) => {
-                for (i, d) in dirty.iter().enumerate() {
-                    if *d {
-                        let lo = self.row_ptr[i] as usize;
-                        let hi = self.row_ptr[i + 1] as usize;
-                        val[lo..hi].fill(0.0);
-                    }
-                }
-                for link in &self.links {
-                    let di = dirty[link.ends[0] as usize];
-                    let dj = dirty[link.ends[1] as usize];
-                    if !di && !dj {
-                        continue;
-                    }
-                    let g = eval(link);
-                    let [s_ii, s_jj, s_ij, s_ji] = link.slots;
-                    if di {
-                        val[s_ii as usize] += g;
-                        val[s_ij as usize] -= g;
-                    }
-                    if dj {
-                        val[s_jj as usize] += g;
-                        val[s_ji as usize] -= g;
-                    }
-                }
-                for gr in &self.grounds {
-                    if dirty[gr.node as usize] {
-                        val[gr.slot as usize] += gr.g;
-                    }
-                }
-            }
         }
     }
 
@@ -605,8 +449,8 @@ impl Scaffold {
 }
 
 /// Records the four periphery nodes' couplings to a layer's grid boundary
-/// cells: lateral conductances `k·t·w/d` per boundary cell, baked as
-/// `Fixed` links (homogeneous copper).
+/// cells: lateral conductances `k·t·w/d` per boundary cell (homogeneous
+/// copper).
 fn emit_periphery_boundary(
     e: &mut Emit,
     geom: &NetworkGeometry,
@@ -631,7 +475,7 @@ fn emit_periphery_boundary(
 
 fn finish(
     scaffold: Arc<Scaffold>,
-    matrix: CsrMatrix,
+    matrix: LayeredMatrix,
     precond: Preconditioner,
     geom: &NetworkGeometry,
 ) -> Network {
@@ -656,14 +500,7 @@ fn finish(
 /// spreader, or a non-positive conductivity/dimension).
 pub(crate) fn assemble(geom: &NetworkGeometry) -> Network {
     let scaffold = Arc::new(Scaffold::build(geom));
-    let mut val = vec![0.0f64; scaffold.col.len()];
-    scaffold.fill_values(geom, None, &mut val);
-    let matrix = CsrMatrix::from_parts(
-        scaffold.nodes,
-        scaffold.row_ptr.clone(),
-        scaffold.col.clone(),
-        val,
-    );
+    let matrix = LayeredMatrix::assemble(Arc::clone(&scaffold.shape), link_conductances(geom));
     // Assembly guarantees a positive diagonal (every cell has at least one
     // conductance), so a preconditioner always exists.
     let precond =
@@ -672,9 +509,9 @@ pub(crate) fn assemble(geom: &NetworkGeometry) -> Network {
 }
 
 /// Rebuilds the network for `new_geom` by patching `base` (built for
-/// `base_geom`) instead of assembling from scratch: only the CSR rows
-/// whose conductances can differ are refilled, and the IC(0) factor's
-/// clean prefix is copied. Returns `None` when the two geometries are not
+/// `base_geom`) instead of assembling from scratch: only the rows whose
+/// conductances can differ are refilled, and the IC(0) factor's clean
+/// prefix is copied. Returns `None` when the two geometries are not
 /// scaffold-compatible (different grid, edges, layer structure, boundary
 /// coefficients, or changed periphery conductivities) — the caller then
 /// falls back to [`assemble`].
@@ -690,17 +527,11 @@ pub(crate) fn assemble_incremental(
     let reused = dirty.iter().filter(|&&d| !d).count();
     obs::counter!("thermal.assembly_rows_reused").add(reused as u64);
 
-    let mut val = base.matrix.values().to_vec();
-    scaffold.fill_values(new_geom, Some(&dirty), &mut val);
-    let matrix = CsrMatrix::from_parts(
-        scaffold.nodes,
-        scaffold.row_ptr.clone(),
-        scaffold.col.clone(),
-        val,
-    );
+    let mut matrix = base.matrix.clone();
+    matrix.refill(&dirty, link_conductances(new_geom));
     let first_dirty = dirty.iter().position(|&d| d).unwrap_or(scaffold.nodes);
     let precond = match &base.precond {
-        Preconditioner::Ic0(f) => match Ic0::refactor_prefix(&matrix, f, first_dirty) {
+        Preconditioner::Ic0(f) => match LayeredIc0::refactor_prefix(&matrix, f, first_dirty) {
             Some(nf) => {
                 obs::counter!("thermal.ic0_factorizations").inc();
                 Preconditioner::Ic0(nf)
@@ -710,7 +541,7 @@ pub(crate) fn assemble_incremental(
         },
         // The base fell back to Jacobi: its factor has no prefix to
         // reuse, so retry a full IC(0) factorization.
-        Preconditioner::Jacobi { .. } => Preconditioner::ic0_or_jacobi(&matrix)
+        Preconditioner::Jacobi(_) => Preconditioner::ic0_or_jacobi(&matrix)
             .expect("conductance network has positive diagonal"),
     };
     Some(finish(scaffold, matrix, precond, new_geom))
@@ -788,10 +619,28 @@ fn dirty_rows(
     Some(dirty)
 }
 
+/// The CSR matrix the retired scaffold assembled for `geom` (see
+/// [`crate::layered::emission_order_csr`]): the oracle the layered fill
+/// is checked against bit for bit.
+#[cfg(test)]
+pub(crate) fn emission_order_csr(
+    geom: &NetworkGeometry,
+    scaffold: &Scaffold,
+) -> crate::sparse::CsrMatrix {
+    crate::layered::emission_order_csr(
+        geom.n,
+        geom.layers.len(),
+        scaffold.nodes - geom.layers.len() * geom.n * geom.n,
+        link_conductances(geom),
+        &scaffold.links,
+        &scaffold.conv,
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sparse::pcg;
+    use crate::sparse::{pcg, Precondition};
 
     /// A two-layer toy stack with no periphery: each column is an
     /// independent 1D path, so the die temperature has a closed form.
@@ -1016,9 +865,9 @@ mod tests {
         assert!(dirty.iter().any(|&d| !d), "small patch must reuse rows");
 
         assert_eq!(
-            patched.matrix.values(),
-            full.matrix.values(),
-            "patched CSR values must be bitwise identical to a full build"
+            patched.matrix.to_csr().values(),
+            full.matrix.to_csr().values(),
+            "patched matrix values must be bitwise identical to a full build"
         );
         assert_eq!(patched.cap, full.cap);
         assert_eq!(patched.conv, full.conv);
@@ -1049,7 +898,10 @@ mod tests {
 
         let from_a = assemble_incremental(&target, &geom_a, &assemble(&geom_a)).unwrap();
         let from_b = assemble_incremental(&target, &geom_b, &assemble(&geom_b)).unwrap();
-        assert_eq!(from_a.matrix.values(), from_b.matrix.values());
+        assert_eq!(
+            from_a.matrix.to_csr().values(),
+            from_b.matrix.to_csr().values()
+        );
     }
 
     #[test]

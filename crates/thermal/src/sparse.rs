@@ -1,18 +1,19 @@
-//! Minimal sparse linear algebra for the thermal network: a triplet
-//! assembler, a CSR matrix, one preconditioned conjugate-gradient loop
-//! ([`pcg_with`]) with two preconditioners — IC(0) incomplete Cholesky,
-//! factored once per assembled matrix and reused across every solve, and
-//! Jacobi (the IC(0) breakdown fallback, and what the [`pcg`] convenience
-//! wrapper uses) — plus an exact envelope Cholesky solve
-//! ([`cholesky_solve`]) that serves as the verification oracle.
+//! Minimal sparse linear algebra: a triplet assembler, a CSR matrix, and
+//! the one preconditioned conjugate-gradient loop ([`pcg_with`]), generic
+//! over a small [`LinearOperator`] / [`Precondition`] pair so the package
+//! network's banded operator ([`crate::layered`]) and CSR matrices share
+//! it. Jacobi scaling is the preconditioner behind the [`pcg`] wrapper and
+//! the IC(0) breakdown fallback. Two oracles stay in CSR form: the general
+//! up-looking IC(0) [`Ic0`] that the banded factor is checked against bit
+//! for bit, and an exact envelope Cholesky solve ([`cholesky_solve`]).
 //!
 //! Thermal conductance networks are symmetric positive definite as long as
 //! at least one node has a (positive) boundary conductance to ambient, so
 //! PCG is the method of choice — no pivoting, no fill-in, O(nnz) per
 //! iteration. They are also M-matrices, for which IC(0) provably exists;
-//! for general SPD input [`Ic0::factor`] retries with Manteuffel diagonal
-//! shifts and [`Preconditioner::ic0_or_jacobi`] falls back to Jacobi when
-//! every shift breaks down.
+//! for general SPD input the factorizations retry with Manteuffel
+//! diagonal shifts, and the package preconditioner falls back to Jacobi
+//! when every shift breaks down.
 
 use std::error::Error;
 use std::fmt;
@@ -149,9 +150,8 @@ pub struct CsrMatrix {
 }
 
 impl CsrMatrix {
-    /// Assembles a CSR matrix from precomputed parts — the scaffolded
-    /// assembly path in [`crate::network`] derives the sparsity pattern
-    /// once per package shape and refills only the values.
+    /// Assembles a CSR matrix from precomputed parts (ascending columns
+    /// per row) — the CSR view of [`crate::layered::LayeredMatrix`].
     pub(crate) fn from_parts(
         n: usize,
         row_ptr: Vec<u32>,
@@ -170,8 +170,8 @@ impl CsrMatrix {
     }
 
     /// The stored entry values in pattern order (row-major, ascending
-    /// columns) — the layout [`CsrMatrix::from_parts`] expects back.
-    /// Public so equivalence tests can compare operators bitwise.
+    /// columns). Public so equivalence tests can compare operators
+    /// bitwise.
     pub fn values(&self) -> &[f64] {
         &self.val
     }
@@ -289,23 +289,100 @@ pub struct PcgSolution {
     pub residual: f64,
 }
 
-/// Manteuffel diagonal-shift schedule for [`Ic0::factor`]: each retry
+/// Manteuffel diagonal-shift schedule for incomplete Cholesky: each retry
 /// factors `A + α·diag(A)` with the next larger `α`. Thermal conductance
 /// networks are M-matrices and always factor at `α = 0`; the nonzero
 /// entries exist for general SPD matrices (e.g. Kershaw's example) whose
 /// incomplete factorization hits a non-positive pivot.
-const IC0_SHIFTS: &[f64] = &[0.0, 1e-3, 1e-2, 0.1, 0.5];
+pub(crate) const IC0_SHIFTS: &[f64] = &[0.0, 1e-3, 1e-2, 0.1, 0.5];
 
-/// Incomplete Cholesky factorization with zero fill-in, IC(0):
-/// `L·Lᵀ ≈ A` where `L` is restricted to the lower-triangular sparsity
-/// pattern of `A`. Applying `z = (L·Lᵀ)⁻¹·r` costs two sparse triangular
-/// sweeps (O(nnz)) and cuts PCG iteration counts several-fold versus the
-/// Jacobi preconditioner on grid Laplacians like the thermal network.
+/// A square matrix as [`pcg_with`] sees it: a product with a vector and a
+/// diagonal. The package network's banded operator
+/// ([`crate::layered::LayeredMatrix`]) and [`CsrMatrix`] (the PDN grid and
+/// the verification oracles) both implement it.
+pub trait LinearOperator {
+    /// Matrix dimension.
+    fn dim(&self) -> usize;
+
+    /// Computes `y = A·x`, each row summed in ascending column order.
+    fn mul_vec(&self, x: &[f64], y: &mut [f64]);
+
+    /// Computes `y = A·x` and returns `x·y`, summed in ascending row order
+    /// — bitwise what [`LinearOperator::mul_vec`] followed by a dot
+    /// product gives, which implementations may fuse into one pass.
+    fn mul_vec_dot(&self, x: &[f64], y: &mut [f64]) -> f64 {
+        self.mul_vec(x, y);
+        dot(x, y)
+    }
+
+    /// The diagonal entries.
+    fn diagonal(&self) -> Vec<f64>;
+}
+
+impl LinearOperator for CsrMatrix {
+    fn dim(&self) -> usize {
+        self.n
+    }
+
+    fn mul_vec(&self, x: &[f64], y: &mut [f64]) {
+        CsrMatrix::mul_vec(self, x, y)
+    }
+
+    fn diagonal(&self) -> Vec<f64> {
+        CsrMatrix::diagonal(self)
+    }
+}
+
+/// A preconditioner `z = M⁻¹·r` for [`pcg_with`], built once per matrix
+/// and reused across every solve of it (factor once, solve many).
+pub trait Precondition {
+    /// Applies the preconditioner.
+    fn apply(&self, r: &[f64], z: &mut [f64]);
+}
+
+/// Diagonal scaling, `z = r / diag(A)`: the IC(0) breakdown fallback and
+/// the preconditioner behind [`pcg`].
+#[derive(Debug, Clone)]
+pub struct Jacobi {
+    inv_diag: Vec<f64>,
+}
+
+impl Jacobi {
+    /// The Jacobi preconditioner of `a`.
+    ///
+    /// # Errors
+    ///
+    /// [`SolveError::NotPositiveDefinite`] when a diagonal entry is zero,
+    /// negative, or non-finite.
+    pub fn new<A: LinearOperator + ?Sized>(a: &A) -> Result<Self, SolveError> {
+        let diag = a.diagonal();
+        if diag.iter().any(|&d| d <= 0.0 || !d.is_finite()) {
+            return Err(SolveError::NotPositiveDefinite);
+        }
+        Ok(Jacobi {
+            inv_diag: diag.iter().map(|d| 1.0 / d).collect(),
+        })
+    }
+}
+
+impl Precondition for Jacobi {
+    fn apply(&self, r: &[f64], z: &mut [f64]) {
+        for ((zi, ri), di) in z.iter_mut().zip(r).zip(&self.inv_diag) {
+            *zi = ri * di;
+        }
+    }
+}
+
+/// Incomplete Cholesky factorization with zero fill-in, IC(0), of a
+/// general CSR matrix: `L·Lᵀ ≈ A` where `L` is restricted to the
+/// lower-triangular sparsity pattern of `A`. The package network factors
+/// through the banded [`crate::layered::LayeredIc0`]; this general
+/// up-looking version is the oracle that factor is checked against bit
+/// for bit.
 ///
 /// The strict lower triangle is stored row-wise (CSR, ascending columns)
 /// for the forward sweep and its transpose (the strict upper triangle)
-/// row-wise for the backward sweep, so both substitutions stream
-/// cache-friendly over contiguous rows.
+/// row-wise for the backward sweep.
 #[derive(Debug, Clone)]
 pub struct Ic0 {
     n: usize,
@@ -323,7 +400,7 @@ impl Ic0 {
     /// Factors `A` (or, on breakdown, `A + α·diag(A)` for the smallest
     /// working `α` from the retry schedule). Returns `None` when every
     /// shift hits a non-positive pivot or a diagonal entry is missing or
-    /// non-positive — the caller should then fall back to Jacobi.
+    /// non-positive.
     pub fn factor(a: &CsrMatrix) -> Option<Ic0> {
         let diag = a.diagonal();
         if diag.iter().any(|&d| d <= 0.0 || !d.is_finite()) {
@@ -332,21 +409,6 @@ impl Ic0 {
         IC0_SHIFTS
             .iter()
             .find_map(|&shift| factor_with_shift(a, shift))
-    }
-
-    /// Refactors after an incremental matrix patch that left every row
-    /// before `first_dirty` unchanged: rows `< first_dirty` of the factor
-    /// are copied from `base` (an up-looking IC(0) row depends only on
-    /// rows `≤ i` of `A`), the rest recomputed — bitwise identical to a
-    /// full factorization of the patched matrix. Only valid for a clean
-    /// (shift-0) base factor; returns `None` when the patched matrix no
-    /// longer factors at shift 0, in which case the caller should fall
-    /// back to [`Ic0::factor`] and its retry schedule.
-    pub(crate) fn refactor_prefix(a: &CsrMatrix, base: &Ic0, first_dirty: usize) -> Option<Ic0> {
-        if base.n != a.n() || base.shift != 0.0 {
-            return None;
-        }
-        factor_rows(a, 0.0, Some((base, first_dirty.min(a.n()))))
     }
 
     /// The diagonal shift `α` the factorization succeeded with (0 for a
@@ -359,14 +421,16 @@ impl Ic0 {
     pub fn nnz(&self) -> usize {
         self.l_val.len() + self.n
     }
+}
 
-    /// Applies the preconditioner: solves `L·Lᵀ·z = r` by a forward then a
-    /// backward triangular sweep, both in place in `z`.
+impl Precondition for Ic0 {
+    /// Solves `L·Lᵀ·z = r` by a forward then a backward triangular sweep,
+    /// both in place in `z`.
     ///
     /// # Panics
     ///
     /// Panics if the vector lengths do not match the factor dimension.
-    pub fn apply(&self, r: &[f64], z: &mut [f64]) {
+    fn apply(&self, r: &[f64], z: &mut [f64]) {
         assert_eq!(r.len(), self.n, "r length mismatch");
         assert_eq!(z.len(), self.n, "z length mismatch");
         // Forward: L·y = r, ascending rows (z[j] for j < i already final).
@@ -395,35 +459,12 @@ impl Ic0 {
 
 /// Up-looking IC(0) of `A + shift·diag(A)`; `None` on a non-positive pivot.
 fn factor_with_shift(a: &CsrMatrix, shift: f64) -> Option<Ic0> {
-    factor_rows(a, shift, None)
-}
-
-/// The up-looking factorization loop behind [`factor_with_shift`] and
-/// [`Ic0::refactor_prefix`]. With `prefix = (base, d0)`, rows `< d0` of
-/// `L` are copied from `base` instead of recomputed; because row `i` of an
-/// up-looking factor is a function of rows `≤ i` of `A` alone, the result
-/// is bitwise identical to factoring the whole matrix from scratch.
-fn factor_rows(a: &CsrMatrix, shift: f64, prefix: Option<(&Ic0, usize)>) -> Option<Ic0> {
     let n = a.n();
     let mut inv_diag = vec![0.0f64; n];
-    let (mut l_row_ptr, mut l_col, mut l_val, start) = match prefix {
-        Some((base, d0)) => {
-            let end = base.l_row_ptr[d0] as usize;
-            inv_diag[..d0].copy_from_slice(&base.inv_diag[..d0]);
-            (
-                base.l_row_ptr[..=d0].to_vec(),
-                base.l_col[..end].to_vec(),
-                base.l_val[..end].to_vec(),
-                d0,
-            )
-        }
-        None => {
-            let mut l_row_ptr = Vec::with_capacity(n + 1);
-            l_row_ptr.push(0u32);
-            (l_row_ptr, Vec::new(), Vec::new(), 0)
-        }
-    };
-    for i in start..n {
+    let mut l_row_ptr = Vec::with_capacity(n + 1);
+    l_row_ptr.push(0u32);
+    let (mut l_col, mut l_val): (Vec<u32>, Vec<f64>) = (Vec::new(), Vec::new());
+    for i in 0..n {
         let row_start = l_val.len();
         let lo = a.row_ptr[i] as usize;
         let hi = a.row_ptr[i + 1] as usize;
@@ -502,71 +543,6 @@ fn factor_rows(a: &CsrMatrix, shift: f64, prefix: Option<(&Ic0, usize)>) -> Opti
     })
 }
 
-/// A preconditioner for [`pcg_with`] — built once per assembled matrix and
-/// reused across every solve of that matrix (factor-once/solve-many).
-#[derive(Debug, Clone)]
-pub enum Preconditioner {
-    /// Diagonal scaling, `z = r / diag(A)`.
-    Jacobi {
-        /// Reciprocal diagonal of `A`.
-        inv_diag: Vec<f64>,
-    },
-    /// Incomplete Cholesky, `z = (L·Lᵀ)⁻¹·r`.
-    Ic0(Ic0),
-}
-
-impl Preconditioner {
-    /// Jacobi preconditioner.
-    ///
-    /// # Errors
-    ///
-    /// [`SolveError::NotPositiveDefinite`] when a diagonal entry is zero,
-    /// negative, or non-finite.
-    pub fn jacobi(a: &CsrMatrix) -> Result<Self, SolveError> {
-        let diag = a.diagonal();
-        if diag.iter().any(|&d| d <= 0.0 || !d.is_finite()) {
-            return Err(SolveError::NotPositiveDefinite);
-        }
-        Ok(Preconditioner::Jacobi {
-            inv_diag: diag.iter().map(|d| 1.0 / d).collect(),
-        })
-    }
-
-    /// IC(0) when the factorization succeeds (counting it under
-    /// `thermal.ic0_factorizations`), Jacobi otherwise — the breakdown
-    /// fallback the solver fast path relies on.
-    ///
-    /// # Errors
-    ///
-    /// [`SolveError::NotPositiveDefinite`] when even Jacobi is impossible
-    /// (non-positive diagonal).
-    pub fn ic0_or_jacobi(a: &CsrMatrix) -> Result<Self, SolveError> {
-        match Ic0::factor(a) {
-            Some(f) => {
-                obs::counter!("thermal.ic0_factorizations").inc();
-                Ok(Preconditioner::Ic0(f))
-            }
-            None => Self::jacobi(a),
-        }
-    }
-
-    /// True for the IC(0) variant.
-    pub fn is_ic0(&self) -> bool {
-        matches!(self, Preconditioner::Ic0(_))
-    }
-
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        match self {
-            Preconditioner::Jacobi { inv_diag } => {
-                for i in 0..r.len() {
-                    z[i] = r[i] * inv_diag[i];
-                }
-            }
-            Preconditioner::Ic0(f) => f.apply(r, z),
-        }
-    }
-}
-
 /// Reusable PCG work vectors. Threading one scratch through a sequence of
 /// same-sized solves (a leakage fixed point, a candidate evaluation)
 /// eliminates the per-solve allocation of the four iteration vectors.
@@ -596,8 +572,8 @@ impl SolveScratch {
 
 /// Solves `A·x = b` for a symmetric positive-definite `A` using conjugate
 /// gradients with a Jacobi (diagonal) preconditioner — [`pcg_with`] with a
-/// fresh [`Preconditioner::jacobi`] and scratch, for one-off solves (the
-/// PDN grid, the MMS slabs) whose matrix is not worth factoring.
+/// fresh [`Jacobi`] and scratch, for one-off solves (the PDN grid, the MMS
+/// slabs) whose matrix is not worth factoring.
 ///
 /// `x0` is an optional warm start (pass `None` to start from zero).
 ///
@@ -605,14 +581,14 @@ impl SolveScratch {
 ///
 /// Returns [`SolveError`] if convergence fails, the matrix is detected to be
 /// non-SPD, or numerical breakdown occurs.
-pub fn pcg(
-    a: &CsrMatrix,
+pub fn pcg<A: LinearOperator + ?Sized>(
+    a: &A,
     b: &[f64],
     x0: Option<&[f64]>,
     rel_tol: f64,
     max_iter: usize,
 ) -> Result<PcgSolution, SolveError> {
-    let m = Preconditioner::jacobi(a)?;
+    let m = Jacobi::new(a)?;
     pcg_with(a, &m, b, x0, rel_tol, max_iter, &mut SolveScratch::new())
 }
 
@@ -624,15 +600,19 @@ pub fn pcg(
 ///
 /// Returns [`SolveError`] if convergence fails, the matrix is detected to be
 /// non-SPD, or numerical breakdown occurs.
-pub fn pcg_with(
-    a: &CsrMatrix,
-    m: &Preconditioner,
+pub fn pcg_with<A, M>(
+    a: &A,
+    m: &M,
     b: &[f64],
     x0: Option<&[f64]>,
     rel_tol: f64,
     max_iter: usize,
     scratch: &mut SolveScratch,
-) -> Result<PcgSolution, SolveError> {
+) -> Result<PcgSolution, SolveError>
+where
+    A: LinearOperator + ?Sized,
+    M: Precondition + ?Sized,
+{
     let _span = obs::span!("thermal.pcg_solve");
     obs::counter!("thermal.pcg_solves").inc();
     let result = pcg_with_inner(a, m, b, x0, rel_tol, max_iter, scratch);
@@ -656,16 +636,20 @@ fn record_pcg_metrics(result: &Result<PcgSolution, SolveError>) {
 }
 
 #[allow(clippy::needless_range_loop)]
-fn pcg_with_inner(
-    a: &CsrMatrix,
-    m: &Preconditioner,
+fn pcg_with_inner<A, M>(
+    a: &A,
+    m: &M,
     b: &[f64],
     x0: Option<&[f64]>,
     rel_tol: f64,
     max_iter: usize,
     scratch: &mut SolveScratch,
-) -> Result<PcgSolution, SolveError> {
-    let n = a.n();
+) -> Result<PcgSolution, SolveError>
+where
+    A: LinearOperator + ?Sized,
+    M: Precondition + ?Sized,
+{
+    let n = a.dim();
     assert_eq!(b.len(), n, "rhs length mismatch");
     let b_norm = norm(b);
     if b_norm == 0.0 {
@@ -709,8 +693,7 @@ fn pcg_with_inner(
     let mut rz = dot(r, z);
 
     for it in 1..=max_iter {
-        a.mul_vec(p, ap);
-        let pap = dot(p, ap);
+        let pap = a.mul_vec_dot(p, ap);
         if pap <= 0.0 || !pap.is_finite() {
             return Err(SolveError::NotPositiveDefinite);
         }
@@ -850,6 +833,20 @@ fn norm(a: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layered::{LayeredIc0, LayeredMatrix, Preconditioner, Shape};
+    use std::sync::Arc;
+
+    /// A one-layer `n × n` grid Laplacian, links of conductance
+    /// `link(axis, cell)`, every cell grounded with `ground`.
+    fn layer_grid(
+        n: usize,
+        ground: f64,
+        link: impl Fn(crate::layered::Axis, usize) -> f64,
+    ) -> LayeredMatrix {
+        let grounds: Vec<(usize, f64)> = (0..n * n).map(|i| (i, ground)).collect();
+        let shape = Arc::new(Shape::new(n, 1, 0, &[], &grounds));
+        LayeredMatrix::assemble(shape, |axis, _, c| link(axis, c))
+    }
 
     fn csr_from_dense(d: &[&[f64]]) -> CsrMatrix {
         let n = d.len();
@@ -1101,8 +1098,8 @@ mod tests {
     #[test]
     fn ic0_pcg_converges_in_one_iteration_on_full_pattern() {
         let a = csr_from_dense(&[&[4.0, 1.0], &[1.0, 3.0]]);
-        let m = Preconditioner::ic0_or_jacobi(&a).unwrap();
-        assert!(m.is_ic0());
+        let m = Ic0::factor(&a).unwrap();
+        assert_eq!(m.shift(), 0.0);
         let mut scratch = SolveScratch::new();
         let sol = pcg_with(&a, &m, &[1.0, 2.0], None, 1e-12, 100, &mut scratch).unwrap();
         assert!(sol.iterations <= 2, "took {}", sol.iterations);
@@ -1116,20 +1113,7 @@ mod tests {
         // thermal network. IC(0) must cut the iteration count versus
         // Jacobi at the same tolerance and produce the same solution.
         let n = 16;
-        let mut t = TripletMatrix::new(n * n);
-        for iy in 0..n {
-            for ix in 0..n {
-                let i = iy * n + ix;
-                if ix + 1 < n {
-                    t.add_conductance(i, i + 1, 1.0);
-                }
-                if iy + 1 < n {
-                    t.add_conductance(i, i + n, 1.0);
-                }
-                t.add_ground(i, 0.01);
-            }
-        }
-        let a = t.to_csr();
+        let a = layer_grid(n, 0.01, |_, _| 1.0);
         let b: Vec<f64> = (0..n * n).map(|i| ((i % 7) as f64) * 0.3 + 0.1).collect();
         let jac = pcg(&a, &b, None, 1e-10, 100_000).unwrap();
         let m = Preconditioner::ic0_or_jacobi(&a).unwrap();
@@ -1162,9 +1146,8 @@ mod tests {
         let f = Ic0::factor(&a).expect("shifted IC(0) must succeed");
         assert!(f.shift() > 0.0, "expected a breakdown retry, got shift 0");
         let b = [1.0, 0.0, -1.0, 2.0];
-        let m = Preconditioner::Ic0(f);
         let mut scratch = SolveScratch::new();
-        let sol = pcg_with(&a, &m, &b, None, 1e-12, 1000, &mut scratch).unwrap();
+        let sol = pcg_with(&a, &f, &b, None, 1e-12, 1000, &mut scratch).unwrap();
         let exact = cholesky_solve(&a, &b).unwrap();
         for (i, e) in exact.iter().enumerate() {
             assert!((sol.x[i] - e).abs() < 1e-9, "i={i}");
@@ -1173,29 +1156,30 @@ mod tests {
 
     #[test]
     fn prefix_refactor_matches_full_factorization() {
-        // Patch the late rows of a resistor chain and refactor from the
-        // first changed row: the result must match a from-scratch
-        // factorization bitwise, because up-looking IC(0) row i depends
-        // only on rows <= i of A.
-        let n = 12;
-        let build = |g89: f64| {
-            let mut t = TripletMatrix::new(n);
-            for i in 0..n - 1 {
-                let g = if i == 8 { g89 } else { 1.0 + i as f64 * 0.1 };
-                t.add_conductance(i, i + 1, g);
+        // Patch one link of a grid and refactor from the first changed
+        // row: the result must match a from-scratch factorization
+        // bitwise, because up-looking IC(0) row i depends only on rows
+        // <= i of A.
+        let n = 5;
+        let link = |g: f64| {
+            move |axis, c: usize| match (axis, c) {
+                (crate::layered::Axis::X, 17) => g,
+                _ => 1.0 + c as f64 * 0.1,
             }
-            t.add_ground(0, 0.7);
-            t.to_csr()
         };
-        let base_m = build(1.8);
-        let base = Ic0::factor(&base_m).unwrap();
-        // Changing the 8–9 conductance dirties rows 8 and 9 only.
-        let patched = build(3.25);
-        let full = Ic0::factor(&patched).unwrap();
-        let inc = Ic0::refactor_prefix(&patched, &base, 8).unwrap();
+        let base_m = layer_grid(n, 0.7, link(1.8));
+        let base = LayeredIc0::factor(&base_m).unwrap();
+        // Changing the 17–18 conductance dirties rows 17 and 18 only.
+        let mut dirty = vec![false; n * n];
+        dirty[17] = true;
+        dirty[18] = true;
+        let mut patched = base_m.clone();
+        patched.refill(&dirty, |axis, _, c| link(3.25)(axis, c));
+        let full = LayeredIc0::factor(&layer_grid(n, 0.7, link(3.25))).unwrap();
+        let inc = LayeredIc0::refactor_prefix(&patched, &base, 17).unwrap();
         assert_eq!(inc.shift(), 0.0);
-        let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() + 1.5).collect();
-        let (mut z_full, mut z_inc) = (vec![0.0; n], vec![0.0; n]);
+        let r: Vec<f64> = (0..n * n).map(|i| (i as f64 * 0.37).sin() + 1.5).collect();
+        let (mut z_full, mut z_inc) = (vec![0.0; n * n], vec![0.0; n * n]);
         full.apply(&r, &mut z_full);
         inc.apply(&r, &mut z_inc);
         assert_eq!(z_full, z_inc, "prefix refactor must be bitwise identical");
@@ -1203,14 +1187,17 @@ mod tests {
 
     #[test]
     fn indefinite_matrix_falls_back_to_jacobi() {
-        // Positive diagonal but indefinite: every shift in the schedule
-        // fails, so ic0_or_jacobi must return the Jacobi fallback (whose
-        // PCG then reports NotPositiveDefinite, matching the legacy path).
-        let a = csr_from_dense(&[&[1.0, 2.0], &[2.0, 1.0]]);
+        // Positive diagonal but indefinite (links of 2 on a diagonal of
+        // 1): every shift in the schedule fails, so ic0_or_jacobi must
+        // return the Jacobi fallback, whose PCG then reports
+        // NotPositiveDefinite.
+        let grid = layer_grid(2, 0.5, |_, _| 2.0);
+        let a = grid.with_added_diagonal(&[-3.5; 4]);
+        assert_eq!(a.diagonal(), vec![1.0; 4]);
         let m = Preconditioner::ic0_or_jacobi(&a).unwrap();
         assert!(!m.is_ic0());
         let mut scratch = SolveScratch::new();
-        let err = pcg_with(&a, &m, &[1.0, -1.0], None, 1e-12, 100, &mut scratch).unwrap_err();
+        let err = pcg_with(&a, &m, &[1.0; 4], None, 1e-12, 100, &mut scratch).unwrap_err();
         assert_eq!(err, SolveError::NotPositiveDefinite);
     }
 
@@ -1218,6 +1205,9 @@ mod tests {
     fn zero_diagonal_rejected_by_preconditioners() {
         let a = csr_from_dense(&[&[0.0, 1.0], &[1.0, 1.0]]);
         assert!(Ic0::factor(&a).is_none());
+        let grid = layer_grid(2, 0.5, |_, _| 2.0);
+        let a = grid.with_added_diagonal(&[-4.5; 4]);
+        assert!(LayeredIc0::factor(&a).is_none());
         assert_eq!(
             Preconditioner::ic0_or_jacobi(&a).unwrap_err(),
             SolveError::NotPositiveDefinite
@@ -1228,8 +1218,8 @@ mod tests {
     fn scratch_reuse_across_different_sizes() {
         let a2 = csr_from_dense(&[&[4.0, 1.0], &[1.0, 3.0]]);
         let a3 = csr_from_dense(&[&[4.0, 1.0, 0.0], &[1.0, 3.0, 1.0], &[0.0, 1.0, 2.0]]);
-        let m2 = Preconditioner::ic0_or_jacobi(&a2).unwrap();
-        let m3 = Preconditioner::ic0_or_jacobi(&a3).unwrap();
+        let m2 = Ic0::factor(&a2).unwrap();
+        let m3 = Ic0::factor(&a3).unwrap();
         let mut scratch = SolveScratch::new();
         let s2 = pcg_with(&a2, &m2, &[1.0, 2.0], None, 1e-12, 100, &mut scratch).unwrap();
         let s3 = pcg_with(&a3, &m3, &[1.0, 2.0, 3.0], None, 1e-12, 100, &mut scratch).unwrap();
@@ -1244,7 +1234,7 @@ mod tests {
     #[test]
     fn pcg_with_warm_start_short_circuits() {
         let a = csr_from_dense(&[&[4.0, 1.0], &[1.0, 3.0]]);
-        let m = Preconditioner::ic0_or_jacobi(&a).unwrap();
+        let m = Ic0::factor(&a).unwrap();
         let mut scratch = SolveScratch::new();
         let cold = pcg_with(&a, &m, &[1.0, 2.0], None, 1e-12, 100, &mut scratch).unwrap();
         let warm = pcg_with(&a, &m, &[1.0, 2.0], Some(&cold.x), 1e-12, 100, &mut scratch).unwrap();

@@ -13,7 +13,7 @@
 //! solver applies; each step warm-starts from the previous temperatures.
 
 use crate::model::{PackageModel, ThermalError, ThermalSolution};
-use crate::sparse::{pcg_with, Preconditioner, SolveScratch};
+use crate::sparse::{pcg_with, Jacobi, SolveScratch};
 use tac25d_floorplan::geometry::Rect;
 use tac25d_floorplan::units::Celsius;
 
@@ -92,12 +92,12 @@ impl PackageModel {
         let n_nodes = net.nodes;
         let t_amb = self.config().ambient.value();
 
-        // Iteration matrix A = G + C/dt (diagonal augmentation of the CSR).
+        // Iteration matrix A = G + C/dt (diagonal augmentation).
         let a = net
             .matrix
             .with_added_diagonal(&net.cap.iter().map(|c| c / dt_s).collect::<Vec<_>>());
         // One Jacobi preconditioner and one scratch serve every step.
-        let m = Preconditioner::jacobi(&a)?;
+        let m = Jacobi::new(&a)?;
         let mut scratch = SolveScratch::new();
 
         let mut temps: Vec<f64> = match initial {

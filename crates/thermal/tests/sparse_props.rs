@@ -1,4 +1,4 @@
-//! Property-based tests of the sparse CSR assembly path: symmetry and
+//! Property-based tests of the CSR assembler and solvers: symmetry and
 //! positive-definiteness are *structural* guarantees of the conductance
 //! assembler (`add_conductance` / `add_ground`), so they must survive any
 //! random network — and the PCG solver must meet its advertised residual
@@ -6,7 +6,8 @@
 
 use proptest::prelude::*;
 use tac25d_thermal::sparse::{
-    cholesky_solve, pcg, pcg_with, CsrMatrix, Preconditioner, SolveScratch, TripletMatrix,
+    cholesky_solve, pcg, pcg_with, CsrMatrix, Ic0, Jacobi, Precondition, SolveScratch,
+    TripletMatrix,
 };
 
 /// Deterministic xorshift-style generator for filling matrices: proptest
@@ -183,8 +184,12 @@ proptest! {
         let b: Vec<f64> = (0..n).map(|_| rng() * 4.0 - 1.0).collect();
         let dense = cholesky_solve(&a, &b).unwrap();
         let jac = pcg(&a, &b, None, 1e-12, 100_000).unwrap();
-        let m = Preconditioner::ic0_or_jacobi(&a).unwrap();
-        prop_assert!(m.is_ic0(), "IC(0) must not break down on an M-matrix");
+        let m = Ic0::factor(&a);
+        prop_assert!(
+            m.as_ref().is_some_and(|f| f.shift() == 0.0),
+            "IC(0) must not break down on an M-matrix"
+        );
+        let m = m.unwrap();
         let mut scratch = SolveScratch::new();
         let ic = pcg_with(&a, &m, &b, None, 1e-12, 100_000, &mut scratch).unwrap();
         for (i, d) in dense.iter().enumerate() {
@@ -207,7 +212,7 @@ proptest! {
         let mut rng = splitmix(seed);
         let a = random_network(n, &mut rng);
         let b: Vec<f64> = (0..n).map(|_| rng() * 4.0 - 1.0).collect();
-        let m = Preconditioner::ic0_or_jacobi(&a).unwrap();
+        let m = Ic0::factor(&a).unwrap();
         let mut scratch = SolveScratch::new();
         let cold = pcg_with(&a, &m, &b, None, 1e-12, 100_000, &mut scratch).unwrap();
         let x0: Vec<f64> = cold.x.iter().map(|v| v * (1.0 + 0.1 * rng())).collect();
@@ -221,9 +226,9 @@ proptest! {
     }
 
     /// The diagonal-shift breakdown fallback: general SPD systems built
-    /// from signed off-diagonals can defeat plain IC(0); whatever
-    /// `ic0_or_jacobi` returns (shifted IC(0) or the Jacobi fallback)
-    /// must still solve the system to the exact reference.
+    /// from signed off-diagonals can defeat plain IC(0); whatever the
+    /// preconditioner falls back to (shifted IC(0) or Jacobi) must still
+    /// solve the system to the exact reference.
     #[test]
     fn shifted_or_fallback_preconditioner_still_solves(
         n in 2usize..30,
@@ -251,13 +256,18 @@ proptest! {
         let a = t.to_csr();
         let b: Vec<f64> = (0..n).map(|_| rng() * 2.0 - 1.0).collect();
         let dense = cholesky_solve(&a, &b).unwrap();
-        let m = Preconditioner::ic0_or_jacobi(&a).unwrap();
+        let ic0 = Ic0::factor(&a);
+        let is_ic0 = ic0.is_some();
+        let m: Box<dyn Precondition> = match ic0 {
+            Some(f) => Box::new(f),
+            None => Box::new(Jacobi::new(&a).unwrap()),
+        };
         let mut scratch = SolveScratch::new();
-        let sol = pcg_with(&a, &m, &b, None, 1e-12, 100_000, &mut scratch).unwrap();
+        let sol = pcg_with(&a, m.as_ref(), &b, None, 1e-12, 100_000, &mut scratch).unwrap();
         for (i, d) in dense.iter().enumerate() {
             prop_assert!(
                 (sol.x[i] - d).abs() < 1e-8,
-                "node {i}: {} vs {d} (ic0: {})", sol.x[i], m.is_ic0()
+                "node {i}: {} vs {d} (ic0: {is_ic0})", sol.x[i]
             );
         }
     }
