@@ -1,12 +1,11 @@
 //! The canonical Fig. 8 solver-performance record: `BENCH_fig8.json`.
 //!
-//! Every observed `fig8` run appends one entry capturing the solver,
-//! wall time and PCG effort, so the file accumulates a before/after
-//! trajectory across solver changes (the legacy Jacobi baseline next to
-//! the IC(0) fast path) instead of silently overwriting history. The
-//! document is re-rendered from parsed known fields on each append —
-//! unknown fields are dropped rather than preserved, keeping the schema
-//! authoritative:
+//! Every observed `fig8` run appends one entry capturing the wall time,
+//! the solver effort and the self time of each span layer, so the file
+//! accumulates a before/after trajectory across changes instead of
+//! silently overwriting history. The document is re-rendered from parsed
+//! known fields on each append — unknown fields are dropped rather than
+//! preserved, keeping the schema authoritative:
 //!
 //! ```json
 //! {
@@ -21,12 +20,14 @@
 //!       "pcg_solves": 2317,
 //!       "date": "2026-08-05",
 //!       "git_rev": "abc1234",
-//!       "host": "Intel(R) Xeon(R) Processor @ 2.10GHz (8 threads)"
+//!       "host": "Intel(R) Xeon(R) Processor @ 2.10GHz (8 threads)",
+//!       "layers": {"thermal.matrix_assembly": 0.241, "thermal.pcg_solve": 0.93}
 //!     }
 //!   ]
 //! }
 //! ```
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -55,34 +56,32 @@ pub struct Fig8Entry {
     pub exact_solves: u64,
     /// Civil date of the run (UTC, `YYYY-MM-DD`).
     pub date: String,
-    /// Short git revision, `unknown` outside a work tree.
+    /// Short git revision, suffixed `-dirty` when tracked files had
+    /// uncommitted changes; `unknown` outside a work tree.
     pub git_rev: String,
     /// CPU model and logical core count of the machine that ran the
     /// bench — wall times across entries are only comparable when this
     /// matches. Empty in entries recorded before the field existed.
     pub host: String,
+    /// Self seconds per span name, summed over threads (the profile's
+    /// `spans_by_name` rollup): the layer a change in `wall_s` came from.
+    /// Empty in entries recorded before the field existed.
+    pub layers: BTreeMap<String, f64>,
 }
 
-/// Where the record goes: `BENCH_fig8.json` inside `TAC25D_RESULTS_DIR`
-/// when that redirect is set (golden-harness scratch runs must not touch
-/// the canonical file), otherwise at the workspace root next to
+/// Where the record goes: `BENCH_fig8.json` inside the
+/// [`crate::results_redirect`] when set (harness scratch runs must not
+/// touch the canonical file), otherwise at the workspace root next to
 /// `BENCH_profile.json`.
 pub fn fig8_bench_output_path() -> PathBuf {
-    if let Ok(dir) = std::env::var("TAC25D_RESULTS_DIR") {
-        if !dir.is_empty() {
-            return PathBuf::from(dir).join("BENCH_fig8.json");
-        }
-    }
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .map(Path::to_path_buf)
-        .unwrap_or_else(|| PathBuf::from("."));
-    root.join("BENCH_fig8.json")
+    crate::results_redirect()
+        .unwrap_or_else(crate::workspace_root)
+        .join("BENCH_fig8.json")
 }
 
 /// Builds the entry for the current process from the live obs registry
-/// (counters), the obs epoch (wall time) and the environment.
+/// (counters), the span aggregate (layers), the obs epoch (wall time) and
+/// the environment.
 pub fn current_entry() -> Fig8Entry {
     let counters = obs::registry::counter_snapshot();
     let counter = |name: &str| {
@@ -101,6 +100,10 @@ pub fn current_entry() -> Fig8Entry {
         date: utc_date(),
         git_rev: git_rev(),
         host: host_string(),
+        layers: obs::profile::spans_by_name(&obs::span::snapshot())
+            .into_iter()
+            .map(|(name, (_, _, self_ns))| (name, self_ns as f64 * 1e-9))
+            .collect(),
     }
 }
 
@@ -171,6 +174,18 @@ fn parse_entries(text: &str) -> Result<Vec<Fig8Entry>, String> {
                 git_rev: str_field("git_rev")?,
                 // Absent in pre-host entries; "" means "not recorded".
                 host: str_field("host").unwrap_or_default(),
+                // Absent in pre-layer entries; empty means "not recorded".
+                layers: e
+                    .get("layers")
+                    .and_then(|v| v.as_object())
+                    .unwrap_or_default()
+                    .iter()
+                    .map(|(k, v)| {
+                        v.as_f64()
+                            .map(|s| (k.clone(), s))
+                            .ok_or_else(|| format!("BENCH_fig8.json: layer {k} is not a number"))
+                    })
+                    .collect::<Result<_, _>>()?,
             })
         })
         .collect()
@@ -184,7 +199,7 @@ fn render(entries: &[Fig8Entry]) -> String {
             out,
             "    {{\"solver\": \"{}\", \"fast\": {}, \"wall_s\": {:.3}, \
              \"pcg_iterations\": {}, \"pcg_solves\": {}, \"exact_solves\": {}, \
-             \"date\": \"{}\", \"git_rev\": \"{}\", \"host\": \"{}\"}}",
+             \"date\": \"{}\", \"git_rev\": \"{}\", \"host\": \"{}\"",
             obs::json::escape(&e.solver),
             e.fast,
             e.wall_s,
@@ -195,6 +210,17 @@ fn render(entries: &[Fig8Entry]) -> String {
             obs::json::escape(&e.git_rev),
             obs::json::escape(&e.host),
         );
+        // Omitted when empty, so entries recorded before the field existed
+        // re-render unchanged.
+        if !e.layers.is_empty() {
+            let layers: Vec<String> = e
+                .layers
+                .iter()
+                .map(|(k, v)| format!("\"{}\": {v:.6}", obs::json::escape(k)))
+                .collect();
+            let _ = write!(out, ", \"layers\": {{{}}}", layers.join(", "));
+        }
+        out.push('}');
         out.push_str(if i + 1 < entries.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ]\n}\n");
@@ -228,24 +254,32 @@ fn civil_from_days(z: i64) -> (i64, u32, u32) {
     (if m <= 2 { y + 1 } else { y }, m, d)
 }
 
-/// The short git revision of the workspace, `unknown` when git or the
-/// repository is unavailable.
+/// The short git revision of the workspace (see [`stamp_rev`]).
 fn git_rev() -> String {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .map(Path::to_path_buf)
-        .unwrap_or_else(|| PathBuf::from("."));
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .current_dir(root)
-        .output()
-        .ok()
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .current_dir(crate::workspace_root())
+            .output()
+            .ok()
+    };
+    let rev = git(&["rev-parse", "--short", "HEAD"])
         .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_owned())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_owned())
+        .and_then(|o| String::from_utf8(o.stdout).ok());
+    // `git diff --quiet` exits 1 exactly when tracked files differ.
+    let dirty = git(&["diff", "--quiet", "HEAD", "--"]).is_some_and(|o| o.status.code() == Some(1));
+    stamp_rev(rev.as_deref(), dirty)
+}
+
+/// The `git_rev` stamp: the trimmed revision, suffixed `-dirty` when the
+/// tracked files differ from it (the timing is then not that revision's);
+/// `unknown` without a revision.
+fn stamp_rev(rev: Option<&str>, dirty: bool) -> String {
+    match rev.map(str::trim).filter(|r| !r.is_empty()) {
+        Some(r) if dirty => format!("{r}-dirty"),
+        Some(r) => r.to_owned(),
+        None => "unknown".to_owned(),
+    }
 }
 
 #[cfg(test)]
@@ -263,6 +297,7 @@ mod tests {
             date: "2026-08-05".to_owned(),
             git_rev: "abc1234".to_owned(),
             host: "Test CPU (4 threads)".to_owned(),
+            layers: BTreeMap::new(),
         }
     }
 
@@ -271,6 +306,27 @@ mod tests {
         let entries = vec![entry("jacobi", 306_159), entry("ic0", 90_000)];
         let parsed = parse_entries(&render(&entries)).unwrap();
         assert_eq!(parsed, entries);
+    }
+
+    #[test]
+    fn layers_round_trip_and_stay_absent_when_empty() {
+        let mut with = entry("ic0", 7_797);
+        with.layers = BTreeMap::from([
+            ("thermal.matrix_assembly".to_owned(), 0.25),
+            ("thermal.pcg_solve".to_owned(), 0.9375),
+        ]);
+        let entries = vec![entry("ic0", 7_797), with];
+        let text = render(&entries);
+        assert_eq!(text.matches("\"layers\"").count(), 1, "{text}");
+        assert_eq!(parse_entries(&text).unwrap(), entries);
+    }
+
+    #[test]
+    fn rev_stamp_marks_uncommitted_changes() {
+        assert_eq!(stamp_rev(Some("abc1234\n"), false), "abc1234");
+        assert_eq!(stamp_rev(Some("abc1234\n"), true), "abc1234-dirty");
+        assert_eq!(stamp_rev(None, true), "unknown");
+        assert_eq!(stamp_rev(Some(""), false), "unknown");
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! The experiment harness of the `tac25d` reproduction: one binary per
 //! paper figure/table (see DESIGN.md §3 for the index) plus shared
 //! reporting utilities. Each binary prints the paper's rows/series as an
-//! aligned table on stdout and writes a CSV under `results/`.
+//! aligned table on stdout and writes a CSV under `results/` (under
+//! `results/fast/` for a `--fast` run).
 //!
 //! Run an experiment with, e.g.:
 //!
@@ -68,7 +69,7 @@ impl Report {
     }
 
     /// Emits the report through every default sink: the aligned stdout
-    /// table, `results/<name>.csv`, the `TAC25D_TRACE` stdout block, and
+    /// table, `<results_dir>/<name>.csv`, the `TAC25D_TRACE` stdout block, and
     /// the obs profile/JSONL stream (see [`sink`]).
     ///
     /// # Errors
@@ -105,22 +106,32 @@ pub fn trace_enabled() -> bool {
     *TRACE.get_or_init(|| std::env::var("TAC25D_TRACE").is_ok_and(|v| v == "1"))
 }
 
-/// Where the obs profile document goes: `BENCH_profile.json` inside
-/// `TAC25D_RESULTS_DIR` when that redirect is set (keeping golden-harness
-/// scratch runs isolated), otherwise at the workspace root where the perf
-/// trajectory expects `BENCH_*.json` files.
-pub fn profile_output_path() -> PathBuf {
-    if let Ok(dir) = std::env::var("TAC25D_RESULTS_DIR") {
-        if !dir.is_empty() {
-            return PathBuf::from(dir).join("BENCH_profile.json");
-        }
-    }
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+/// The workspace root (two levels above this crate), or the current
+/// directory when it cannot be located.
+pub(crate) fn workspace_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
-        .map(Path::to_path_buf)
-        .unwrap_or_else(|| PathBuf::from("."));
-    root.join("BENCH_profile.json")
+        .map_or_else(|| PathBuf::from("."), Path::to_path_buf)
+}
+
+/// `TAC25D_RESULTS_DIR` when it is set and non-empty: the golden-trace and
+/// obs harnesses redirect every output of a run into a scratch directory
+/// this way, so their runs never touch the committed files.
+pub(crate) fn results_redirect() -> Option<PathBuf> {
+    std::env::var("TAC25D_RESULTS_DIR")
+        .ok()
+        .filter(|d| !d.is_empty())
+        .map(PathBuf::from)
+}
+
+/// Where the obs profile document goes: `BENCH_profile.json` inside the
+/// [`results_redirect`] when set, otherwise at the workspace root where
+/// the perf trajectory expects `BENCH_*.json` files.
+pub fn profile_output_path() -> PathBuf {
+    results_redirect()
+        .unwrap_or_else(workspace_root)
+        .join("BENCH_profile.json")
 }
 
 /// The running binary's file stem (`fig8`, `tab2`, …) for profile
@@ -157,23 +168,20 @@ pub fn csv_line(cells: &[String]) -> String {
         .join(",")
 }
 
-/// The CSV output directory: `TAC25D_RESULTS_DIR` when set (the
-/// golden-trace harness redirects runs into scratch directories this way),
-/// otherwise `results/` at the workspace root (falling back to the current
-/// directory when the workspace root cannot be located).
+/// The CSV output directory: the [`results_redirect`] when set,
+/// otherwise `results/` at the workspace root, or `results/fast/` for a
+/// `--fast` run so a smoke run never overwrites the committed full-spec
+/// CSVs.
 pub fn results_dir() -> PathBuf {
-    if let Ok(dir) = std::env::var("TAC25D_RESULTS_DIR") {
-        if !dir.is_empty() {
-            return PathBuf::from(dir);
-        }
+    results_dir_for(results_redirect(), fast_flag())
+}
+
+fn results_dir_for(redirect: Option<PathBuf>, fast: bool) -> PathBuf {
+    match redirect {
+        Some(dir) => dir,
+        None if fast => workspace_root().join("results").join("fast"),
+        None => workspace_root().join("results"),
     }
-    // CARGO_MANIFEST_DIR = crates/bench; the workspace root is two up.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .map(Path::to_path_buf)
-        .unwrap_or_else(|| PathBuf::from("."));
-    root.join("results")
 }
 
 /// Formats a float with the given number of decimals.
@@ -221,6 +229,18 @@ mod tests {
     fn results_dir_is_workspace_relative() {
         let d = results_dir();
         assert!(d.ends_with("results"));
+    }
+
+    #[test]
+    fn fast_runs_write_beside_the_committed_results() {
+        let root = workspace_root();
+        assert_eq!(results_dir_for(None, false), root.join("results"));
+        assert_eq!(results_dir_for(None, true), root.join("results/fast"));
+        // The harness redirect wins in both modes.
+        for fast in [false, true] {
+            let scratch = PathBuf::from("out/redirected");
+            assert_eq!(results_dir_for(Some(scratch.clone()), fast), scratch);
+        }
     }
 
     #[test]

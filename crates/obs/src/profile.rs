@@ -43,7 +43,6 @@ pub const CANONICAL_COUNTERS: &[&str] = &[
     "thermal.pcg_iterations",
     "thermal.exact_solves",
     "thermal.anderson_accepted",
-    "thermal.assembly_rows_reused",
     "thermal.balance_violations",
     "evaluator.canonical_hits",
     "evaluator.exact_solves",
@@ -66,7 +65,6 @@ pub const BASELINE_COUNTERS: &[&str] = &[
     "thermal.pcg_iterations",
     "thermal.exact_solves",
     "thermal.anderson_accepted",
-    "thermal.assembly_rows_reused",
     "thermal.balance_violations",
     "evaluator.exact_solves",
     "surrogate.kernel_solves",
@@ -110,12 +108,11 @@ pub const ONE_SIDED_COUNTERS: &[&str] = &[
 ];
 
 /// The mirror image: improvement counters where only *decreases* are
-/// regressions. These count work *saved* (accepted Anderson steps, matrix
-/// rows patched instead of rebuilt), so exceeding the blessed value is
-/// progress and passes outright, while falling below it by the tolerance
-/// means an optimization quietly stopped firing.
-pub const ONE_SIDED_MIN_COUNTERS: &[&str] =
-    &["thermal.anderson_accepted", "thermal.assembly_rows_reused"];
+/// regressions. These count work *saved* (accepted Anderson steps), so
+/// exceeding the blessed value is progress and passes outright, while
+/// falling below it by the tolerance means an optimization quietly
+/// stopped firing.
+pub const ONE_SIDED_MIN_COUNTERS: &[&str] = &["thermal.anderson_accepted"];
 
 /// Relative drift allowed against the committed baseline (the parallel
 /// greedy's lowest-index-winner early exit makes solve counts mildly
@@ -470,17 +467,16 @@ mod tests {
     use super::*;
 
     fn fake_profile(pcg_iters: f64, exact: f64) -> Value {
-        fake_profile_full(pcg_iters, exact, 0.0, 0.0)
+        fake_profile_full(pcg_iters, exact, 0.0)
     }
 
-    fn fake_profile_full(pcg_iters: f64, exact: f64, anderson: f64, rows: f64) -> Value {
+    fn fake_profile_full(pcg_iters: f64, exact: f64, anderson: f64) -> Value {
         parse(&format!(
             r#"{{"schema_version": 1, "bin": "t", "total_wall_s": 1.0,
                 "spans": [], "spans_by_name": {{}},
                 "counters": {{"thermal.pcg_iterations": {pcg_iters},
                              "thermal.exact_solves": {exact},
-                             "thermal.anderson_accepted": {anderson},
-                             "thermal.assembly_rows_reused": {rows}}},
+                             "thermal.anderson_accepted": {anderson}}},
                 "gauges": {{}}, "histograms": {{}}}}"#
         ))
         .expect("fixture parses")
@@ -552,17 +548,17 @@ mod tests {
 
     #[test]
     fn min_sided_counter_gain_passes_and_loss_fails() {
-        // Improvement counters gate only the downside: saving *more* rows
-        // or accepting *more* Anderson steps than the blessed baseline is
-        // progress, while losing them past the tolerance means the
-        // optimization quietly stopped firing.
+        // Improvement counters gate only the downside: accepting *more*
+        // Anderson steps than the blessed baseline is progress, while
+        // losing them past the tolerance means the optimization quietly
+        // stopped firing.
         let baseline = parse(
             r#"{"thermal.pcg_iterations": 100, "thermal.exact_solves": 10,
-                "thermal.anderson_accepted": 50, "thermal.assembly_rows_reused": 1000}"#,
+                "thermal.anderson_accepted": 50}"#,
         )
         .expect("baseline parses");
 
-        let improved = fake_profile_full(100.0, 10.0, 200.0, 4000.0);
+        let improved = fake_profile_full(100.0, 10.0, 200.0);
         let drifts = check_drift(&improved, &baseline, DRIFT_TOLERANCE);
         for name in ONE_SIDED_MIN_COUNTERS {
             let d = drifts.iter().find(|d| &d.name == name).unwrap();
@@ -570,7 +566,7 @@ mod tests {
             assert_eq!(d.relative, 0.0);
         }
 
-        let regressed = fake_profile_full(100.0, 10.0, 10.0, 100.0);
+        let regressed = fake_profile_full(100.0, 10.0, 10.0);
         let drifts = check_drift(&regressed, &baseline, DRIFT_TOLERANCE);
         for name in ONE_SIDED_MIN_COUNTERS {
             assert!(

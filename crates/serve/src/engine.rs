@@ -3,8 +3,7 @@
 //!
 //! One [`EngineState`] per process wraps one [`Evaluator`] family: every
 //! request gets a cheap per-request handle (with its own deadline) onto the
-//! same striped memo tables and incremental-assembly bases, so concurrent
-//! clients warm one cache. No thermal surrogate is attached — surrogate
+//! same striped memo tables, so concurrent clients warm one cache. No thermal surrogate is attached — surrogate
 //! screening adapts to observation history, which would make responses
 //! depend on request arrival order; the serve contract is that a response
 //! is **byte-identical** to a cold one-shot evaluation of the same request

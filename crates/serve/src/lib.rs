@@ -5,8 +5,8 @@
 //! and amortize it over thousands of candidates. An interactive user asking
 //! "would this organization be feasible?" pays it on *every* invocation.
 //! This crate keeps one warm [`engine::EngineState`] — striped canonical
-//! memo tables, incremental-assembly bases, warm-started solvers — behind a
-//! long-running HTTP daemon, so concurrent clients share a single cache and
+//! memo tables of assembled models and evaluations, warm-started solvers —
+//! behind a long-running HTTP daemon, so concurrent clients share a single cache and
 //! the steady-state cost of a repeat evaluation drops to a hash lookup.
 //!
 //! The stack is deliberately dependency-free (the workspace's

@@ -291,15 +291,12 @@ pub fn emission_order_csr(
     t.to_csr()
 }
 
-/// Visits grid rows `start..ng` in order with their `(ix, iy, layer)`,
-/// keeping the coordinates by counting instead of dividing per row.
-fn for_rows(s: &Shape, start: usize, mut f: impl FnMut(usize, usize, usize, usize)) {
-    let (n, n2) = (s.n, s.n * s.n);
-    if start >= s.ng {
-        return;
-    }
-    let (mut ix, mut iy, mut li) = (start % n, (start / n) % n, start / n2);
-    for i in start..s.ng {
+/// Visits the grid rows in order with their `(ix, iy, layer)`, keeping
+/// the coordinates by counting instead of dividing per row.
+fn for_rows(s: &Shape, mut f: impl FnMut(usize, usize, usize, usize)) {
+    let n = s.n;
+    let (mut ix, mut iy, mut li) = (0, 0, 0);
+    for i in 0..s.ng {
         f(i, ix, iy, li);
         ix += 1;
         if ix == n {
@@ -333,78 +330,57 @@ impl LayeredMatrix {
     /// existing link. Every diagonal sums its grid links in the order
     /// cells emit them — cells ascending, each emitting `X`, `Y`, `Z` —
     /// followed by the shape's border links and grounds.
-    pub fn assemble(shape: Arc<Shape>, g: impl FnMut(Axis, usize, usize) -> f64) -> Self {
-        let ng = shape.ng;
-        let mut m = LayeredMatrix {
-            diag: vec![0.0; ng],
-            wx: vec![0.0; ng],
-            wy: vec![0.0; ng],
-            wz: vec![0.0; ng],
-            p_val: shape.p_val.clone(),
-            shape,
-        };
-        m.fill(None, g);
-        m
-    }
-
-    /// Re-assembles only the rows marked in `dirty` (length ≥ the grid
-    /// size), from a matrix of the same shape whose clean rows are
-    /// already right. Links touching a dirty row are re-evaluated, dirty
-    /// diagonals re-summed in the same order, so the result is bitwise
-    /// a full [`LayeredMatrix::assemble`]. Correct whenever every link
-    /// whose conductance changed joins two dirty rows.
-    pub fn refill(&mut self, dirty: &[bool], g: impl FnMut(Axis, usize, usize) -> f64) {
-        assert!(dirty.len() >= self.shape.ng, "dirty mask too short");
-        self.fill(Some(dirty), g);
-    }
-
-    fn fill(&mut self, dirty: Option<&[bool]>, mut g: impl FnMut(Axis, usize, usize) -> f64) {
-        let s = Arc::clone(&self.shape);
-        let (n, n2, nl) = (s.n, s.n * s.n, s.layers);
-        let touched = |i: usize, j: usize| dirty.is_none_or(|d| d[i] || d[j]);
-        for_rows(&s, 0, |i, ix, iy, li| {
+    pub fn assemble(shape: Arc<Shape>, mut g: impl FnMut(Axis, usize, usize) -> f64) -> Self {
+        let s = &*shape;
+        let (n, n2, nl, ng) = (s.n, s.n * s.n, s.layers, s.ng);
+        let (mut wx, mut wy, mut wz) = (vec![0.0; ng], vec![0.0; ng], vec![0.0; ng]);
+        for_rows(s, |i, ix, iy, li| {
             let c = i - li * n2;
-            if ix + 1 < n && touched(i, i + 1) {
-                self.wx[i + 1] = 0.0 - g(Axis::X, li, c);
+            if ix + 1 < n {
+                wx[i + 1] = 0.0 - g(Axis::X, li, c);
             }
-            if iy + 1 < n && touched(i, i + n) {
-                self.wy[i + n] = 0.0 - g(Axis::Y, li, c);
+            if iy + 1 < n {
+                wy[i + n] = 0.0 - g(Axis::Y, li, c);
             }
-            if li + 1 < nl && touched(i, i + n2) {
-                self.wz[i + n2] = 0.0 - g(Axis::Z, li, c);
+            if li + 1 < nl {
+                wz[i + n2] = 0.0 - g(Axis::Z, li, c);
             }
         });
-        let is_dirty = |i: usize| dirty.is_none_or(|d| d[i]);
-        for_rows(&s, 0, |i, ix, iy, li| {
-            if is_dirty(i) {
-                // The grid links of row i in emission order: from cells
-                // i−n², i−n, i−1, then the row's own X, Y, Z links.
-                let mut d = 0.0;
-                if li > 0 {
-                    d += -self.wz[i];
-                }
-                if iy > 0 {
-                    d += -self.wy[i];
-                }
-                if ix > 0 {
-                    d += -self.wx[i];
-                }
-                if ix + 1 < n {
-                    d += -self.wx[i + 1];
-                }
-                if iy + 1 < n {
-                    d += -self.wy[i + n];
-                }
-                if li + 1 < nl {
-                    d += -self.wz[i + n2];
-                }
-                self.diag[i] = d;
+        let mut diag = vec![0.0; ng];
+        for_rows(s, |i, ix, iy, li| {
+            // The grid links of row i in emission order: from cells
+            // i−n², i−n, i−1, then the row's own X, Y, Z links.
+            let mut d = 0.0;
+            if li > 0 {
+                d += -wz[i];
             }
+            if iy > 0 {
+                d += -wy[i];
+            }
+            if ix > 0 {
+                d += -wx[i];
+            }
+            if ix + 1 < n {
+                d += -wx[i + 1];
+            }
+            if iy + 1 < n {
+                d += -wy[i + n];
+            }
+            if li + 1 < nl {
+                d += -wz[i + n2];
+            }
+            diag[i] = d;
         });
         for &(i, gi) in &s.extras {
-            if is_dirty(i as usize) {
-                self.diag[i as usize] += gi;
-            }
+            diag[i as usize] += gi;
+        }
+        LayeredMatrix {
+            p_val: s.p_val.clone(),
+            shape,
+            diag,
+            wx,
+            wy,
+            wz,
         }
     }
 
@@ -434,7 +410,7 @@ impl LayeredMatrix {
         let (n, n2, nl) = (s.n, s.n * s.n, s.layers);
         let mut row_ptr = vec![0u32];
         let (mut col, mut val) = (Vec::new(), Vec::new());
-        for_rows(s, 0, |i, ix, iy, li| {
+        for_rows(s, |i, ix, iy, li| {
             let mut push = |c: usize, v: f64| {
                 col.push(c as u32);
                 val.push(v);
@@ -584,27 +560,7 @@ impl LayeredIc0 {
         if a.diagonal().iter().any(|&d| d <= 0.0 || !d.is_finite()) {
             return None;
         }
-        IC0_SHIFTS
-            .iter()
-            .find_map(|&shift| factor_rows(a, shift, None))
-    }
-
-    /// Refactors after a patch that left every row before `first_dirty`
-    /// unchanged: those rows are copied from `base` (row `i` of an
-    /// up-looking factor depends only on rows `≤ i` of `A`), the rest
-    /// recomputed — bitwise a full factorization of the patched matrix.
-    /// Only valid for a shift-0 base; `None` when the patched matrix no
-    /// longer factors at shift 0, in which case the caller falls back to
-    /// [`LayeredIc0::factor`] and its retry schedule.
-    pub fn refactor_prefix(
-        a: &LayeredMatrix,
-        base: &LayeredIc0,
-        first_dirty: usize,
-    ) -> Option<LayeredIc0> {
-        if !Arc::ptr_eq(&a.shape, &base.shape) || base.shift != 0.0 {
-            return None;
-        }
-        factor_rows(a, 0.0, Some((base, first_dirty)))
+        IC0_SHIFTS.iter().find_map(|&shift| factor_rows(a, shift))
     }
 
     /// The diagonal shift `α` the factorization succeeded with.
@@ -878,36 +834,24 @@ fn sub_products(z: &mut [f64], l: &[f64], v: &[f64]) {
     }
 }
 
-/// The up-looking factorization behind [`LayeredIc0::factor`] and
-/// [`LayeredIc0::refactor_prefix`]; with `prefix = (base, d0)` rows
-/// `< d0` come from `base`.
-fn factor_rows(
-    a: &LayeredMatrix,
-    shift: f64,
-    prefix: Option<(&LayeredIc0, usize)>,
-) -> Option<LayeredIc0> {
+/// The up-looking factorization behind [`LayeredIc0::factor`] at one
+/// diagonal shift.
+fn factor_rows(a: &LayeredMatrix, shift: f64) -> Option<LayeredIc0> {
     let s = &*a.shape;
     let (n, n2) = (s.n, s.n * s.n);
-    let (mut f, start) = match prefix {
-        Some((base, d0)) => (base.clone(), d0.min(s.nodes)),
-        None => (
-            LayeredIc0 {
-                shape: Arc::clone(&a.shape),
-                lx: vec![0.0; s.ng],
-                ly: vec![0.0; s.ng],
-                lz: vec![0.0; s.ng],
-                l_p: vec![0.0; a.p_val.len()],
-                inv_d: vec![0.0; s.nodes],
-                shift,
-            },
-            0,
-        ),
+    let mut f = LayeredIc0 {
+        shape: Arc::clone(&a.shape),
+        lx: vec![0.0; s.ng],
+        ly: vec![0.0; s.ng],
+        lz: vec![0.0; s.ng],
+        l_p: vec![0.0; a.p_val.len()],
+        inv_d: vec![0.0; s.nodes],
+        shift,
     };
-    f.shift = shift;
     // Grid rows in closed form: no earlier row shares a column with row i
     // below the coupled column, so each l is the scaled matrix entry.
     let mut ok = true;
-    for_rows(s, start, |i, ix, iy, li| {
+    for_rows(s, |i, ix, iy, li| {
         if !ok {
             return;
         }
@@ -939,7 +883,7 @@ fn factor_rows(
         return None;
     }
     // Periphery rows: the general merge over earlier rows' columns.
-    for q in start.max(s.ng) - s.ng..s.periphery() {
+    for q in 0..s.periphery() {
         let p = s.ng + q;
         let (lo, d, _) = s.p_row(q);
         for e in lo..d {

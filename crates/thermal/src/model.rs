@@ -3,7 +3,7 @@
 //! power maps.
 
 use crate::materials::MaterialLibrary;
-use crate::network::{assemble, assemble_incremental, GriddedLayer, Network, NetworkGeometry};
+use crate::network::{assemble, GriddedLayer, Network, NetworkGeometry};
 use crate::sparse::{pcg_with, PcgSolution, SolveError, SolveScratch};
 use std::error::Error;
 use std::fmt;
@@ -327,17 +327,7 @@ pub struct PackageModel {
     config: ThermalConfig,
     footprint: Mm,
     die_rects: Vec<Rect>,
-    // Construction inputs. `new_like` validates and rasterizes sibling
-    // layouts against the same chip, rules and stack; `layout` backs
-    // [`PackageModel::layout`].
-    chip: ChipSpec,
     layout: ChipletLayout,
-    rules: PackageRules,
-    stack: StackSpec,
-    // The assembled geometry, retained so [`PackageModel::new_like`] can
-    // diff it against a sibling layout's and patch the network
-    // incrementally instead of assembling from scratch.
-    geom: NetworkGeometry,
     solver_state: SolverState,
 }
 
@@ -425,61 +415,18 @@ impl PackageModel {
             "spreader/sink ratios must be >= 1"
         );
         let (footprint, rects, geom) = Self::prepare_geometry(chip, layout, rules, stack, &config);
-        let net = assemble(&geom);
         Ok(PackageModel {
-            net,
+            net: assemble(&geom),
             config,
             footprint,
             die_rects: rects,
-            chip: chip.clone(),
             layout: *layout,
-            rules: *rules,
-            stack: stack.clone(),
-            geom,
-            solver_state: SolverState::new(),
-        })
-    }
-
-    /// Builds the model for `layout` by patching `base`'s assembled
-    /// network where possible instead of assembling from scratch. When
-    /// the two layouts share a package geometry (same footprint edge,
-    /// grid, stack and boundary config) — e.g. same-edge `Symmetric16`
-    /// moves, where only the cells under moved chiplets change material —
-    /// only the affected matrix rows are refilled and the IC(0) factor's
-    /// clean prefix is reused. The incremental path is bitwise identical
-    /// to a from-scratch build of the same geometry (see
-    /// [`assemble_incremental`]), so the result never depends on which
-    /// base it was patched from; incompatible geometries silently fall
-    /// back to a full assembly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ThermalError::Layout`] if the organization violates the
-    /// paper's constraints, exactly as [`Self::new`] would.
-    pub fn new_like(base: &PackageModel, layout: &ChipletLayout) -> Result<Self, ThermalError> {
-        let _span = obs::span!("thermal.matrix_assembly");
-        obs::counter!("thermal.model_builds").inc();
-        layout.validate(&base.chip, &base.rules)?;
-        let (footprint, rects, geom) =
-            Self::prepare_geometry(&base.chip, layout, &base.rules, &base.stack, &base.config);
-        let net =
-            assemble_incremental(&geom, &base.geom, &base.net).unwrap_or_else(|| assemble(&geom));
-        Ok(PackageModel {
-            net,
-            config: base.config.clone(),
-            footprint,
-            die_rects: rects,
-            chip: base.chip.clone(),
-            layout: *layout,
-            rules: base.rules,
-            stack: base.stack.clone(),
-            geom,
             solver_state: SolverState::new(),
         })
     }
 
     /// Rasterizes materials and lays out the network geometry for a
-    /// validated layout (shared by [`Self::new`] and [`Self::new_like`]).
+    /// validated layout.
     fn prepare_geometry(
         chip: &ChipSpec,
         layout: &ChipletLayout,
@@ -1236,31 +1183,6 @@ mod tests {
         assert!(matches!(err, ThermalError::Layout(_)));
     }
 
-    #[test]
-    fn new_like_matches_full_build_bitwise() {
-        let stack = StackSpec::system_25d();
-        let base_layout = ChipletLayout::Symmetric16 {
-            spacing: Spacing::new(2.0, 2.0, 3.0),
-        };
-        let base = PackageModel::new(&chip(), &base_layout, &rules(), &stack, cfg()).unwrap();
-        // An s2-only move keeps the interposer edge (4w + 2s1 + s3 + 2g),
-        // so the incremental path applies: only cells under the moved
-        // inner chiplets change material.
-        let moved = ChipletLayout::Symmetric16 {
-            spacing: Spacing::new(2.0, 3.5, 3.0),
-        };
-        let patched = PackageModel::new_like(&base, &moved).unwrap();
-        let full = PackageModel::new(&chip(), &moved, &rules(), &stack, cfg()).unwrap();
-        assert_eq!(patched.footprint.value(), full.footprint.value());
-        assert_eq!(
-            patched.net.matrix.to_csr().values(),
-            full.net.matrix.to_csr().values(),
-            "incremental model must be bitwise identical to a full build"
-        );
-        assert_eq!(patched.net.cap, full.net.cap);
-        assert_eq!(patched.die_rects, full.die_rects);
-    }
-
     fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
     }
@@ -1269,11 +1191,18 @@ mod tests {
     /// for bit: the fill against the emission-order scaffold fill, then
     /// the product, the IC(0) factor and whole PCG solves against CSR
     /// and the general up-looking [`crate::sparse::Ic0`].
-    fn assert_matches_csr_oracle(model: &PackageModel, what: &str) {
+    fn assert_matches_csr_oracle(
+        layout: &ChipletLayout,
+        stack: &StackSpec,
+        config: &ThermalConfig,
+        what: &str,
+    ) {
         use crate::layered::Preconditioner;
         use crate::sparse::{Ic0, LinearOperator, Precondition};
+        let model = PackageModel::new(&chip(), layout, &rules(), stack, config.clone()).unwrap();
+        let (_, _, geom) = PackageModel::prepare_geometry(&chip(), layout, &rules(), stack, config);
         let net = &model.net;
-        let csr = crate::network::emission_order_csr(&model.geom, &net.scaffold);
+        let csr = crate::network::emission_order_csr(&geom);
         let banded = net.matrix.to_csr();
         assert_eq!(banded.nnz(), csr.nnz(), "{what}: pattern size");
         assert_eq!(bits(banded.values()), bits(csr.values()), "{what}: fill");
@@ -1330,61 +1259,40 @@ mod tests {
 
     #[test]
     fn banded_operator_matches_the_csr_oracle_bitwise() {
-        let chip = chip();
-        let r = rules();
-        let sym16 = |s2: f64| ChipletLayout::Symmetric16 {
-            spacing: Spacing::new(2.0, s2, 3.0),
+        let symmetric16 = ChipletLayout::Symmetric16 {
+            spacing: Spacing::new(2.0, 2.0, 3.0),
         };
+        let cases = [
+            (
+                "uniform",
+                ChipletLayout::Uniform { r: 4, gap: Mm(4.0) },
+                StackSpec::system_25d(),
+            ),
+            (
+                "baseline_2d",
+                ChipletLayout::SingleChip,
+                StackSpec::baseline_2d(),
+            ),
+            (
+                "stacked_3d",
+                ChipletLayout::SingleChip,
+                StackSpec::stacked_3d(),
+            ),
+            ("symmetric16", symmetric16, StackSpec::system_25d()),
+        ];
         for grid in [24, 32] {
             let config = ThermalConfig {
                 grid,
                 ..ThermalConfig::fast()
             };
-            let build = |layout: &ChipletLayout, stack: &StackSpec| {
-                PackageModel::new(&chip, layout, &r, stack, config.clone()).unwrap()
-            };
-            let uniform = ChipletLayout::Uniform { r: 4, gap: Mm(4.0) };
-            let base = build(&sym16(2.0), &StackSpec::system_25d());
-            let cases = [
-                ("uniform", build(&uniform, &StackSpec::system_25d())),
-                (
-                    "baseline_2d",
-                    build(&ChipletLayout::SingleChip, &StackSpec::baseline_2d()),
-                ),
-                (
-                    "stacked_3d",
-                    build(&ChipletLayout::SingleChip, &StackSpec::stacked_3d()),
-                ),
-                (
-                    "new_like",
-                    PackageModel::new_like(&base, &sym16(3.5)).unwrap(),
-                ),
-                ("symmetric16", base),
-            ];
-            for (name, model) in &cases {
-                assert_matches_csr_oracle(model, &format!("{name} at grid {grid}"));
+            for (name, layout, stack) in &cases {
+                assert_matches_csr_oracle(
+                    layout,
+                    stack,
+                    &config,
+                    &format!("{name} at grid {grid}"),
+                );
             }
         }
-    }
-
-    #[test]
-    fn new_like_falls_back_across_different_footprints() {
-        let stack = StackSpec::system_25d();
-        let base_layout = ChipletLayout::Symmetric16 {
-            spacing: Spacing::new(2.0, 2.0, 3.0),
-        };
-        let base = PackageModel::new(&chip(), &base_layout, &rules(), &stack, cfg()).unwrap();
-        // s1/s3 changes alter the interposer edge: the scaffold cannot be
-        // reused and new_like must silently fall back to a full assembly.
-        let wider = ChipletLayout::Symmetric16 {
-            spacing: Spacing::new(3.0, 3.0, 4.0),
-        };
-        let patched = PackageModel::new_like(&base, &wider).unwrap();
-        let full = PackageModel::new(&chip(), &wider, &rules(), &stack, cfg()).unwrap();
-        assert_eq!(patched.footprint.value(), full.footprint.value());
-        assert_eq!(
-            patched.net.matrix.to_csr().values(),
-            full.net.matrix.to_csr().values()
-        );
     }
 }

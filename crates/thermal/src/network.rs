@@ -21,24 +21,13 @@
 //!
 //! Assembly is split into a symbolic [`Scaffold`] (node layout, the
 //! periphery links and grounds in emission order, and the layered
-//! operator's [`Shape`]) and a numeric fill of the grid bands. The
-//! scaffold depends only on the package *geometry* — grid size, edges,
-//! layer roles/thicknesses, boundary coefficients and the homogeneous
-//! periphery conductivities — not on the per-cell conductivity fields, so
-//! two layouts on the same footprint share it. [`assemble_incremental`]
-//! exploits this: when only a few cells' conductivities changed (a
-//! chiplet moved along one axis), it refills just the affected rows and
-//! refactors the IC(0) suffix, producing a matrix and preconditioner
-//! *bitwise identical* to a from-scratch [`assemble`] of the same
-//! geometry. Results therefore never depend on which base model a rebuild
-//! was patched from — a requirement for determinism under parallel
-//! evaluation order. This module is the only one that knows the
+//! operator's [`Shape`]) and a numeric fill of the grid bands, summed in
+//! that one emission order. This module is the only one that knows the
 //! periphery layout (W/E/S/N bands); the operator sees only links.
 
-use crate::layered::{Axis, LayeredIc0, LayeredMatrix, Preconditioner, Shape};
+use crate::layered::{Axis, LayeredMatrix, Preconditioner, Shape};
 use std::sync::Arc;
 use tac25d_floorplan::layers::LayerRole;
-use tac25d_obs as obs;
 
 /// One gridded layer ready for assembly: thickness plus per-cell
 /// conductivity (row-major, same ordering as [`tac25d_floorplan::raster::Grid`]).
@@ -96,9 +85,6 @@ pub(crate) struct Network {
     pub heat_bases: Vec<usize>,
     /// Per-node thermal capacitance, J/K (for transient simulation).
     pub cap: Vec<f64>,
-    /// Symbolic assembly scaffold, shared (`Arc`) with incremental
-    /// rebuilds patched from this network.
-    pub scaffold: Arc<Scaffold>,
 }
 
 const SIDES: usize = 4; // W, E, S, N
@@ -147,7 +133,7 @@ fn link_conductances(geom: &NetworkGeometry) -> impl Fn(Axis, usize, usize) -> f
 }
 
 /// A four-node lumped periphery band (capacitance bookkeeping).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct PeripheryBand {
     base: usize,
     layer: usize,
@@ -157,23 +143,14 @@ struct PeripheryBand {
 /// The symbolic half of assembly: node layout, the operator [`Shape`]
 /// (periphery links and grounds in emission order), boundary
 /// conductances and node bookkeeping.
-///
-/// Both full and incremental builds sum matrix values in the same
-/// (emission) order, so a patched rebuild is bitwise identical to a
-/// from-scratch build of the same geometry.
-#[derive(Debug, Clone)]
-pub(crate) struct Scaffold {
-    n: usize,
+#[derive(Debug)]
+struct Scaffold {
     nodes: usize,
     shape: Arc<Shape>,
     conv: Vec<(usize, f64)>,
     die_base: usize,
     heat_bases: Vec<usize>,
     periphery: Vec<PeripheryBand>,
-    /// Layers whose `k[0]` is baked into the periphery link conductances
-    /// (homogeneous spreader/sink); an incremental rebuild may only reuse
-    /// the scaffold while those values are unchanged.
-    fixed_k_layers: Vec<usize>,
     /// The periphery links in emission order, kept for the emission-order
     /// oracle.
     #[cfg(test)]
@@ -281,7 +258,6 @@ impl Scaffold {
 
         let mut e = Emit::default();
         let mut periphery: Vec<PeripheryBand> = Vec::new();
-        let mut fixed_k_layers: Vec<usize> = Vec::new();
 
         // Intra-layer lateral and inter-layer vertical conduction are the
         // operator's grid bands, filled from the conductivity fields.
@@ -311,7 +287,6 @@ impl Scaffold {
             let sl = spreader_layer.expect("periphery requires a spreader layer");
             let t_sp = geom.layers[sl].thickness_m;
             let k_sp = geom.layers[sl].k[0]; // spreader is homogeneous copper
-            fixed_k_layers.push(sl);
             let overhang = (geom.spreader_m - geom.footprint_m) / 2.0;
             let d = overhang / 2.0 + dx / 2.0;
             emit_periphery_boundary(&mut e, geom, sl, spb, t_sp, k_sp, d);
@@ -320,7 +295,6 @@ impl Scaffold {
             if let (Some(sib), Some(skl)) = (sink_inner_base, sink_layer) {
                 let t_sk = geom.layers[skl].thickness_m;
                 let k_sk = geom.layers[skl].k[0];
-                fixed_k_layers.push(skl);
                 let area_side = (geom.spreader_m * geom.spreader_m
                     - geom.footprint_m * geom.footprint_m)
                     / SIDES as f64;
@@ -337,7 +311,6 @@ impl Scaffold {
             let skl = sink_layer.expect("sink periphery requires a sink layer");
             let t_sk = geom.layers[skl].thickness_m;
             let k_sk = geom.layers[skl].k[0];
-            fixed_k_layers.push(skl);
             let overhang = (geom.spreader_m - geom.footprint_m) / 2.0;
             let d = overhang / 2.0 + dx / 2.0;
             emit_periphery_boundary(&mut e, geom, skl, sib, t_sk, k_sk, d);
@@ -366,7 +339,6 @@ impl Scaffold {
             let skl = sink_layer.expect("sink periphery requires a sink layer");
             let t_sk = geom.layers[skl].thickness_m;
             let k_sk = geom.layers[skl].k[0];
-            fixed_k_layers.push(skl);
             let area_side =
                 (geom.sink_m * geom.sink_m - geom.spreader_m * geom.spreader_m) / SIDES as f64;
             for s in 0..SIDES {
@@ -408,11 +380,8 @@ impl Scaffold {
                 area_side,
             });
         }
-        fixed_k_layers.sort_unstable();
-        fixed_k_layers.dedup();
 
         Scaffold {
-            n,
             nodes,
             shape: Arc::new(Shape::new(n, nl, nodes - nl * n2, &e.links, &e.conv)),
             #[cfg(test)]
@@ -421,16 +390,14 @@ impl Scaffold {
             die_base: die_layer * n2,
             heat_bases: heat_layers.iter().map(|&l| l * n2).collect(),
             periphery,
-            fixed_k_layers,
         }
     }
 
-    /// Per-node thermal capacitances for `geom`: recomputed in full on
-    /// every build (an O(layers·n²) multiply-add, negligible next to the
-    /// matrix fill).
+    /// Per-node thermal capacitances for `geom` (an O(layers·n²)
+    /// multiply-add, negligible next to the matrix fill).
     fn compute_caps(&self, geom: &NetworkGeometry) -> Vec<f64> {
-        let n2 = self.n * self.n;
-        let dx = geom.footprint_m / self.n as f64;
+        let n2 = geom.n * geom.n;
+        let dx = geom.footprint_m / geom.n as f64;
         let cell_area = dx * dx;
         let mut cap = vec![0.0f64; self.nodes];
         for (li, layer) in geom.layers.iter().enumerate() {
@@ -473,24 +440,6 @@ fn emit_periphery_boundary(
     }
 }
 
-fn finish(
-    scaffold: Arc<Scaffold>,
-    matrix: LayeredMatrix,
-    precond: Preconditioner,
-    geom: &NetworkGeometry,
-) -> Network {
-    Network {
-        cap: scaffold.compute_caps(geom),
-        conv: scaffold.conv.clone(),
-        nodes: scaffold.nodes,
-        die_base: scaffold.die_base,
-        heat_bases: scaffold.heat_bases.clone(),
-        matrix,
-        precond,
-        scaffold,
-    }
-}
-
 /// Assembles the conductance matrix and boundary list.
 ///
 /// # Panics
@@ -499,134 +448,29 @@ fn finish(
 /// length mismatch, spreader smaller than footprint, sink smaller than
 /// spreader, or a non-positive conductivity/dimension).
 pub(crate) fn assemble(geom: &NetworkGeometry) -> Network {
-    let scaffold = Arc::new(Scaffold::build(geom));
+    let scaffold = Scaffold::build(geom);
     let matrix = LayeredMatrix::assemble(Arc::clone(&scaffold.shape), link_conductances(geom));
     // Assembly guarantees a positive diagonal (every cell has at least one
     // conductance), so a preconditioner always exists.
     let precond =
         Preconditioner::ic0_or_jacobi(&matrix).expect("conductance network has positive diagonal");
-    finish(scaffold, matrix, precond, geom)
-}
-
-/// Rebuilds the network for `new_geom` by patching `base` (built for
-/// `base_geom`) instead of assembling from scratch: only the rows whose
-/// conductances can differ are refilled, and the IC(0) factor's clean
-/// prefix is copied. Returns `None` when the two geometries are not
-/// scaffold-compatible (different grid, edges, layer structure, boundary
-/// coefficients, or changed periphery conductivities) — the caller then
-/// falls back to [`assemble`].
-///
-/// The reused-row count is recorded under `thermal.assembly_rows_reused`.
-pub(crate) fn assemble_incremental(
-    new_geom: &NetworkGeometry,
-    base_geom: &NetworkGeometry,
-    base: &Network,
-) -> Option<Network> {
-    let scaffold = Arc::clone(&base.scaffold);
-    let dirty = dirty_rows(&scaffold, base_geom, new_geom)?;
-    let reused = dirty.iter().filter(|&&d| !d).count();
-    obs::counter!("thermal.assembly_rows_reused").add(reused as u64);
-
-    let mut matrix = base.matrix.clone();
-    matrix.refill(&dirty, link_conductances(new_geom));
-    let first_dirty = dirty.iter().position(|&d| d).unwrap_or(scaffold.nodes);
-    let precond = match &base.precond {
-        Preconditioner::Ic0(f) => match LayeredIc0::refactor_prefix(&matrix, f, first_dirty) {
-            Some(nf) => {
-                obs::counter!("thermal.ic0_factorizations").inc();
-                Preconditioner::Ic0(nf)
-            }
-            None => Preconditioner::ic0_or_jacobi(&matrix)
-                .expect("conductance network has positive diagonal"),
-        },
-        // The base fell back to Jacobi: its factor has no prefix to
-        // reuse, so retry a full IC(0) factorization.
-        Preconditioner::Jacobi(_) => Preconditioner::ic0_or_jacobi(&matrix)
-            .expect("conductance network has positive diagonal"),
-    };
-    Some(finish(scaffold, matrix, precond, new_geom))
-}
-
-/// Computes the dirty-row mask of an incremental rebuild, or `None` when
-/// `new` cannot reuse `base`'s scaffold. A grid row is dirty when any
-/// link it reads changed: a changed cell conductivity feeds the lateral
-/// links to its x/y neighbours and the vertical links above and below, so
-/// the cell's own row plus those six neighbour rows are marked.
-fn dirty_rows(
-    scaffold: &Scaffold,
-    base: &NetworkGeometry,
-    new: &NetworkGeometry,
-) -> Option<Vec<bool>> {
-    let n = scaffold.n;
-    if new.n != n
-        || base.n != n
-        || new.layers.len() != base.layers.len()
-        || new.footprint_m.to_bits() != base.footprint_m.to_bits()
-        || new.spreader_m.to_bits() != base.spreader_m.to_bits()
-        || new.sink_m.to_bits() != base.sink_m.to_bits()
-        || new.htc.to_bits() != base.htc.to_bits()
-        || new.htc_secondary.to_bits() != base.htc_secondary.to_bits()
-    {
-        return None;
+    Network {
+        cap: scaffold.compute_caps(geom),
+        conv: scaffold.conv,
+        nodes: scaffold.nodes,
+        die_base: scaffold.die_base,
+        heat_bases: scaffold.heat_bases,
+        matrix,
+        precond,
     }
-    for (a, b) in base.layers.iter().zip(&new.layers) {
-        if a.role != b.role
-            || a.thickness_m.to_bits() != b.thickness_m.to_bits()
-            || a.is_heat_source != b.is_heat_source
-            || a.k.len() != b.k.len()
-        {
-            return None;
-        }
-    }
-    // Periphery conductances bake `k[0]` of these layers into the
-    // scaffold's fixed links; reuse requires them unchanged.
-    for &li in &scaffold.fixed_k_layers {
-        if base.layers[li].k[0].to_bits() != new.layers[li].k[0].to_bits() {
-            return None;
-        }
-    }
-
-    let n2 = n * n;
-    let nl = new.layers.len();
-    let mut dirty = vec![false; scaffold.nodes];
-    for (li, (a, b)) in base.layers.iter().zip(&new.layers).enumerate() {
-        for c in 0..n2 {
-            if a.k[c].to_bits() == b.k[c].to_bits() {
-                continue;
-            }
-            let (ix, iy) = (c % n, c / n);
-            dirty[li * n2 + c] = true;
-            if ix > 0 {
-                dirty[li * n2 + c - 1] = true;
-            }
-            if ix + 1 < n {
-                dirty[li * n2 + c + 1] = true;
-            }
-            if iy > 0 {
-                dirty[li * n2 + c - n] = true;
-            }
-            if iy + 1 < n {
-                dirty[li * n2 + c + n] = true;
-            }
-            if li > 0 {
-                dirty[(li - 1) * n2 + c] = true;
-            }
-            if li + 1 < nl {
-                dirty[(li + 1) * n2 + c] = true;
-            }
-        }
-    }
-    Some(dirty)
 }
 
 /// The CSR matrix the retired scaffold assembled for `geom` (see
 /// [`crate::layered::emission_order_csr`]): the oracle the layered fill
 /// is checked against bit for bit.
 #[cfg(test)]
-pub(crate) fn emission_order_csr(
-    geom: &NetworkGeometry,
-    scaffold: &Scaffold,
-) -> crate::sparse::CsrMatrix {
+pub(crate) fn emission_order_csr(geom: &NetworkGeometry) -> crate::sparse::CsrMatrix {
+    let scaffold = Scaffold::build(geom);
     crate::layered::emission_order_csr(
         geom.n,
         geom.layers.len(),
@@ -640,7 +484,7 @@ pub(crate) fn emission_order_csr(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sparse::{pcg, Precondition};
+    use crate::sparse::pcg;
 
     /// A two-layer toy stack with no periphery: each column is an
     /// independent 1D path, so the die temperature has a closed form.
@@ -819,112 +663,5 @@ mod tests {
         let mut geom = toy_geom(4, 100.0);
         geom.spreader_m = 0.01;
         let _ = assemble(&geom);
-    }
-
-    /// A geometry with overhanging spreader and sink so the incremental
-    /// path also exercises periphery (Fixed) links and grounds.
-    fn periph_geom(n: usize) -> NetworkGeometry {
-        let mut geom = toy_geom(n, 700.0);
-        geom.layers.insert(
-            1,
-            GriddedLayer {
-                role: LayerRole::Spreader,
-                thickness_m: 0.001,
-                k: vec![390.0; n * n],
-                is_heat_source: false,
-                cv: vec![3.4e6; n * n],
-            },
-        );
-        geom.spreader_m = 0.03;
-        geom.sink_m = 0.05;
-        geom
-    }
-
-    #[test]
-    fn incremental_rebuild_matches_full_bitwise() {
-        let n = 6;
-        let mut base_geom = periph_geom(n);
-        // Heterogeneous die conductivities so lateral links are asymmetric.
-        for (c, k) in base_geom.layers[2].k.iter_mut().enumerate() {
-            *k = 100.0 + c as f64;
-        }
-        let base = assemble(&base_geom);
-        let mut new_geom = base_geom.clone();
-        // Perturb a small patch of die cells (a "moved chiplet").
-        for c in [7usize, 8, 13, 14] {
-            new_geom.layers[2].k[c] = 45.0;
-        }
-        let patched = assemble_incremental(&new_geom, &base_geom, &base)
-            .expect("same-scaffold rebuild must take the incremental path");
-        let full = assemble(&new_geom);
-
-        // The dirty mask covers the perturbed cells and their stencil
-        // neighbours but leaves untouched rows clean.
-        let dirty = dirty_rows(&base.scaffold, &base_geom, &new_geom).unwrap();
-        assert!(dirty.iter().any(|&d| d), "perturbation must dirty rows");
-        assert!(dirty.iter().any(|&d| !d), "small patch must reuse rows");
-
-        assert_eq!(
-            patched.matrix.to_csr().values(),
-            full.matrix.to_csr().values(),
-            "patched matrix values must be bitwise identical to a full build"
-        );
-        assert_eq!(patched.cap, full.cap);
-        assert_eq!(patched.conv, full.conv);
-        assert!(patched.precond.is_ic0() && full.precond.is_ic0());
-        let (Preconditioner::Ic0(pf), Preconditioner::Ic0(ff)) = (&patched.precond, &full.precond)
-        else {
-            unreachable!()
-        };
-        let r: Vec<f64> = (0..full.nodes).map(|i| (i as f64 * 0.37).sin()).collect();
-        let mut zp = vec![0.0; full.nodes];
-        let mut zf = vec![0.0; full.nodes];
-        pf.apply(&r, &mut zp);
-        ff.apply(&r, &mut zf);
-        assert_eq!(zp, zf, "refactored IC(0) must apply bitwise identically");
-    }
-
-    #[test]
-    fn incremental_rebuild_is_independent_of_base_values() {
-        // Patching from two *different* bases must produce the same bytes:
-        // the result depends only on the target geometry.
-        let n = 5;
-        let geom_a = periph_geom(n);
-        let mut geom_b = geom_a.clone();
-        geom_b.layers[2].k[4] = 77.0;
-        let mut target = geom_a.clone();
-        target.layers[2].k[12] = 55.0;
-        target.layers[2].k[17] = 210.0;
-
-        let from_a = assemble_incremental(&target, &geom_a, &assemble(&geom_a)).unwrap();
-        let from_b = assemble_incremental(&target, &geom_b, &assemble(&geom_b)).unwrap();
-        assert_eq!(
-            from_a.matrix.to_csr().values(),
-            from_b.matrix.to_csr().values()
-        );
-    }
-
-    #[test]
-    fn incompatible_geometries_reject_incremental_path() {
-        let n = 5;
-        let base_geom = periph_geom(n);
-        let base = assemble(&base_geom);
-
-        let mut other = base_geom.clone();
-        other.footprint_m *= 1.5;
-        other.spreader_m *= 1.5;
-        other.sink_m *= 1.5;
-        assert!(
-            assemble_incremental(&other, &base_geom, &base).is_none(),
-            "different edges must fall back to full assembly"
-        );
-
-        // Changing the spreader conductivity invalidates the baked
-        // periphery links.
-        let mut other = base_geom.clone();
-        for k in &mut other.layers[1].k {
-            *k = 250.0;
-        }
-        assert!(assemble_incremental(&other, &base_geom, &base).is_none());
     }
 }

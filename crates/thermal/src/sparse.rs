@@ -1155,37 +1155,6 @@ mod tests {
     }
 
     #[test]
-    fn prefix_refactor_matches_full_factorization() {
-        // Patch one link of a grid and refactor from the first changed
-        // row: the result must match a from-scratch factorization
-        // bitwise, because up-looking IC(0) row i depends only on rows
-        // <= i of A.
-        let n = 5;
-        let link = |g: f64| {
-            move |axis, c: usize| match (axis, c) {
-                (crate::layered::Axis::X, 17) => g,
-                _ => 1.0 + c as f64 * 0.1,
-            }
-        };
-        let base_m = layer_grid(n, 0.7, link(1.8));
-        let base = LayeredIc0::factor(&base_m).unwrap();
-        // Changing the 17–18 conductance dirties rows 17 and 18 only.
-        let mut dirty = vec![false; n * n];
-        dirty[17] = true;
-        dirty[18] = true;
-        let mut patched = base_m.clone();
-        patched.refill(&dirty, |axis, _, c| link(3.25)(axis, c));
-        let full = LayeredIc0::factor(&layer_grid(n, 0.7, link(3.25))).unwrap();
-        let inc = LayeredIc0::refactor_prefix(&patched, &base, 17).unwrap();
-        assert_eq!(inc.shift(), 0.0);
-        let r: Vec<f64> = (0..n * n).map(|i| (i as f64 * 0.37).sin() + 1.5).collect();
-        let (mut z_full, mut z_inc) = (vec![0.0; n * n], vec![0.0; n * n]);
-        full.apply(&r, &mut z_full);
-        inc.apply(&r, &mut z_inc);
-        assert_eq!(z_full, z_inc, "prefix refactor must be bitwise identical");
-    }
-
-    #[test]
     fn indefinite_matrix_falls_back_to_jacobi() {
         // Positive diagonal but indefinite (links of 2 on a diagonal of
         // 1): every shift in the schedule fails, so ic0_or_jacobi must

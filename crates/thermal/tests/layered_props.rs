@@ -1,7 +1,7 @@
 //! Bitwise oracle properties of the banded layered-grid operator: on
 //! random layered grids — random positive conductances, periphery border
 //! on or off — its fill, product, IC(0) factor, preconditioner
-//! application, incremental refill and whole PCG solves must equal, bit
+//! application and whole PCG solves must equal, bit
 //! for bit, the CSR path it replaced: every term summed into its slot in
 //! emission order, the general up-looking CSR IC(0), and the same CG loop
 //! over CSR.
@@ -220,59 +220,5 @@ proptest! {
             (None, None) => {}
             (f, o) => prop_assert!(false, "banded {} vs CSR {}", f.is_some(), o.is_some()),
         }
-    }
-
-    /// Refilling the rows around a changed cell and refactoring from the
-    /// first of them equals a full assembly and factorization bit for bit.
-    #[test]
-    fn incremental_refill_matches_full_build(
-        n in 2usize..11,
-        layers in 1usize..7,
-        with_border in prop::sample::select(vec![false, true]),
-        seed in 0u64..1_000_000,
-    ) {
-        let mut rng = splitmix(seed);
-        let mut grid = Grid::random(n, layers, with_border, &mut rng);
-        let base = grid.banded();
-        let base_f = LayeredIc0::factor(&base).unwrap();
-        // Change the links of one cell, as a changed conductivity would.
-        let (n2, ng) = (n * n, layers * n * n);
-        let cell = (rng() * ng as f64) as usize % ng;
-        let scale = 0.2 + 3.0 * rng();
-        let mut dirty = vec![false; ng];
-        dirty[cell] = true;
-        for (axis, step) in [(0, 1), (1, n), (2, n2)] {
-            let (c, li) = (cell % n2, cell / n2);
-            let has_next = match axis {
-                0 => c % n + 1 < n,
-                1 => c / n + 1 < n,
-                _ => li + 1 < layers,
-            };
-            let has_prev = match axis {
-                0 => c % n > 0,
-                1 => c / n > 0,
-                _ => li > 0,
-            };
-            if has_next {
-                grid.g[axis][cell] *= scale;
-                dirty[cell + step] = true;
-            }
-            if has_prev {
-                grid.g[axis][cell - step] *= scale;
-                dirty[cell - step] = true;
-            }
-        }
-        let mut patched = base.clone();
-        patched.refill(&dirty, |a, l, c| grid.conductance(a, l, c));
-        let full = grid.banded();
-        prop_assert_eq!(bits(patched.to_csr().values()), bits(full.to_csr().values()));
-        let first = dirty.iter().position(|&d| d).unwrap();
-        let inc = LayeredIc0::refactor_prefix(&patched, &base_f, first).unwrap();
-        let full_f = LayeredIc0::factor(&full).unwrap();
-        let x = probe(full.dim(), &mut rng);
-        let (mut z_inc, mut z_full) = (vec![0.0; x.len()], vec![0.0; x.len()]);
-        inc.apply(&x, &mut z_inc);
-        full_f.apply(&x, &mut z_full);
-        prop_assert_eq!(bits(&z_inc), bits(&z_full));
     }
 }
