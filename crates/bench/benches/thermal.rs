@@ -1,11 +1,11 @@
 //! Criterion timing of the thermal substrate: steady-state solves across
-//! grid resolutions and package types, and the leakage fixed-point loop.
+//! grid resolutions and package types, and the leakage-coupled solve.
 //! These are the operations whose count the paper's 400× speedup claim is
 //! about, so their absolute cost matters for harness runtimes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tac25d_floorplan::prelude::*;
-use tac25d_thermal::coupled::{solve_coupled, CoupledOptions};
+use tac25d_thermal::coupled::{solve_coupled, AffineSource, CoupledOptions};
 use tac25d_thermal::model::{PackageModel, ThermalConfig};
 
 fn model(grid: usize, layout: &ChipletLayout) -> PackageModel {
@@ -61,20 +61,17 @@ fn bench_model_build(c: &mut Criterion) {
 fn bench_leakage_loop(c: &mut Criterion) {
     let layout = ChipletLayout::Uniform { r: 4, gap: Mm(4.0) };
     let m = model(32, &layout);
-    let base = sources(&layout, 250.0);
-    c.bench_function("thermal_leakage_fixed_point_grid32", |b| {
-        b.iter(|| {
-            solve_coupled(
-                &m,
-                |sol| {
-                    let t = sol.map_or(60.0, |s| s.peak().value());
-                    let scale = 1.0 + 0.004 * (t - 60.0);
-                    base.iter().map(|(r, w)| (*r, w * scale)).collect()
-                },
-                &CoupledOptions::default(),
-            )
-            .expect("coupled solve")
+    // 0.4 %/°C growth above 60 °C of every chiplet's power.
+    let affine: Vec<AffineSource> = sources(&layout, 250.0)
+        .into_iter()
+        .map(|(rect, w)| AffineSource {
+            rect,
+            p0: w * (1.0 - 0.004 * 60.0),
+            dp_dt: w * 0.004,
         })
+        .collect();
+    c.bench_function("thermal_leakage_fixed_point_grid32", |b| {
+        b.iter(|| solve_coupled(&m, &affine, &CoupledOptions::default()).expect("coupled solve"))
     });
 }
 

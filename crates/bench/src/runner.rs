@@ -121,7 +121,7 @@ where
     F: Fn(&T) -> R + Sync,
     C: Fn(&T) -> f64,
 {
-    let _span = obs::span!("bench.parallel_map");
+    let span = obs::span!("bench.parallel_map");
     let threads = threads.max(1).min(items.len().max(1));
     let costs: Vec<f64> = items.iter().map(&cost).collect();
     let mut order: Vec<usize> = (0..items.len()).collect();
@@ -134,21 +134,25 @@ where
     let slots: Vec<std::sync::OnceLock<R>> =
         items.iter().map(|_| std::sync::OnceLock::new()).collect();
     let cursor = std::sync::atomic::AtomicUsize::new(0);
-    crossbeam::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|_| loop {
-                let at = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if at >= order.len() {
-                    break;
-                }
-                let i = order[at];
-                let _item_span = obs::span!("bench.parallel_item");
-                let r = f(&items[i]);
-                if slots[i].set(r).is_err() {
-                    panic!("slot {i} filled twice");
-                }
-            });
-        }
+    // The workers time each item under `bench.parallel_item`; this thread
+    // only waits for them.
+    span.wait(|| {
+        crossbeam::thread::scope(|s| {
+            for _ in 0..threads {
+                s.spawn(|_| loop {
+                    let at = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    if at >= order.len() {
+                        break;
+                    }
+                    let i = order[at];
+                    let _item_span = obs::span!("bench.parallel_item");
+                    let r = f(&items[i]);
+                    if slots[i].set(r).is_err() {
+                        panic!("slot {i} filled twice");
+                    }
+                });
+            }
+        })
     })
     .expect("worker thread panicked");
     slots
@@ -191,6 +195,41 @@ mod tests {
             let out = parallel_map_by_cost(items.clone(), cost, |&x| x * 3);
             assert_eq!(out, (0..64).map(|x| x * 3).collect::<Vec<_>>());
         }
+    }
+
+    #[test]
+    fn waiting_parallel_map_reports_no_self_time() {
+        // The coordinating thread only waits: the sleeps must show up as
+        // `bench.parallel_item` time on the workers, not as self time of
+        // `bench.parallel_map`. A unique parent span keeps this test's
+        // `bench.parallel_map` path apart from other tests'.
+        obs::force_enable();
+        let parent = "test.runner.wait_parent";
+        let item_before = span_stat("bench.parallel_item").map_or(0, |s| s.total_ns);
+        {
+            let _p = obs::span!(parent);
+            parallel_map_with_threads(
+                (0..4).collect(),
+                2,
+                |_| 1.0,
+                |_: &i32| std::thread::sleep(std::time::Duration::from_millis(20)),
+            );
+        }
+        let map = span_stat(&format!("{parent}/bench.parallel_map")).expect("map span");
+        assert!(map.total_ns >= 40_000_000, "{map:?}");
+        assert!(
+            map.self_ns < 10_000_000,
+            "waiting booked as self time: {map:?}"
+        );
+        let item = span_stat("bench.parallel_item").expect("item span");
+        assert!(item.total_ns - item_before >= 80_000_000, "{item:?}");
+    }
+
+    fn span_stat(path: &str) -> Option<obs::span::SpanStat> {
+        obs::span::snapshot()
+            .into_iter()
+            .find(|(p, _)| p == path)
+            .map(|(_, s)| s)
     }
 
     #[test]

@@ -26,7 +26,7 @@ use tac25d_power::benchmarks::Benchmark;
 use tac25d_power::dvfs::OperatingPoint;
 use tac25d_power::perf::{system_ips, Ips};
 use tac25d_surrogate::{Prediction, SurrogateConfig, SurrogateInput, ThermalSurrogate};
-use tac25d_thermal::coupled::{solve_coupled, CoupledOptions};
+use tac25d_thermal::coupled::{solve_coupled, AffineSource, CoupledOptions};
 use tac25d_thermal::model::{PackageModel, ThermalError};
 
 /// Errors surfaced by system evaluation.
@@ -40,20 +40,15 @@ pub enum EvalError {
     /// An interposer link cannot close single-cycle timing.
     Timing(TimingError),
     /// The per-request deadline ([`Evaluator::with_deadline`]) expired
-    /// before the evaluation finished. Carries the outer fixed-point
-    /// iterations completed before the abort (0 when the deadline was
-    /// already spent before the solve started).
-    Deadline {
-        /// Coupled-loop outer iterations completed before the abort.
-        outer_iterations: usize,
-    },
+    /// before the evaluation's coupled solve started.
+    Deadline,
 }
 
 impl EvalError {
     /// Whether this error is a deadline abort (the only retryable kind —
     /// the serve layer maps it to 504 instead of 500).
     pub fn is_deadline(&self) -> bool {
-        matches!(self, EvalError::Deadline { .. })
+        matches!(self, EvalError::Deadline)
     }
 }
 
@@ -63,10 +58,7 @@ impl fmt::Display for EvalError {
             EvalError::Layout(e) => write!(f, "layout error: {e}"),
             EvalError::Thermal(e) => write!(f, "thermal error: {e}"),
             EvalError::Timing(e) => write!(f, "link timing error: {e}"),
-            EvalError::Deadline { outer_iterations } => write!(
-                f,
-                "evaluation deadline expired ({outer_iterations} outer iterations completed)"
-            ),
+            EvalError::Deadline => write!(f, "evaluation deadline expired"),
         }
     }
 }
@@ -77,7 +69,7 @@ impl Error for EvalError {
             EvalError::Layout(e) => Some(e),
             EvalError::Thermal(e) => Some(e),
             EvalError::Timing(e) => Some(e),
-            EvalError::Deadline { .. } => None,
+            EvalError::Deadline => None,
         }
     }
 }
@@ -113,20 +105,18 @@ pub struct Evaluation {
     pub noc_power: Watts,
     /// Aggregate performance at this (f, p).
     pub ips: Ips,
-    /// Whether the leakage loop converged (false ⇒ thermal runaway or
-    /// oscillation; the organization is treated as infeasible).
+    /// Whether the leakage-coupled steady state exists below the runaway
+    /// cap (false ⇒ thermal runaway; the organization is infeasible).
     pub converged: bool,
     /// Relative energy-balance residual of the converged steady state
-    /// (|heat out − power in| / power in); NaN when the loop diverged.
+    /// (|heat out − power in| / power in); NaN on runaway.
     /// A verification invariant: power injected must leave through the
     /// sink and secondary path.
     pub energy_balance_error: f64,
     /// Peak temperature over each chiplet footprint, in layout order
-    /// (empty when the loop diverged). Drives the per-chiplet |ΔT|
-    /// distributions of the differential-testing harness.
+    /// (empty on runaway). Drives the per-chiplet |ΔT| distributions of
+    /// the differential-testing harness.
     pub chiplet_peaks: Vec<Celsius>,
-    /// Outer iterations of the temperature–leakage fixed point.
-    pub outer_iterations: usize,
 }
 
 impl Evaluation {
@@ -369,12 +359,9 @@ struct SharedState {
 /// request its own deadline while all requests warm one memo table.
 pub struct Evaluator {
     shared: Arc<SharedState>,
-    /// Coupled-solve options ([`CoupledOptions::default`] unless set by
-    /// [`Evaluator::with_coupled_options`]).
-    coupled: CoupledOptions,
     /// This handle's evaluation deadline. Checked before serving a miss
-    /// and threaded into the coupled loop, which aborts between outer
-    /// iterations. Cache hits are always served — they cost microseconds.
+    /// and threaded into the coupled solve, which checks it before
+    /// starting. Cache hits are always served — they cost microseconds.
     deadline: Option<Instant>,
 }
 
@@ -404,20 +391,7 @@ impl Evaluator {
                 thermal_sims: AtomicUsize::new(0),
                 surrogate,
             }),
-            coupled: CoupledOptions::default(),
             deadline: None,
-        }
-    }
-
-    /// Creates an evaluator whose coupled (temperature–leakage) solves run
-    /// with explicit options instead of [`CoupledOptions::default`].
-    /// Verification harnesses use this to pin the fixed-point strategy per
-    /// evaluator — comparing, say, the Picard oracle against the default
-    /// Anderson loop in one process.
-    pub fn with_coupled_options(spec: SystemSpec, options: CoupledOptions) -> Self {
-        Evaluator {
-            coupled: options,
-            ..Evaluator::new(spec)
         }
     }
 
@@ -438,12 +412,11 @@ impl Evaluator {
     }
 
     /// A new handle onto the same shared caches, surrogate and counters,
-    /// with no deadline and the same coupled options. The serve daemon's
-    /// per-request entry point (combined with [`Evaluator::with_deadline`]).
+    /// with no deadline. The serve daemon's per-request entry point
+    /// (combined with [`Evaluator::with_deadline`]).
     pub fn share(&self) -> Evaluator {
         Evaluator {
             shared: Arc::clone(&self.shared),
-            coupled: self.coupled,
             deadline: None,
         }
     }
@@ -457,7 +430,6 @@ impl Evaluator {
     pub fn with_deadline(&self, deadline: Instant) -> Evaluator {
         Evaluator {
             shared: Arc::clone(&self.shared),
-            coupled: self.coupled,
             deadline: Some(self.deadline.map_or(deadline, |d| d.min(deadline))),
         }
     }
@@ -737,9 +709,7 @@ impl Evaluator {
             }
             obs::counter!("evaluator.singleflight_joins").inc();
             if !flight.wait(self.deadline) {
-                return Err(EvalError::Deadline {
-                    outer_iterations: 0,
-                });
+                return Err(EvalError::Deadline);
             }
             // Leader finished (or aborted): loop to re-check the cache;
             // an aborted leader leaves it empty and this handle becomes
@@ -749,8 +719,8 @@ impl Evaluator {
 
     /// The cache-miss path of [`Evaluator::evaluate`]: one exact coupled
     /// solve. Checks this handle's deadline up front and threads it into
-    /// the thermal solver so long fixed-point iterations abort between
-    /// outer iterations. Aborted solves are never cached.
+    /// the thermal solver, which checks it again before solving. Aborted
+    /// evaluations are never cached.
     fn evaluate_uncached(
         &self,
         layout: &ChipletLayout,
@@ -762,9 +732,7 @@ impl Evaluator {
             .deadline
             .is_some_and(|d| std::time::Instant::now() >= d)
         {
-            return Err(EvalError::Deadline {
-                outer_iterations: 0,
-            });
+            return Err(EvalError::Deadline);
         }
         let spec = &self.shared.spec;
         let profile = benchmark.profile();
@@ -790,48 +758,35 @@ impl Evaluator {
         // Alias tracked by the bench/CI drift gates: exact *coupled* solves
         // the evaluator spends (cache misses), the organizer's cost metric.
         obs::counter!("evaluator.exact_solves").inc();
-        let core_power = &spec.core_power;
-        let mut options = self.coupled;
-        options.deadline = match (options.deadline, self.deadline) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
+        // Each active core's power is affine in its own mean temperature;
+        // the NoC share of each chiplet is constant.
+        let (p0, dp_dt) = spec.core_power.affine_power(&profile, op);
+        let sources: Vec<AffineSource> = active_rects
+            .iter()
+            .map(|&rect| AffineSource { rect, p0, dp_dt })
+            .chain(chiplet_rects.iter().map(|&rect| {
+                AffineSource::constant(rect, noc_total * rect.area().value() / chip_area)
+            }))
+            .collect();
+        let options = CoupledOptions {
+            deadline: self.deadline,
+            ..CoupledOptions::default()
         };
-        let coupled = solve_coupled(
-            &model,
-            |sol| {
-                let mut sources = Vec::with_capacity(active_rects.len() + chiplet_rects.len());
-                for rect in &active_rects {
-                    let t = match sol {
-                        Some(s) => s.rect_avg(rect),
-                        None => Celsius(60.0),
-                    };
-                    sources.push((*rect, core_power.active_power(&profile, op, t)));
-                }
-                for rect in &chiplet_rects {
-                    sources.push((*rect, noc_total * rect.area().value() / chip_area));
-                }
-                sources
-            },
-            &options,
-        );
+        let coupled = solve_coupled(&model, &sources, &options);
 
         let eval = match coupled {
-            Ok(c) => Evaluation {
+            Ok(solution) => Evaluation {
                 layout: *layout,
                 benchmark,
                 op,
                 active_cores: p,
-                peak: c.solution.peak(),
-                total_power: Watts(c.solution.total_power()),
+                peak: solution.peak(),
+                total_power: Watts(solution.total_power()),
                 noc_power: Watts(noc_total),
                 ips: self.ips(benchmark, op, p),
-                converged: c.converged,
-                energy_balance_error: c.solution.energy_balance_error(),
-                chiplet_peaks: chiplet_rects
-                    .iter()
-                    .map(|r| c.solution.rect_max(r))
-                    .collect(),
-                outer_iterations: c.outer_iterations,
+                converged: true,
+                energy_balance_error: solution.energy_balance_error(),
+                chiplet_peaks: chiplet_rects.iter().map(|r| solution.rect_max(r)).collect(),
             },
             Err(ThermalError::Runaway { peak }) => Evaluation {
                 layout: *layout,
@@ -845,11 +800,8 @@ impl Evaluator {
                 converged: false,
                 energy_balance_error: f64::NAN,
                 chiplet_peaks: Vec::new(),
-                outer_iterations: 0,
             },
-            Err(ThermalError::DeadlineExpired { outer_iterations }) => {
-                return Err(EvalError::Deadline { outer_iterations })
-            }
+            Err(ThermalError::DeadlineExpired) => return Err(EvalError::Deadline),
             Err(other) => return Err(EvalError::Thermal(other)),
         };
         // Every converged exact solve doubles as surrogate training data.
@@ -1084,6 +1036,25 @@ mod tests {
             "shock on 16 chiplets @10mm peaked at {}",
             e.peak
         );
+    }
+
+    #[test]
+    fn leakage_runaway_is_an_infeasible_evaluation() {
+        // 6 %/°C leakage growth on every core (still non-negative at
+        // ambient): the 256 rank-one feedback terms outgrow the single
+        // chip's conductance, so no steady state exists. That is an
+        // infeasible evaluation, not an error.
+        let mut spec = SystemSpec::fast();
+        spec.thermal.grid = 16;
+        spec.core_power.leakage.slope_per_c = 0.06;
+        let ev = Evaluator::new(spec);
+        let op = ev.spec().vf.nominal();
+        let e = ev
+            .evaluate(&ChipletLayout::SingleChip, Benchmark::Shock, op, 256)
+            .unwrap();
+        assert!(!e.converged);
+        assert!(!e.feasible(Celsius(1e9)));
+        assert!(e.chiplet_peaks.is_empty());
     }
 
     #[test]

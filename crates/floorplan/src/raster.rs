@@ -170,54 +170,58 @@ pub fn place_cores(
 /// `under_chiplet` and `background` materials by this fraction.
 pub fn coverage_grid(footprint_edge: Mm, nx: usize, ny: usize, chiplets: &[Rect]) -> Grid {
     let mut grid = Grid::filled(nx, ny, 0.0);
-    let dx = footprint_edge.value() / nx as f64;
-    let dy = footprint_edge.value() / ny as f64;
-    let cell_area = dx * dy;
+    let cell_area = (footprint_edge.value() / nx as f64) * (footprint_edge.value() / ny as f64);
     for rect in chiplets {
-        splat(&mut grid, rect, dx, dy, |frac_area, cell| {
-            *cell = (*cell + frac_area / cell_area).min(1.0);
-        });
+        for (cell, a) in overlap_weights(footprint_edge, nx, ny, rect) {
+            grid.cells[cell] = (grid.cells[cell] + a / cell_area).min(1.0);
+        }
     }
     grid
 }
 
 /// Rasterizes a set of rectangular power sources (watts) onto the grid,
 /// distributing each source's power over the cells it overlaps in proportion
-/// to overlap area. Power is conserved for sources fully inside the
-/// footprint.
+/// to overlap area ([`overlap_weights`]). Power is conserved for sources
+/// fully inside the footprint.
 pub fn power_grid(footprint_edge: Mm, nx: usize, ny: usize, sources: &[(Rect, f64)]) -> Grid {
     let mut grid = Grid::filled(nx, ny, 0.0);
-    let dx = footprint_edge.value() / nx as f64;
-    let dy = footprint_edge.value() / ny as f64;
     for (rect, watts) in sources {
         let area = rect.area().value();
         if area <= 0.0 || *watts == 0.0 {
             continue;
         }
         let density = watts / area;
-        splat(&mut grid, rect, dx, dy, |frac_area, cell| {
-            *cell += density * frac_area;
-        });
+        for (cell, a) in overlap_weights(footprint_edge, nx, ny, rect) {
+            grid.cells[cell] += density * a;
+        }
     }
     grid
 }
 
-/// Applies `f(overlap_area, cell)` to every grid cell the rectangle touches.
-fn splat<F: FnMut(f64, &mut f64)>(grid: &mut Grid, rect: &Rect, dx: f64, dy: f64, mut f: F) {
-    let (nx, ny) = (grid.nx(), grid.ny());
+/// The cells a rectangle overlaps, as `(row-major cell index, overlap
+/// area in mm²)` in row-major order. These are the one set of weights
+/// behind both directions of the core–grid coupling: [`power_grid`]
+/// spreads a source's watts over its cells in proportion to them, and the
+/// thermal crate's rectangle averages read a field back with them, which
+/// is what makes the leakage feedback operator symmetric.
+pub fn overlap_weights(footprint_edge: Mm, nx: usize, ny: usize, rect: &Rect) -> Vec<(usize, f64)> {
+    let dx = footprint_edge.value() / nx as f64;
+    let dy = footprint_edge.value() / ny as f64;
     let ix0 = ((rect.x0().value() / dx).floor().max(0.0)) as usize;
     let iy0 = ((rect.y0().value() / dy).floor().max(0.0)) as usize;
     let ix1 = (((rect.x1().value() / dx).ceil()) as usize).min(nx);
     let iy1 = (((rect.y1().value() / dy).ceil()) as usize).min(ny);
+    let mut weights = Vec::with_capacity(ix1.saturating_sub(ix0) * iy1.saturating_sub(iy0));
     for iy in iy0..iy1 {
         for ix in ix0..ix1 {
             let cell_rect = Rect::from_corner(ix as f64 * dx, iy as f64 * dy, dx, dy);
             let a = rect.intersection_area(&cell_rect).value();
             if a > 0.0 {
-                f(a, grid.get_mut(ix, iy));
+                weights.push((iy * nx + ix, a));
             }
         }
     }
+    weights
 }
 
 #[cfg(test)]

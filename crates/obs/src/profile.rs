@@ -42,7 +42,6 @@ pub const CANONICAL_COUNTERS: &[&str] = &[
     "thermal.pcg_solves",
     "thermal.pcg_iterations",
     "thermal.exact_solves",
-    "thermal.anderson_accepted",
     "thermal.balance_violations",
     "evaluator.canonical_hits",
     "evaluator.exact_solves",
@@ -64,7 +63,6 @@ pub const CANONICAL_COUNTERS: &[&str] = &[
 pub const BASELINE_COUNTERS: &[&str] = &[
     "thermal.pcg_iterations",
     "thermal.exact_solves",
-    "thermal.anderson_accepted",
     "thermal.balance_violations",
     "evaluator.exact_solves",
     "surrogate.kernel_solves",
@@ -94,8 +92,8 @@ pub const BASELINE_COUNTERS: &[&str] = &[
 /// of distinct points each evaluator predicts or trains on. Creeping past
 /// the blessed value means the memo stopped firing and predictions went
 /// back to recomputing the superposition.
-/// `thermal.balance_violations` is blessed at 0: it counts converged
-/// coupled solves whose energy balance misses by more than
+/// `thermal.balance_violations` is blessed at 0: it counts coupled
+/// solves whose energy balance misses by more than
 /// `tac25d_thermal::coupled::BALANCE_TOL`, so any count is a broken solve.
 pub const ONE_SIDED_COUNTERS: &[&str] = &[
     "thermal.pcg_iterations",
@@ -106,13 +104,6 @@ pub const ONE_SIDED_COUNTERS: &[&str] = &[
     "serve.shed",
     "serve.deadline_hits",
 ];
-
-/// The mirror image: improvement counters where only *decreases* are
-/// regressions. These count work *saved* (accepted Anderson steps), so
-/// exceeding the blessed value is progress and passes outright, while
-/// falling below it by the tolerance means an optimization quietly
-/// stopped firing.
-pub const ONE_SIDED_MIN_COUNTERS: &[&str] = &["thermal.anderson_accepted"];
 
 /// Relative drift allowed against the committed baseline (the parallel
 /// greedy's lowest-index-winner early exit makes solve counts mildly
@@ -283,8 +274,7 @@ pub struct Drift {
     pub observed: f64,
     /// `|observed - baseline| / baseline` (observed itself when the
     /// baseline is zero and observed is not). For [`ONE_SIDED_COUNTERS`]
-    /// only the increase counts, for [`ONE_SIDED_MIN_COUNTERS`] only the
-    /// decrease: improvements report 0.
+    /// only the increase counts: improvements report 0.
     pub relative: f64,
     /// Whether `relative` exceeds the tolerance.
     pub exceeded: bool,
@@ -292,9 +282,8 @@ pub struct Drift {
 
 /// Compares a fresh profile against a committed baseline for every
 /// [`BASELINE_COUNTERS`] entry. Counters in [`ONE_SIDED_COUNTERS`] gate
-/// only regressions (observed above baseline), counters in
-/// [`ONE_SIDED_MIN_COUNTERS`] gate only losses (observed below baseline);
-/// every other counter drifts symmetrically.
+/// only regressions (observed above baseline); every other counter drifts
+/// symmetrically.
 pub fn check_drift(profile: &Value, baseline: &Value, tolerance: f64) -> Vec<Drift> {
     BASELINE_COUNTERS
         .iter()
@@ -307,8 +296,6 @@ pub fn check_drift(profile: &Value, baseline: &Value, tolerance: f64) -> Vec<Dri
             let base = baseline.get(name).and_then(Value::as_f64).unwrap_or(0.0);
             let delta = if ONE_SIDED_COUNTERS.contains(name) {
                 (observed - base).max(0.0)
-            } else if ONE_SIDED_MIN_COUNTERS.contains(name) {
-                (base - observed).max(0.0)
             } else {
                 (observed - base).abs()
             };
@@ -467,16 +454,11 @@ mod tests {
     use super::*;
 
     fn fake_profile(pcg_iters: f64, exact: f64) -> Value {
-        fake_profile_full(pcg_iters, exact, 0.0)
-    }
-
-    fn fake_profile_full(pcg_iters: f64, exact: f64, anderson: f64) -> Value {
         parse(&format!(
             r#"{{"schema_version": 1, "bin": "t", "total_wall_s": 1.0,
                 "spans": [], "spans_by_name": {{}},
                 "counters": {{"thermal.pcg_iterations": {pcg_iters},
-                             "thermal.exact_solves": {exact},
-                             "thermal.anderson_accepted": {anderson}}},
+                             "thermal.exact_solves": {exact}}},
                 "gauges": {{}}, "histograms": {{}}}}"#
         ))
         .expect("fixture parses")
@@ -544,36 +526,6 @@ mod tests {
                 .unwrap()
                 .exceeded
         );
-    }
-
-    #[test]
-    fn min_sided_counter_gain_passes_and_loss_fails() {
-        // Improvement counters gate only the downside: accepting *more*
-        // Anderson steps than the blessed baseline is progress, while
-        // losing them past the tolerance means the optimization quietly
-        // stopped firing.
-        let baseline = parse(
-            r#"{"thermal.pcg_iterations": 100, "thermal.exact_solves": 10,
-                "thermal.anderson_accepted": 50}"#,
-        )
-        .expect("baseline parses");
-
-        let improved = fake_profile_full(100.0, 10.0, 200.0);
-        let drifts = check_drift(&improved, &baseline, DRIFT_TOLERANCE);
-        for name in ONE_SIDED_MIN_COUNTERS {
-            let d = drifts.iter().find(|d| &d.name == name).unwrap();
-            assert!(!d.exceeded, "{d:?}");
-            assert_eq!(d.relative, 0.0);
-        }
-
-        let regressed = fake_profile_full(100.0, 10.0, 10.0);
-        let drifts = check_drift(&regressed, &baseline, DRIFT_TOLERANCE);
-        for name in ONE_SIDED_MIN_COUNTERS {
-            assert!(
-                drifts.iter().find(|d| &d.name == name).unwrap().exceeded,
-                "loss of {name} must fail the gate"
-            );
-        }
     }
 
     #[test]

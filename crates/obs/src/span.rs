@@ -114,6 +114,30 @@ impl SpanGuard {
     }
 }
 
+impl SpanGuard {
+    /// Runs `f` as time this span spends blocked on other threads: the
+    /// wait counts toward the span's total but not its self time, so a
+    /// span that only coordinates workers (each timing its own work under
+    /// its own root span) does not book their wall time as its own work.
+    /// Spans `f` opens on this thread keep their own accounting.
+    pub fn wait<R>(&self, f: impl FnOnce() -> R) -> R {
+        if !self.global {
+            return f();
+        }
+        let child_before = STACK.with(|s| s.borrow().last().map_or(0, |top| top.child_ns));
+        let start = Instant::now();
+        let r = f();
+        let waited = start.elapsed().as_nanos() as u64;
+        STACK.with(|s| {
+            if let Some(top) = s.borrow_mut().last_mut() {
+                let nested = top.child_ns - child_before;
+                top.child_ns += waited.saturating_sub(nested);
+            }
+        });
+        r
+    }
+}
+
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(start) = self.start else { return };

@@ -37,14 +37,21 @@ impl Default for LeakageModel {
 }
 
 impl LeakageModel {
-    /// Leakage power of one core at voltage `v` (volts) and temperature `t`,
-    /// given its nominal leakage `leak_ref` at (0.9 V, reference
-    /// temperature). Clamped at zero for very cold (extrapolated)
-    /// temperatures.
+    /// The unclamped leakage of one core as an affine map of temperature:
+    /// `(l₀, dl/dT)` with `l₀ + dl/dT · t` watts at `t` °C, given its
+    /// nominal leakage `leak_ref` at (0.9 V, reference temperature).
+    pub fn affine(&self, leak_ref: f64, op: OperatingPoint) -> (f64, f64) {
+        let at_reference = leak_ref * op.voltage_ratio().powf(self.voltage_exponent);
+        let per_c = at_reference * self.slope_per_c;
+        (at_reference - per_c * self.reference.value(), per_c)
+    }
+
+    /// Leakage power of one core at voltage `v` (volts) and temperature `t`:
+    /// the [`LeakageModel::affine`] map, clamped at zero for very cold
+    /// (extrapolated) temperatures.
     pub fn leakage(&self, leak_ref: f64, op: OperatingPoint, t: Celsius) -> f64 {
-        let thermal = 1.0 + self.slope_per_c * (t.value() - self.reference.value());
-        let v_scale = op.voltage_ratio().powf(self.voltage_exponent);
-        (leak_ref * v_scale * thermal).max(0.0)
+        let (l0, per_c) = self.affine(leak_ref, op);
+        (l0 + per_c * t.value()).max(0.0)
     }
 }
 
@@ -61,9 +68,21 @@ impl CorePowerModel {
         profile.dynamic_nominal() * op.voltage_ratio().powi(2) * op.freq_ratio()
     }
 
-    /// Total power of one *active* core at temperature `t`.
+    /// Total power of one *active* core as an affine map of its
+    /// temperature: `(p₀, dp/dT)` with `p₀ + dp/dT · t` watts at `t` °C
+    /// (dynamic power plus [`LeakageModel::affine`]). The coupled thermal
+    /// solve consumes these coefficients directly.
+    pub fn affine_power(&self, profile: &BenchmarkProfile, op: OperatingPoint) -> (f64, f64) {
+        let (l0, per_c) = self.leakage.affine(profile.leakage_nominal_60c(), op);
+        (self.dynamic(profile, op) + l0, per_c)
+    }
+
+    /// Total power of one *active* core at temperature `t`: the
+    /// [`CorePowerModel::affine_power`] map with its leakage clamped at
+    /// zero, i.e. never below the dynamic power.
     pub fn active_power(&self, profile: &BenchmarkProfile, op: OperatingPoint, t: Celsius) -> f64 {
-        self.dynamic(profile, op) + self.leakage.leakage(profile.leakage_nominal_60c(), op, t)
+        let (p0, per_c) = self.affine_power(profile, op);
+        (p0 + per_c * t.value()).max(self.dynamic(profile, op))
     }
 
     /// Power of an idle (sleeping) core — ≈0 W per the paper.
@@ -140,6 +159,20 @@ mod tests {
                 prof.core_power_nominal
             );
         }
+    }
+
+    #[test]
+    fn active_power_is_the_clamped_affine_map() {
+        let m = CorePowerModel::default();
+        let prof = Benchmark::Canneal.profile();
+        let (p0, per_c) = m.affine_power(&prof, nominal());
+        for t in [45.0, 60.0, 85.0, 120.0] {
+            let p = m.active_power(&prof, nominal(), Celsius(t));
+            assert!((p - (p0 + per_c * t)).abs() < 1e-12, "{t} C: {p}");
+        }
+        // Far below the clamp only the dynamic power is left.
+        let cold = m.active_power(&prof, nominal(), Celsius(-200.0));
+        assert_eq!(cold, m.dynamic(&prof, nominal()));
     }
 
     #[test]

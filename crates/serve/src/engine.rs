@@ -111,7 +111,6 @@ impl EngineState {
                 ("converged", Value::from(e.converged)),
                 ("threshold_c", Value::from(req.threshold_c)),
                 ("feasible", Value::from(e.feasible(threshold))),
-                ("outer_iterations", Value::from(e.outer_iterations)),
             ])),
             Err(err) => eval_error_result(&err),
         }
@@ -153,16 +152,15 @@ impl EngineState {
     }
 }
 
-/// Maps evaluation errors to transport results: deadline expiry is `504`
-/// with partial progress, bad inputs are `422`, solver trouble is `500`.
+/// Maps evaluation errors to transport results: deadline expiry is `504`,
+/// bad inputs are `422`, solver trouble is `500`.
 fn eval_error_result(err: &EvalError) -> EngineResult {
     match err {
-        EvalError::Deadline { outer_iterations } => EngineResult {
+        EvalError::Deadline => EngineResult {
             status: 504,
             body: obj([
                 ("error", Value::from("deadline expired")),
                 ("completed", Value::from(false)),
-                ("outer_iterations", Value::from(*outer_iterations)),
             ])
             .render(),
         },
@@ -284,7 +282,7 @@ mod tests {
         assert_eq!(r.status, 504, "{}", r.body);
         let v = parse(&r.body).unwrap();
         assert_eq!(v.get("completed").unwrap().as_bool(), Some(false));
-        assert!(v.get("outer_iterations").unwrap().as_f64().is_some());
+        assert!(v.get("outer_iterations").is_none());
         // The engine stays serviceable after the abort.
         assert_eq!(e.evaluate(&req, None).status, 200);
     }

@@ -21,10 +21,10 @@
 //!   acceptor sheds load with `503` + `Retry-After` instead of queueing
 //!   unboundedly (counter `serve.shed`).
 //! - **Deadlines** — every request carries an optional `deadline_ms`
-//!   (bounded by the server default). Expiry aborts the evaluation
-//!   *between* solver iterations ([`tac25d_core::prelude::Evaluator`]'s
-//!   deadline handles) and returns `504` with partial progress
-//!   (counter `serve.deadline_hits`).
+//!   (bounded by the server default). Expiry refuses any evaluation
+//!   whose coupled solve has not started yet
+//!   ([`tac25d_core::prelude::Evaluator`]'s deadline handles) and
+//!   returns `504` (counter `serve.deadline_hits`).
 //! - **Cross-request batching** — concurrent misses on one evaluation key
 //!   coalesce to a single exact solve (single-flight in the core
 //!   evaluator; counter `evaluator.singleflight_joins`).

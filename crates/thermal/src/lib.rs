@@ -25,7 +25,7 @@
 //!   conductance network with HotSpot-style lumped spreader/sink periphery
 //!   nodes and convective boundaries;
 //! * [`model`] — the public [`model::PackageModel`] / ThermalSolution API;
-//! * [`coupled`] — the temperature–leakage fixed-point loop;
+//! * [`coupled`] — the temperature–leakage fixed point as one linear solve;
 //! * [`transient`] — backward-Euler transient simulation over the same
 //!   RC network (computational-sprinting analyses);
 //! * [`slab`] — verification hooks: slab-stack assembly with cell-level
@@ -62,7 +62,7 @@ pub mod slab;
 pub mod sparse;
 pub mod transient;
 
-pub use coupled::{solve_coupled, CoupledOptions, CoupledSolution};
+pub use coupled::{solve_coupled, AffineSource, CoupledOptions};
 pub use materials::{BumpField, MaterialLibrary};
 pub use model::{PackageModel, ThermalConfig, ThermalError, ThermalSolution};
 pub use transient::{TransientSample, TransientTrace};

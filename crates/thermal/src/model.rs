@@ -4,7 +4,7 @@
 
 use crate::materials::MaterialLibrary;
 use crate::network::{assemble, GriddedLayer, Network, NetworkGeometry};
-use crate::sparse::{pcg_with, PcgSolution, SolveError, SolveScratch};
+use crate::sparse::{pcg_with, LinearOperator, PcgSolution, SolveError, SolveScratch};
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -13,7 +13,7 @@ use tac25d_floorplan::chip::ChipSpec;
 use tac25d_floorplan::geometry::Rect;
 use tac25d_floorplan::layers::StackSpec;
 use tac25d_floorplan::organization::{ChipletLayout, LayoutError, PackageRules};
-use tac25d_floorplan::raster::{coverage_grid, power_grid, Grid};
+use tac25d_floorplan::raster::{coverage_grid, overlap_weights, power_grid, Grid};
 use tac25d_floorplan::units::{Celsius, Mm};
 use tac25d_obs as obs;
 
@@ -92,19 +92,18 @@ pub enum ThermalError {
         /// Human-readable reason.
         reason: String,
     },
-    /// The leakage fixed-point loop exceeded the runaway temperature —
-    /// physically, thermal runaway; the organization is infeasible.
+    /// The leakage-coupled steady state exceeds the runaway temperature
+    /// or does not exist (the leakage feedback outgrows the package's
+    /// conductance) — physically, thermal runaway; the organization is
+    /// infeasible.
     Runaway {
-        /// Peak temperature at the moment of divergence.
+        /// Peak of the steady state; infinite when none exists.
         peak: Celsius,
     },
     /// The caller-supplied deadline (`CoupledOptions::deadline`) expired
-    /// before the coupled loop converged. Not a solver failure: the serve
-    /// daemon maps this to a 504 with partial progress attached.
-    DeadlineExpired {
-        /// Outer iterations completed before the abort.
-        outer_iterations: usize,
-    },
+    /// before the coupled solve started. Not a solver failure: the serve
+    /// daemon maps this to a 504.
+    DeadlineExpired,
 }
 
 impl fmt::Display for ThermalError {
@@ -113,15 +112,11 @@ impl fmt::Display for ThermalError {
             ThermalError::Layout(e) => write!(f, "invalid layout: {e}"),
             ThermalError::Solve(e) => write!(f, "thermal solve failed: {e}"),
             ThermalError::InvalidPower { reason } => write!(f, "invalid power map: {reason}"),
-            ThermalError::Runaway { peak } => {
+            ThermalError::Runaway { peak } if peak.value().is_finite() => {
                 write!(f, "thermal runaway (peak reached {peak})")
             }
-            ThermalError::DeadlineExpired { outer_iterations } => {
-                write!(
-                    f,
-                    "coupled-solve deadline expired after {outer_iterations} outer iterations"
-                )
-            }
+            ThermalError::Runaway { .. } => write!(f, "thermal runaway (no steady state)"),
+            ThermalError::DeadlineExpired => write!(f, "coupled-solve deadline expired"),
         }
     }
 }
@@ -148,28 +143,12 @@ impl From<SolveError> for ThermalError {
     }
 }
 
-/// Relative tolerance for the per-model *tight* reference-field solve,
-/// which seeds guess-less solves running at tight tolerances. It never
-/// needs to beat the shape mismatch (~1e-2..1e-3) between the uniform
-/// reference load and a real power map; 1e-6 leaves a wide safety margin
-/// while roughly halving the cold-solve cost paid once per model.
+/// Relative tolerance for the per-model reference-field solve, which
+/// seeds steady single-tier solves. It never needs to beat the shape mismatch
+/// (~1e-2..1e-3) between the uniform reference load and a real power map;
+/// 1e-6 leaves a wide safety margin while roughly halving the cold-solve
+/// cost paid once per model.
 const REFERENCE_REL_TOL: f64 = 1e-6;
-
-/// Relative tolerance for the *loose* reference field, which seeds
-/// guess-less solves that themselves run loosely (the adaptive coupled
-/// loop's opening solves). Solving the seed much past the seeded solve's
-/// own tolerance is wasted work — but a loose seed must never leak into
-/// tight solves: measured on full-tolerance solves, a 1e-3 reference
-/// gives back every iteration it saved. Hence two independently-computed
-/// fields, each still a pure function of the model, selected by the
-/// requesting solve's tolerance against [`REFERENCE_SPLIT_TOL`].
-const REFERENCE_REL_TOL_LOOSE: f64 = 1e-3;
-
-/// Guess-less solves at `rel_tol >=` this use the loose reference seed;
-/// tighter solves use the tight one. Sits an order below the loosest
-/// forcing term the coupled loop issues, and two above the tight
-/// reference's own residual.
-const REFERENCE_SPLIT_TOL: f64 = 1e-4;
 
 /// A steady-state temperature field.
 #[derive(Debug, Clone)]
@@ -255,22 +234,11 @@ impl ThermalSolution {
     }
 
     fn rect_fold<F: FnMut(f64, f64, f64) -> f64>(&self, rect: &Rect, init: f64, mut f: F) -> f64 {
-        let d = self.footprint.value() / self.n as f64;
-        let ix0 = ((rect.x0().value() / d).floor().max(0.0)) as usize;
-        let iy0 = ((rect.y0().value() / d).floor().max(0.0)) as usize;
-        let ix1 = ((rect.x1().value() / d).ceil() as usize).min(self.n);
-        let iy1 = ((rect.y1().value() / d).ceil() as usize).min(self.n);
-        let mut acc = init;
-        for iy in iy0..iy1 {
-            for ix in ix0..ix1 {
-                let cell = Rect::from_corner(ix as f64 * d, iy as f64 * d, d, d);
-                let w = rect.intersection_area(&cell).value();
-                if w > 0.0 {
-                    acc = f(acc, self.temps[self.die_base + iy * self.n + ix], w);
-                }
-            }
-        }
-        acc
+        overlap_weights(self.footprint, self.n, self.n, rect)
+            .into_iter()
+            .fold(init, |acc, (cell, w)| {
+                f(acc, self.temps[self.die_base + cell], w)
+            })
     }
 
     /// Total injected power (W).
@@ -289,8 +257,7 @@ impl ThermalSolution {
         self.iterations
     }
 
-    /// Raw node temperatures — used as a warm start by
-    /// [`PackageModel::solve_with_scratch_tol`].
+    /// Raw node temperatures, in the model's node order.
     pub fn raw_temps(&self) -> &[f64] {
         &self.temps
     }
@@ -350,16 +317,10 @@ struct ReferenceField {
 /// results are independent of thread scheduling.
 #[derive(Debug)]
 struct SolverState {
-    /// Tight reference (REFERENCE_REL_TOL): seeds tight guess-less solves.
+    /// The reference field, solved to REFERENCE_REL_TOL on first use.
     reference: OnceLock<Option<ReferenceField>>,
-    /// Loose reference (REFERENCE_REL_TOL_LOOSE): seeds loose guess-less
-    /// solves (the coupled loop's opening solves). Computed independently
-    /// of the tight field so each stays a pure function of the model —
-    /// never refined in place, which would make solve results depend on
-    /// the order tight and loose solves were first requested in.
-    reference_loose: OnceLock<Option<ReferenceField>>,
-    /// Iterations of the first cold reference solve — the baseline for
-    /// the `thermal.pcg_iterations_saved` metric.
+    /// Iterations of the cold reference solve — the baseline for the
+    /// `thermal.pcg_iterations_saved` metric.
     cold_iterations: AtomicU64,
 }
 
@@ -367,7 +328,6 @@ impl SolverState {
     fn new() -> Self {
         SolverState {
             reference: OnceLock::new(),
-            reference_loose: OnceLock::new(),
             cold_iterations: AtomicU64::new(0),
         }
     }
@@ -377,7 +337,6 @@ impl Clone for SolverState {
     fn clone(&self) -> Self {
         SolverState {
             reference: self.reference.clone(),
-            reference_loose: self.reference_loose.clone(),
             cold_iterations: AtomicU64::new(self.cold_iterations.load(Ordering::Relaxed)),
         }
     }
@@ -506,110 +465,63 @@ impl PackageModel {
     /// or sources outside the footprint, and [`ThermalError::Solve`] if PCG
     /// fails.
     pub fn solve(&self, sources: &[(Rect, f64)]) -> Result<ThermalSolution, ThermalError> {
-        self.solve_with_scratch_tol(sources, None, &mut SolveScratch::new(), self.config.rel_tol)
-    }
-
-    /// Like [`Self::solve`], warm-starting PCG from `guess` (a previous
-    /// solution of the same model), reusing the caller's [`SolveScratch`]
-    /// and solving to an explicit PCG relative tolerance. The leakage
-    /// fixed-point loop threads one scratch through all of its inner
-    /// solves, warm-starts each from the previous field, and (in the
-    /// adaptive strategy) runs early iterations loosely (Eisenstat–Walker
-    /// forcing terms) and only its convergence candidates at the configured
-    /// full tolerance. `rel_tol` is clamped to at least `config.rel_tol`: a
-    /// per-solve override can only *loosen* a solve, so the configured
-    /// tolerance stays the accuracy contract of every converged result.
-    pub fn solve_with_scratch_tol(
-        &self,
-        sources: &[(Rect, f64)],
-        guess: Option<&ThermalSolution>,
-        scratch: &mut SolveScratch,
-        rel_tol: f64,
-    ) -> Result<ThermalSolution, ThermalError> {
         let (b, total_power) = self.rhs_for(sources)?;
-        let rel_tol = rel_tol.max(self.config.rel_tol);
-        let sol = self.run_pcg(
-            &b,
-            guess.map(|g| g.raw_temps()),
-            total_power,
-            scratch,
-            true,
-            rel_tol,
-        )?;
+        let sol = self.run_pcg(&self.net.matrix, &b, Some(total_power))?;
         Ok(self.make_solution(sol.x, total_power, sol.iterations))
     }
 
-    /// Runs one linear solve: IC(0)-preconditioned CG (Jacobi when the
-    /// factorization broke down) with the model's factor and the caller's
-    /// scratch. A guess-less solve is warm-started from the model's
-    /// [`ReferenceField`] scaled to the requested total power
-    /// (`allow_reference` gates this off for multi-tier loads, whose
-    /// spatial distribution the single-tier reference does not match).
-    fn run_pcg(
+    /// Runs one linear solve of `a·x = b` to the configured tolerance:
+    /// CG preconditioned by the model's IC(0) factor of the conductance
+    /// matrix (Jacobi when the factorization broke down). `a` is that
+    /// matrix, or an operator close to it (the leakage-coupled one of
+    /// [`crate::coupled`]). With `seed_watts`, the solve is warm-started
+    /// from the model's [`ReferenceField`] scaled to that total power;
+    /// without (or when the model has no reference), it starts from the
+    /// ambient field, the unpowered package's exact solution.
+    pub(crate) fn run_pcg<A: LinearOperator + ?Sized>(
         &self,
+        a: &A,
         b: &[f64],
-        guess: Option<&[f64]>,
-        total_watts: f64,
-        scratch: &mut SolveScratch,
-        allow_reference: bool,
-        rel_tol: f64,
+        seed_watts: Option<f64>,
     ) -> Result<PcgSolution, SolveError> {
-        let reference_guess: Option<Vec<f64>> = if guess.is_none() && allow_reference {
-            self.reference_field(rel_tol).map(|f| {
-                let scale = total_watts / f.watts;
-                let ambient = self.config.ambient.value();
+        let ambient = self.config.ambient.value();
+        let reference = seed_watts.and_then(|watts| self.reference_field().map(|f| (watts, f)));
+        let x0: Vec<f64> = match reference {
+            Some((watts, f)) => {
+                obs::counter!("thermal.warm_start_hits").inc();
+                let scale = watts / f.watts;
                 f.rise.iter().map(|r| ambient + r * scale).collect()
-            })
-        } else {
-            None
+            }
+            None => vec![ambient; b.len()],
         };
-        let x0 = guess.or(reference_guess.as_deref());
-        let warm = x0.is_some();
-        if warm {
-            obs::counter!("thermal.warm_start_hits").inc();
-        }
         let sol = pcg_with(
-            &self.net.matrix,
+            a,
             &self.net.precond,
             b,
-            x0,
-            rel_tol,
+            Some(&x0),
+            self.config.rel_tol,
             self.config.max_iter,
-            scratch,
+            &mut SolveScratch::new(),
         )?;
         let cold = self.solver_state.cold_iterations.load(Ordering::Relaxed);
-        if warm {
-            if cold > sol.iterations as u64 {
-                obs::counter!("thermal.pcg_iterations_saved").add(cold - sol.iterations as u64);
-            }
-        } else if cold == 0 {
-            self.solver_state
-                .cold_iterations
-                .store(sol.iterations as u64, Ordering::Relaxed);
+        if reference.is_some() && cold > sol.iterations as u64 {
+            obs::counter!("thermal.pcg_iterations_saved").add(cold - sol.iterations as u64);
         }
         Ok(sol)
     }
 
-    /// The lazily-computed reference rise field (1 W per chiplet) matched
-    /// to the requesting solve's tolerance, shared by every clone-free
-    /// user of this model. `None` when the model has no chiplets or the
-    /// reference solve fails — warm starting is an optimization, never a
-    /// correctness requirement.
-    fn reference_field(&self, rel_tol: f64) -> Option<&ReferenceField> {
-        if rel_tol >= REFERENCE_SPLIT_TOL {
-            self.solver_state
-                .reference_loose
-                .get_or_init(|| self.compute_reference_field(REFERENCE_REL_TOL_LOOSE))
-                .as_ref()
-        } else {
-            self.solver_state
-                .reference
-                .get_or_init(|| self.compute_reference_field(REFERENCE_REL_TOL))
-                .as_ref()
-        }
+    /// The lazily-computed reference rise field (1 W per chiplet), shared
+    /// by every clone-free user of this model. `None` when the model has
+    /// no chiplets or the reference solve fails — warm starting is an
+    /// optimization, never a correctness requirement.
+    fn reference_field(&self) -> Option<&ReferenceField> {
+        self.solver_state
+            .reference
+            .get_or_init(|| self.compute_reference_field())
+            .as_ref()
     }
 
-    fn compute_reference_field(&self, reference_tol: f64) -> Option<ReferenceField> {
+    fn compute_reference_field(&self) -> Option<ReferenceField> {
         let sources: Vec<(Rect, f64)> = self.die_rects.iter().map(|r| (*r, 1.0)).collect();
         let (b, watts) = self.rhs_for(&sources).ok()?;
         if watts <= 0.0 {
@@ -617,10 +529,10 @@ impl PackageModel {
         }
         // The reference is only ever an initial *guess* — solves that use
         // it still converge to their own tolerance — so solving it beyond
-        // `reference_tol` buys nothing: the guess error for a real power
+        // REFERENCE_REL_TOL buys nothing: the guess error for a real power
         // map is dominated by the spatial-shape mismatch, not by the
         // reference's residual. Still a pure function of the model.
-        let rel_tol = self.config.rel_tol.max(reference_tol);
+        let rel_tol = self.config.rel_tol.max(REFERENCE_REL_TOL);
         let sol = pcg_with(
             &self.net.matrix,
             &self.net.precond,
@@ -631,11 +543,9 @@ impl PackageModel {
             &mut SolveScratch::new(),
         )
         .ok()?;
-        if self.solver_state.cold_iterations.load(Ordering::Relaxed) == 0 {
-            self.solver_state
-                .cold_iterations
-                .store(sol.iterations as u64, Ordering::Relaxed);
-        }
+        self.solver_state
+            .cold_iterations
+            .store(sol.iterations as u64, Ordering::Relaxed);
         let ambient = self.config.ambient.value();
         Some(ReferenceField {
             rise: sol.x.iter().map(|t| t - ambient).collect(),
@@ -758,14 +668,8 @@ impl PackageModel {
         // A single-tier load has the reference field's spatial shape, so it
         // warm-starts exactly like `solve` (keeping both entry points
         // bit-identical); genuinely multi-tier loads start cold.
-        let sol = self.run_pcg(
-            &b,
-            None,
-            total_power,
-            &mut SolveScratch::new(),
-            tiers.len() == 1,
-            self.config.rel_tol,
-        )?;
+        let seed = (tiers.len() == 1).then_some(total_power);
+        let sol = self.run_pcg(&self.net.matrix, &b, seed)?;
         Ok(self.make_solution(sol.x, total_power, sol.iterations))
     }
 
@@ -965,15 +869,17 @@ mod tests {
         let model = single_chip_model();
         let die = Rect::from_corner(0.0, 0.0, 18.0, 18.0);
         let previous = model.solve(&[(die, 150.0)]).unwrap();
-        let warm = model
-            .solve_with_scratch_tol(
-                &[(die, 151.0)],
-                Some(&previous),
-                &mut SolveScratch::new(),
-                model.config.rel_tol,
-            )
-            .unwrap();
         let (b, _) = model.rhs_for(&[(die, 151.0)]).unwrap();
+        let warm = pcg_with(
+            &model.net.matrix,
+            &model.net.precond,
+            &b,
+            Some(previous.raw_temps()),
+            model.config.rel_tol,
+            model.config.max_iter,
+            &mut SolveScratch::new(),
+        )
+        .unwrap();
         let cold = pcg_with(
             &model.net.matrix,
             &model.net.precond,
@@ -985,12 +891,13 @@ mod tests {
         )
         .unwrap();
         assert!(
-            warm.iterations() < cold.iterations,
+            warm.iterations < cold.iterations,
             "warm {} vs cold {}",
-            warm.iterations(),
+            warm.iterations,
             cold.iterations
         );
         let exact = model.solve_direct_reference(&[(die, 151.0)]).unwrap();
+        let warm = model.make_solution(warm.x, 151.0, warm.iterations);
         assert!((warm.peak().value() - exact.peak().value()).abs() < 1e-4);
     }
 

@@ -2,14 +2,27 @@
 
 use proptest::prelude::*;
 use tac25d_floorplan::prelude::*;
-use tac25d_thermal::coupled::{solve_coupled, CoupledOptions, CoupledStrategy};
-use tac25d_thermal::model::{PackageModel, ThermalConfig};
+use tac25d_thermal::coupled::{solve_coupled, solve_coupled_direct, AffineSource, CoupledOptions};
+use tac25d_thermal::model::{PackageModel, ThermalConfig, ThermalError};
 use tac25d_thermal::sparse::{pcg, TripletMatrix};
 
 fn tiny_config() -> ThermalConfig {
     ThermalConfig {
         grid: 12,
         ..ThermalConfig::default()
+    }
+}
+
+fn die() -> Rect {
+    Rect::from_corner(0.0, 0.0, 18.0, 18.0)
+}
+
+/// `watts · (1 + slope · (T − 45))` over `rect`.
+fn leaky(rect: Rect, watts: f64, slope: f64) -> AffineSource {
+    AffineSource {
+        rect,
+        p0: watts * (1.0 - slope * 45.0),
+        dp_dt: watts * slope,
     }
 }
 
@@ -113,103 +126,80 @@ proptest! {
         prop_assert!(sol.energy_balance_error() < 1e-6, "{}", sol.energy_balance_error());
     }
 
-    /// The adaptive (Anderson + Eisenstat–Walker) coupled loop lands
-    /// within the coupled tolerance of the fixed-tolerance Picard loop
-    /// over random contractive leakage feedbacks: each converged iterate
-    /// sits within `tol` of the true fixed point, so the two paths can
-    /// differ by at most a small multiple of `tol`.
+    /// The one PCG solve of the leakage-coupled operator lands on the
+    /// exact (Cholesky) solution of the same system over random
+    /// contractive feedbacks and source shapes.
     #[test]
-    fn adaptive_matches_fixed_within_coupled_tolerance(
+    fn coupled_solve_matches_direct_oracle(
         base_w in 80.0..220.0f64,
         feedback in 0.004..0.014f64,
+        hot_x in 0.0..12.0f64,
+        hot_w in 0.0..40.0f64,
     ) {
-        let chip = ChipSpec::scc_256();
-        let rules = PackageRules::default();
         let model = PackageModel::new(
-            &chip,
+            &ChipSpec::scc_256(),
             &ChipletLayout::SingleChip,
-            &rules,
+            &PackageRules::default(),
             &StackSpec::baseline_2d(),
-            tiny_config(),
+            ThermalConfig {
+                rel_tol: 1e-11,
+                ..tiny_config()
+            },
         )
         .unwrap();
-        let die = Rect::from_corner(0.0, 0.0, 18.0, 18.0);
-        let tol = 0.01;
-        let run = |strategy: CoupledStrategy| {
-            solve_coupled(
-                &model,
-                |sol| {
-                    let t = sol.map_or(45.0, |s| s.rect_avg(&die).value());
-                    vec![(die, base_w * (1.0 + feedback * (t - 45.0)))]
-                },
-                &CoupledOptions {
-                    tol: Celsius(tol),
-                    strategy,
-                    ..CoupledOptions::default()
-                },
-            )
-            .unwrap()
-        };
-        let picard = run(CoupledStrategy::Picard);
-        let anderson = run(CoupledStrategy::Anderson);
-        prop_assert!(picard.converged && anderson.converged);
-        let max_dt = picard
-            .solution
+        let sources = [
+            leaky(die(), base_w, feedback),
+            leaky(Rect::from_corner(hot_x, 3.0, 6.0, 6.0), hot_w, 2.0 * feedback),
+        ];
+        let opts = CoupledOptions::default();
+        let pcg = solve_coupled(&model, &sources, &opts).unwrap();
+        let direct = solve_coupled_direct(&model, &sources, &opts).unwrap();
+        let max_dt = pcg
             .raw_temps()
             .iter()
-            .zip(anderson.solution.raw_temps())
+            .zip(direct.raw_temps())
             .map(|(a, b)| (a - b).abs())
             .fold(0.0f64, f64::max);
-        prop_assert!(
-            max_dt <= 2.0 * tol,
-            "paths diverge beyond the coupled tolerance: max |dT| = {max_dt:.3e}"
-        );
+        prop_assert!(max_dt <= 1e-6, "max |dT| = {max_dt:.3e}");
+        prop_assert!(pcg.energy_balance_error() < 1e-6);
     }
 
-    /// On a non-contractive (erratically jumping, bounded) power map, the
-    /// Anderson safeguard must fall back to plain Picard steps rather
-    /// than destabilize: the loop exhausts its iterations without error
-    /// and the field stays bounded by the response to the maximum power.
+    /// Past the critical feedback (`β·vᵀG⁻¹v = 1`) the coupled operator
+    /// is indefinite: both the PCG solve and the direct oracle report
+    /// runaway, never a field. Below it the steady state exists and stays
+    /// at or above ambient everywhere.
     #[test]
-    fn anderson_safeguard_survives_noncontractive_map(seed in 0u64..1000) {
-        let chip = ChipSpec::scc_256();
-        let rules = PackageRules::default();
+    fn feedback_past_definiteness_is_runaway(u in 0.0..1.0f64) {
+        // Half the cases in 0.2..0.95 of the critical slope, half in
+        // 1.02..4.0.
+        let factor = if u < 0.5 { 0.2 + 1.5 * u } else { 1.02 + 5.96 * (u - 0.5) };
         let model = PackageModel::new(
-            &chip,
+            &ChipSpec::scc_256(),
             &ChipletLayout::SingleChip,
-            &rules,
+            &PackageRules::default(),
             &StackSpec::baseline_2d(),
             tiny_config(),
         )
         .unwrap();
-        let die = Rect::from_corner(0.0, 0.0, 18.0, 18.0);
-        let w_max = 260.0;
-        let mut state = seed.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
-        let r = solve_coupled(
-            &model,
-            move |_| {
-                state = state.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
-                let u = ((state >> 33) as f64) / f64::from(u32::MAX);
-                // Jumps across [60, 260] W: no contraction to latch onto.
-                vec![(die, 60.0 + (w_max - 60.0) * u)]
-            },
-            &CoupledOptions {
-                max_iter: 8,
-                strategy: CoupledStrategy::Anderson,
-                ..CoupledOptions::default()
-            },
-        )
-        .unwrap();
-        prop_assert!(r.solution.peak().value().is_finite());
-        // Bounded by the steady response to the maximum power plus slack
-        // for the clamped secant extrapolation.
-        let cap = model.solve(&[(die, w_max)]).unwrap().peak().value();
-        prop_assert!(
-            r.solution.peak().value() <= cap + 25.0,
-            "safeguarded loop overshot: {} vs cap {}",
-            r.solution.peak().value(),
-            cap
-        );
+        let base = 100.0;
+        let unit = model.solve(&[(die(), 1.0)]).unwrap();
+        let critical = 1.0 / ((unit.rect_avg(&die()).value() - 45.0) * base);
+        let sources = [leaky(die(), base, factor * critical)];
+        let opts = CoupledOptions {
+            runaway: Celsius(f64::INFINITY),
+            ..CoupledOptions::default()
+        };
+        let pcg = solve_coupled(&model, &sources, &opts);
+        let direct = solve_coupled_direct(&model, &sources, &opts);
+        if factor > 1.0 {
+            prop_assert!(matches!(pcg, Err(ThermalError::Runaway { .. })), "{pcg:?}");
+            prop_assert!(matches!(direct, Err(ThermalError::Runaway { .. })), "{direct:?}");
+        } else {
+            let field = pcg.unwrap();
+            let coolest = field.raw_temps().iter().copied().fold(f64::INFINITY, f64::min);
+            prop_assert!(coolest >= 45.0 - 1e-6, "coolest node {coolest}");
+            prop_assert!(direct.is_ok());
+        }
     }
 
     /// Peak temperature is monotone in total power for fixed shape.

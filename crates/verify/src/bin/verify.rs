@@ -3,10 +3,10 @@
 //! ```text
 //! verify mms                 # manufactured-solution suite
 //! verify solver              # IC(0) path vs direct Cholesky oracle
-//! verify fixedpoint [--fast] # Anderson-vs-Picard + canonical-key gate
+//! verify fixedpoint [--fast] # canonical cache-key gate
 //! verify seed                # analytic seeding: gradients, snap
 //! verify diff [--fast]       # differential corpus + Fig. 8 guarantees
-//! verify golden [--bless] [--only <bin>]
+//! verify golden [--bless] [--only <name>]
 //! verify obs                 # observability determinism guard
 //! verify serve               # daemon byte-identity vs one-shot engine
 //! verify trace               # request tracing: identity, isolation, overhead
@@ -28,9 +28,7 @@ use std::process::ExitCode;
 use tac25d_core::prelude::*;
 use tac25d_floorplan::units::Mm;
 use tac25d_verify::differential::{default_corpus, fig8_guarantees, run_point};
-use tac25d_verify::fixedpoint::{
-    alias_cases, decision_cases, strategy_equivalence_cases, MAX_FIXEDPOINT_DT_C,
-};
+use tac25d_verify::fixedpoint::alias_cases;
 use tac25d_verify::golden::{golden_dir, manifest, run_spec, workspace_root};
 use tac25d_verify::mms::{chain_error, observed_orders, path_split, FinCase};
 use tac25d_verify::obsguard::{obs_manifest, run_obs_determinism};
@@ -122,7 +120,7 @@ fn run_solver(report: &mut String) -> bool {
     let mut ok = true;
     let _ = writeln!(
         report,
-        "Solver oracle (IC(0)+warm start vs direct Cholesky, steady + leakage fixed point):"
+        "Solver oracle (IC(0)+warm start vs direct Cholesky, steady + leakage-coupled):"
     );
     match solver_equivalence_cases() {
         Ok(cases) => {
@@ -135,13 +133,13 @@ fn run_solver(report: &mut String) -> bool {
                 };
                 let _ = writeln!(
                     report,
-                    "  {:<18} max|dT|={:.3e} C  ic0_iters={:<5} outer={} outer_match={} {status}",
-                    c.name, c.max_abs_dt_c, c.ic0_iterations, c.outer_iterations, c.outer_match
+                    "  {:<18} max|dT|={:.3e} C  ic0_iters={:<5} coupled_iters={:<5} leakage_rise={:.2} C {status}",
+                    c.name, c.max_abs_dt_c, c.ic0_iterations, c.coupled_iterations, c.leakage_rise_c
                 );
                 if !c.passed() {
                     let _ = writeln!(
                         report,
-                        "  FAIL: fields must agree to {MAX_SOLVER_DT_C:.0e} C with matching outer counts"
+                        "  FAIL: fields must agree to {MAX_SOLVER_DT_C:.0e} C"
                     );
                 }
             }
@@ -156,38 +154,6 @@ fn run_solver(report: &mut String) -> bool {
 
 fn run_fixedpoint(report: &mut String, fast: bool) -> bool {
     let mut ok = true;
-    let _ = writeln!(
-        report,
-        "Fixed-point strategy equivalence (Anderson vs Picard, rel_tol 1e-11):"
-    );
-    match strategy_equivalence_cases() {
-        Ok(cases) => {
-            for c in &cases {
-                let status = if c.passed() {
-                    "ok"
-                } else {
-                    ok = false;
-                    "FAIL"
-                };
-                let _ = writeln!(
-                    report,
-                    "  {:<18} max|dT|={:.3e} C  inner_pcg anderson={:<5} picard={:<5} converged={} {status}",
-                    c.name, c.max_abs_dt_c, c.anderson_inner, c.picard_inner, c.both_converged
-                );
-                if !c.passed() {
-                    let _ = writeln!(
-                        report,
-                        "  FAIL: strategies must agree to {MAX_FIXEDPOINT_DT_C:.0e} C with anderson inner PCG iters <= picard's"
-                    );
-                }
-            }
-        }
-        Err(e) => {
-            ok = false;
-            let _ = writeln!(report, "  ERROR: {e}");
-        }
-    }
-
     let spec = verification_spec(fast);
     let _ = writeln!(
         report,
@@ -213,38 +179,6 @@ fn run_fixedpoint(report: &mut String, fast: bool) -> bool {
             ok = false;
             let _ = writeln!(report, "  ERROR: {e}");
         }
-    }
-
-    let _ = writeln!(
-        report,
-        "Fig. 8 decisions under both strategies (seed 42, signature-level):"
-    );
-    let cases = decision_cases(&spec, 42);
-    let mut matched = 0usize;
-    for c in &cases {
-        let status = if c.matched() {
-            matched += 1;
-            "ok"
-        } else {
-            ok = false;
-            "FAIL"
-        };
-        let _ = writeln!(
-            report,
-            "  {:<14} picard {:<40} anderson {:<40} sig={} cross_feasible={} {status}",
-            c.benchmark.name(),
-            c.picard_desc,
-            c.anderson_desc,
-            c.signatures_match,
-            c.cross_feasible
-        );
-    }
-    let _ = writeln!(report, "  decision match: {matched}/{}", cases.len());
-    if matched != cases.len() {
-        let _ = writeln!(
-            report,
-            "  FAIL: the organizer's decisions must not depend on the fixed-point strategy"
-        );
     }
     ok
 }
@@ -393,7 +327,7 @@ fn run_golden(report: &mut String, bless: bool, only: Option<&str>) -> bool {
         golden_dir().display()
     );
     for spec in manifest() {
-        if only.is_some_and(|o| o != spec.bin) {
+        if only.is_some_and(|o| o != spec.name) {
             continue;
         }
         match run_spec(&spec, bless) {
@@ -413,7 +347,7 @@ fn run_golden(report: &mut String, bless: bool, only: Option<&str>) -> bool {
             }
             Err(e) => {
                 ok = false;
-                let _ = writeln!(report, "  {:<22} ERROR: {e}", spec.bin);
+                let _ = writeln!(report, "  {:<22} ERROR: {e}", spec.name);
             }
         }
     }

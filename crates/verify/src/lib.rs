@@ -19,12 +19,10 @@
 //!   artifacts must be valid and complete.
 //! * [`solvercheck`] — solver oracle: the IC(0) + warm start PCG path
 //!   against an exact envelope Cholesky solve over a small organization
-//!   corpus (steady and leakage fixed point), max |ΔT| ≤ 1e-6 °C at tight
+//!   corpus (steady and leakage-coupled), max |ΔT| ≤ 1e-6 °C at tight
 //!   tolerance.
-//! * [`fixedpoint`] — fixed-point equivalence: the adaptive Anderson
-//!   outer loop against the Picard loop, symmetry-canonical cache-key
-//!   aliases evaluated independently, and the Fig. 8 organizer's
-//!   decisions under both strategies.
+//! * [`fixedpoint`] — symmetry-canonical cache-key aliases evaluated
+//!   independently.
 //! * [`seedcheck`] — analytic seeding gate: exact-gradient consistency
 //!   against central finite differences and descend-and-snap
 //!   determinism.
@@ -49,7 +47,7 @@ pub mod solvercheck;
 pub mod tracecheck;
 
 pub use differential::{DiffPoint, DiffRecord, Fig8Case};
-pub use fixedpoint::{AliasCase, DecisionCase, StrategyCase};
+pub use fixedpoint::AliasCase;
 pub use golden::{GoldenOutcome, GoldenSpec};
 pub use mms::{FinCase, MmsSample, SplitResult};
 pub use seedcheck::{GradientCase, SnapCase};

@@ -104,7 +104,6 @@ fn differential_corpus_is_consistent_across_solvers() {
             r.coupled_peak_c
         );
         assert!(r.max_chiplet_dt() < 15.0);
-        assert!(r.outer_iterations >= 1);
     }
 }
 
