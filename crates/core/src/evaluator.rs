@@ -624,12 +624,10 @@ impl Evaluator {
         let key = layout_key(layout);
         if let Some(m) = self.shared.models.get(&key) {
             // Successive candidate evaluations of the same organization
-            // share the model — and with it the thermal crate's factored
-            // IC(0) preconditioner and cached reference temperature field,
-            // so repeat evaluations warm-start their solves. The reuse is
-            // keyed to the model (not to whichever evaluation happened to
-            // run last), keeping every result independent of thread
-            // scheduling and safe to memoize.
+            // share the model, and with it the assembled network and its
+            // factored IC(0) preconditioner. A model is immutable, so every
+            // result stays independent of thread scheduling and safe to
+            // memoize.
             obs::counter!("evaluator.model_reuses").inc();
             if m.layout() != layout {
                 obs::counter!("evaluator.canonical_hits").inc();

@@ -253,7 +253,7 @@ impl PdnModel {
             currents[i] = amps;
             total += amps;
         }
-        let sol = pcg(&m.to_csr(), &currents, None, 1e-12, 50_000)?;
+        let sol = pcg(&m.to_csr(), &currents, 1e-12, 50_000)?;
         let droops = sol.x[..cores].to_vec();
         Ok(PdnSolution {
             droops,

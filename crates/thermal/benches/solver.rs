@@ -110,8 +110,8 @@ fn bench_warm_pcg(c: &mut Criterion) {
     let x0 = pcg_with(&a, &m, &b, None, 1e-8, 100_000, &mut scratch)
         .expect("cold pcg")
         .x;
-    // A 5% hotter load from the previous field: the coupled loop's
-    // warm-started re-solve.
+    // A 5% hotter load started from the previous field, as a transient
+    // step starts from the previous step's temperatures.
     let b2: Vec<f64> = b.iter().map(|v| v * 1.05).collect();
     c.bench_function("layered_pcg_warm_32x32x8", |bench| {
         bench.iter(|| {

@@ -20,9 +20,7 @@
 //! runaway. [`solve_coupled`] runs one PCG solve on that operator,
 //! preconditioned by the model's IC(0) factor of `G` (the feedback term is
 //! small and low-rank, so no new factor is built) and started from the
-//! ambient field. (The model's reference field would save about 7% of
-//! the solve's iterations, but its own cold solve costs most of a solve
-//! and an organizer touches each model only once or twice.)
+//! ambient field, like every solve of a model.
 
 use crate::layered::LayeredMatrix;
 use crate::model::{PackageModel, ThermalError, ThermalSolution};
@@ -124,7 +122,7 @@ pub fn solve_coupled(
         g: &model.network().matrix,
         feedback: &system.feedback,
     };
-    let sol = match model.run_pcg(&op, &system.b, None) {
+    let sol = match model.run_pcg(&op, &system.b) {
         Err(SolveError::NotPositiveDefinite) => return Err(unbounded()),
         other => other?,
     };
@@ -391,7 +389,7 @@ mod tests {
         let r = solve_coupled(&m, &sources, &CoupledOptions::default()).unwrap();
         let system = CoupledSystem::assemble(&m, &sources).unwrap();
         assert!(system.feedback.is_empty());
-        let cold = m.run_pcg(&m.network().matrix, &system.b, None).unwrap();
+        let cold = m.run_pcg(&m.network().matrix, &system.b).unwrap();
         assert_eq!(r.iterations(), cold.iterations);
         assert_eq!(r.raw_temps(), &cold.x[..]);
     }

@@ -7,8 +7,6 @@ use crate::network::{assemble, GriddedLayer, Network, NetworkGeometry};
 use crate::sparse::{pcg_with, LinearOperator, PcgSolution, SolveError, SolveScratch};
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 use tac25d_floorplan::chip::ChipSpec;
 use tac25d_floorplan::geometry::Rect;
 use tac25d_floorplan::layers::StackSpec;
@@ -142,13 +140,6 @@ impl From<SolveError> for ThermalError {
         ThermalError::Solve(e)
     }
 }
-
-/// Relative tolerance for the per-model reference-field solve, which
-/// seeds steady single-tier solves. It never needs to beat the shape mismatch
-/// (~1e-2..1e-3) between the uniform reference load and a real power map;
-/// 1e-6 leaves a wide safety margin while roughly halving the cold-solve
-/// cost paid once per model.
-const REFERENCE_REL_TOL: f64 = 1e-6;
 
 /// A steady-state temperature field.
 #[derive(Debug, Clone)]
@@ -295,51 +286,6 @@ pub struct PackageModel {
     footprint: Mm,
     die_rects: Vec<Rect>,
     layout: ChipletLayout,
-    solver_state: SolverState,
-}
-
-/// The canonical temperature-rise field a model's cold solves warm-start
-/// from: the solution for 1 W spread uniformly over every chiplet.
-/// Linearity makes `ambient + rise · (P_total / watts)` a good initial
-/// guess for any power map with a similar spatial distribution.
-#[derive(Debug, Clone)]
-struct ReferenceField {
-    /// Per-node temperature rise above ambient for the reference load.
-    rise: Vec<f64>,
-    /// Total wattage of the reference load.
-    watts: f64,
-}
-
-/// Lazily-initialized per-model warm-start state. Deliberately keyed to
-/// the model (not the call sequence): successive candidate evaluations
-/// share it through the evaluator's memoized models, yet every solve's
-/// initial guess stays a pure function of the model and its power map, so
-/// results are independent of thread scheduling.
-#[derive(Debug)]
-struct SolverState {
-    /// The reference field, solved to REFERENCE_REL_TOL on first use.
-    reference: OnceLock<Option<ReferenceField>>,
-    /// Iterations of the cold reference solve — the baseline for the
-    /// `thermal.pcg_iterations_saved` metric.
-    cold_iterations: AtomicU64,
-}
-
-impl SolverState {
-    fn new() -> Self {
-        SolverState {
-            reference: OnceLock::new(),
-            cold_iterations: AtomicU64::new(0),
-        }
-    }
-}
-
-impl Clone for SolverState {
-    fn clone(&self) -> Self {
-        SolverState {
-            reference: self.reference.clone(),
-            cold_iterations: AtomicU64::new(self.cold_iterations.load(Ordering::Relaxed)),
-        }
-    }
 }
 
 impl PackageModel {
@@ -380,7 +326,6 @@ impl PackageModel {
             footprint,
             die_rects: rects,
             layout: *layout,
-            solver_state: SolverState::new(),
         })
     }
 
@@ -465,36 +410,22 @@ impl PackageModel {
     /// or sources outside the footprint, and [`ThermalError::Solve`] if PCG
     /// fails.
     pub fn solve(&self, sources: &[(Rect, f64)]) -> Result<ThermalSolution, ThermalError> {
-        let (b, total_power) = self.rhs_for(sources)?;
-        let sol = self.run_pcg(&self.net.matrix, &b, Some(total_power))?;
-        Ok(self.make_solution(sol.x, total_power, sol.iterations))
+        self.solve_tiers(&[sources])
     }
 
     /// Runs one linear solve of `a·x = b` to the configured tolerance:
     /// CG preconditioned by the model's IC(0) factor of the conductance
-    /// matrix (Jacobi when the factorization broke down). `a` is that
+    /// matrix (Jacobi when the factorization broke down), started from the
+    /// ambient field, the unpowered package's exact solution. `a` is that
     /// matrix, or an operator close to it (the leakage-coupled one of
-    /// [`crate::coupled`]). With `seed_watts`, the solve is warm-started
-    /// from the model's [`ReferenceField`] scaled to that total power;
-    /// without (or when the model has no reference), it starts from the
-    /// ambient field, the unpowered package's exact solution.
+    /// [`crate::coupled`]).
     pub(crate) fn run_pcg<A: LinearOperator + ?Sized>(
         &self,
         a: &A,
         b: &[f64],
-        seed_watts: Option<f64>,
     ) -> Result<PcgSolution, SolveError> {
-        let ambient = self.config.ambient.value();
-        let reference = seed_watts.and_then(|watts| self.reference_field().map(|f| (watts, f)));
-        let x0: Vec<f64> = match reference {
-            Some((watts, f)) => {
-                obs::counter!("thermal.warm_start_hits").inc();
-                let scale = watts / f.watts;
-                f.rise.iter().map(|r| ambient + r * scale).collect()
-            }
-            None => vec![ambient; b.len()],
-        };
-        let sol = pcg_with(
+        let x0 = vec![self.config.ambient.value(); b.len()];
+        pcg_with(
             a,
             &self.net.precond,
             b,
@@ -502,55 +433,7 @@ impl PackageModel {
             self.config.rel_tol,
             self.config.max_iter,
             &mut SolveScratch::new(),
-        )?;
-        let cold = self.solver_state.cold_iterations.load(Ordering::Relaxed);
-        if reference.is_some() && cold > sol.iterations as u64 {
-            obs::counter!("thermal.pcg_iterations_saved").add(cold - sol.iterations as u64);
-        }
-        Ok(sol)
-    }
-
-    /// The lazily-computed reference rise field (1 W per chiplet), shared
-    /// by every clone-free user of this model. `None` when the model has
-    /// no chiplets or the reference solve fails — warm starting is an
-    /// optimization, never a correctness requirement.
-    fn reference_field(&self) -> Option<&ReferenceField> {
-        self.solver_state
-            .reference
-            .get_or_init(|| self.compute_reference_field())
-            .as_ref()
-    }
-
-    fn compute_reference_field(&self) -> Option<ReferenceField> {
-        let sources: Vec<(Rect, f64)> = self.die_rects.iter().map(|r| (*r, 1.0)).collect();
-        let (b, watts) = self.rhs_for(&sources).ok()?;
-        if watts <= 0.0 {
-            return None;
-        }
-        // The reference is only ever an initial *guess* — solves that use
-        // it still converge to their own tolerance — so solving it beyond
-        // REFERENCE_REL_TOL buys nothing: the guess error for a real power
-        // map is dominated by the spatial-shape mismatch, not by the
-        // reference's residual. Still a pure function of the model.
-        let rel_tol = self.config.rel_tol.max(REFERENCE_REL_TOL);
-        let sol = pcg_with(
-            &self.net.matrix,
-            &self.net.precond,
-            &b,
-            None,
-            rel_tol,
-            self.config.max_iter,
-            &mut SolveScratch::new(),
         )
-        .ok()?;
-        self.solver_state
-            .cold_iterations
-            .store(sol.iterations as u64, Ordering::Relaxed);
-        let ambient = self.config.ambient.value();
-        Some(ReferenceField {
-            rise: sol.x.iter().map(|t| t - ambient).collect(),
-            watts,
-        })
     }
 
     /// Unit-power thermal response: the steady state with 1 W spread
@@ -665,11 +548,7 @@ impl PackageModel {
     /// supplied than the stack has heat-source layers.
     pub fn solve_tiers(&self, tiers: &[&[(Rect, f64)]]) -> Result<ThermalSolution, ThermalError> {
         let (b, total_power) = self.rhs_for_tiers(tiers)?;
-        // A single-tier load has the reference field's spatial shape, so it
-        // warm-starts exactly like `solve` (keeping both entry points
-        // bit-identical); genuinely multi-tier loads start cold.
-        let seed = (tiers.len() == 1).then_some(total_power);
-        let sol = self.run_pcg(&self.net.matrix, &b, seed)?;
+        let sol = self.run_pcg(&self.net.matrix, &b)?;
         Ok(self.make_solution(sol.x, total_power, sol.iterations))
     }
 
@@ -862,85 +741,34 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_matches_cold_start() {
-        // A guessed solve must land on the exact field (the direct
-        // reference) in fewer iterations than a genuinely cold IC(0) solve
-        // of the same system.
-        let model = single_chip_model();
+    fn a_model_holds_no_solve_state() {
+        // A solve depends on the model and its power map alone: a fresh
+        // model, a model that has already solved other maps, and a direct
+        // IC(0)-PCG solve from the ambient field agree bit for bit.
         let die = Rect::from_corner(0.0, 0.0, 18.0, 18.0);
-        let previous = model.solve(&[(die, 150.0)]).unwrap();
-        let (b, _) = model.rhs_for(&[(die, 151.0)]).unwrap();
-        let warm = pcg_with(
-            &model.net.matrix,
-            &model.net.precond,
+        let sources = [(die, 150.0)];
+        let fresh = single_chip_model().solve(&sources).unwrap();
+        let used = single_chip_model();
+        used.solve(&[(Rect::from_corner(0.0, 0.0, 4.0, 4.0), 80.0)])
+            .unwrap();
+        used.unit_response(0).unwrap();
+        let again = used.solve(&sources).unwrap();
+        let (b, _) = used.rhs_for(&sources).unwrap();
+        let ambient = vec![used.config.ambient.value(); b.len()];
+        let direct = pcg_with(
+            &used.net.matrix,
+            &used.net.precond,
             &b,
-            Some(previous.raw_temps()),
-            model.config.rel_tol,
-            model.config.max_iter,
+            Some(&ambient),
+            used.config.rel_tol,
+            used.config.max_iter,
             &mut SolveScratch::new(),
         )
         .unwrap();
-        let cold = pcg_with(
-            &model.net.matrix,
-            &model.net.precond,
-            &b,
-            None,
-            model.config.rel_tol,
-            model.config.max_iter,
-            &mut SolveScratch::new(),
-        )
-        .unwrap();
-        assert!(
-            warm.iterations < cold.iterations,
-            "warm {} vs cold {}",
-            warm.iterations,
-            cold.iterations
-        );
-        let exact = model.solve_direct_reference(&[(die, 151.0)]).unwrap();
-        let warm = model.make_solution(warm.x, 151.0, warm.iterations);
-        assert!((warm.peak().value() - exact.peak().value()).abs() < 1e-4);
-    }
-
-    #[test]
-    fn reference_field_accelerates_fresh_solves() {
-        // Fast path: the first solve pays a loose (REFERENCE_REL_TOL)
-        // reference solve, after which every guess-less solve starts from
-        // the scaled reference field and converges in well under a cold
-        // solve's iterations — the per-model reference cost amortizes
-        // after one solve.
-        let model = single_chip_model();
-        let die = Rect::from_corner(0.0, 0.0, 18.0, 18.0);
-        let first = model.solve(&[(die, 150.0)]).unwrap();
-        let second = model.solve(&[(die, 300.0)]).unwrap();
-        // A genuinely cold IC(0) solve of the same system for comparison.
-        let (b, _) = model.rhs_for(&[(die, 300.0)]).unwrap();
-        let cold = pcg_with(
-            &model.net.matrix,
-            &model.net.precond,
-            &b,
-            None,
-            model.config.rel_tol,
-            model.config.max_iter,
-            &mut SolveScratch::new(),
-        )
-        .unwrap();
-        // On this same-shape load the warm start is limited only by the
-        // reference's own residual (REFERENCE_REL_TOL), so "well under"
-        // means a ≥1.5× saving; real power maps are shape-limited and see
-        // the same benefit they did with a fully-converged reference.
-        assert!(
-            3 * first.iterations() <= 2 * cold.iterations
-                && 3 * second.iterations() <= 2 * cold.iterations,
-            "reference warm start: {} and {} vs cold {}",
-            first.iterations(),
-            second.iterations(),
-            cold.iterations
-        );
-        // Linearity sanity: the warm-started 300 W solve still doubles the
-        // 150 W rise.
-        let d1 = first.peak().value() - 45.0;
-        let d2 = second.peak().value() - 45.0;
-        assert!((d2 / d1 - 2.0).abs() < 1e-6);
+        for (what, sol) in [("fresh model", &fresh), ("used model", &again)] {
+            assert_eq!(sol.iterations(), direct.iterations, "{what}: iterations");
+            assert_eq!(bits(sol.raw_temps()), bits(&direct.x), "{what}: field");
+        }
     }
 
     #[test]

@@ -530,7 +530,7 @@ mod tests {
             b[net.die_base + c] += p_cell;
         }
         // Ambient at 0 for simplicity (linear system).
-        let sol = pcg(&net.matrix, &b, None, 1e-12, 50_000).unwrap();
+        let sol = pcg(&net.matrix, &b, 1e-12, 50_000).unwrap();
         // 1D: T_die = p/(h·A) + p·(t_sink/2 + t_die/2)/(k·A) per half-layers.
         let r_conv = 1.0 / (htc * cell_area);
         let r_cond = 0.005 / (2.0 * 400.0 * cell_area) + 0.0005 / (2.0 * 120.0 * cell_area);
@@ -551,7 +551,7 @@ mod tests {
         let net = assemble(&geom);
         let mut b = vec![0.0; net.nodes];
         b[net.die_base + 3] = 2.5; // single hot cell
-        let sol = pcg(&net.matrix, &b, None, 1e-13, 50_000).unwrap();
+        let sol = pcg(&net.matrix, &b, 1e-13, 50_000).unwrap();
         let out: f64 = net.conv.iter().map(|&(i, g)| g * sol.x[i]).sum();
         assert!((out - 2.5).abs() < 1e-9, "heat out {out} vs in 2.5");
     }
@@ -605,7 +605,7 @@ mod tests {
             for c in 0..n * n {
                 b[net.die_base + c] = 0.5;
             }
-            let sol = pcg(&net.matrix, &b, None, 1e-11, 100_000).unwrap();
+            let sol = pcg(&net.matrix, &b, 1e-11, 100_000).unwrap();
             (net.die_base..net.die_base + n * n)
                 .map(|i| sol.x[i])
                 .fold(f64::NEG_INFINITY, f64::max)
@@ -639,7 +639,7 @@ mod tests {
             for c in 0..n * n {
                 b[net.die_base + c] = 0.4;
             }
-            let sol = pcg(&net.matrix, &b, None, 1e-11, 100_000).unwrap();
+            let sol = pcg(&net.matrix, &b, 1e-11, 100_000).unwrap();
             (net.die_base..net.die_base + n * n)
                 .map(|i| sol.x[i])
                 .fold(f64::NEG_INFINITY, f64::max)

@@ -205,7 +205,7 @@ impl SlabModel {
         max_iter: usize,
     ) -> Result<SlabSolution, SolveError> {
         let (b, power_in) = self.rhs(fields);
-        let sol = pcg(&self.net.matrix, &b, None, rel_tol, max_iter)?;
+        let sol = pcg(&self.net.matrix, &b, rel_tol, max_iter)?;
         Ok(self.finish(sol.x, power_in, sol.iterations))
     }
 

@@ -595,9 +595,7 @@ impl SolveScratch {
 /// Solves `A·x = b` for a symmetric positive-definite `A` using conjugate
 /// gradients with a Jacobi (diagonal) preconditioner — [`pcg_with`] with a
 /// fresh [`Jacobi`] and scratch, for one-off solves (the PDN grid, the MMS
-/// slabs) whose matrix is not worth factoring.
-///
-/// `x0` is an optional warm start (pass `None` to start from zero).
+/// slabs) whose matrix is not worth factoring. The solve starts from zero.
 ///
 /// # Errors
 ///
@@ -606,17 +604,18 @@ impl SolveScratch {
 pub fn pcg<A: LinearOperator + ?Sized>(
     a: &A,
     b: &[f64],
-    x0: Option<&[f64]>,
     rel_tol: f64,
     max_iter: usize,
 ) -> Result<PcgSolution, SolveError> {
     let m = Jacobi::new(a)?;
-    pcg_with(a, &m, b, x0, rel_tol, max_iter, &mut SolveScratch::new())
+    pcg_with(a, &m, b, None, rel_tol, max_iter, &mut SolveScratch::new())
 }
 
 /// Solves `A·x = b` with a caller-supplied preconditioner and scratch
 /// buffers — the factor-once/solve-many path and the one conjugate-gradient
 /// loop in the crate. Every solve records the `thermal.pcg_*` obs metrics.
+/// `x0` is the initial guess (`None` starts from zero); the transient
+/// stepper passes the previous step's temperatures.
 ///
 /// # Errors
 ///
@@ -917,7 +916,7 @@ mod tests {
     fn pcg_solves_small_spd_system() {
         // A = [[4,1],[1,3]], b = [1,2] -> x = [1/11, 7/11]
         let a = csr_from_dense(&[&[4.0, 1.0], &[1.0, 3.0]]);
-        let sol = pcg(&a, &[1.0, 2.0], None, 1e-12, 100).unwrap();
+        let sol = pcg(&a, &[1.0, 2.0], 1e-12, 100).unwrap();
         assert!((sol.x[0] - 1.0 / 11.0).abs() < 1e-10);
         assert!((sol.x[1] - 7.0 / 11.0).abs() < 1e-10);
     }
@@ -936,7 +935,7 @@ mod tests {
         let a = t.to_csr();
         let mut b = vec![0.0; n];
         b[4] = 1.0;
-        let sol = pcg(&a, &b, None, 1e-12, 1000).unwrap();
+        let sol = pcg(&a, &b, 1e-12, 1000).unwrap();
         for (i, &ti) in sol.x.iter().enumerate() {
             let expect = 1.0 + 0.5 * i as f64;
             assert!((ti - expect).abs() < 1e-9, "node {i}: {ti} vs {expect}");
@@ -972,31 +971,16 @@ mod tests {
         let x_true: Vec<f64> = (0..n).map(|i| (i as f64) * 0.1 - 1.0).collect();
         let mut b = vec![0.0; n];
         a.mul_vec(&x_true, &mut b);
-        let sol = pcg(&a, &b, None, 1e-12, 10_000).unwrap();
+        let sol = pcg(&a, &b, 1e-12, 10_000).unwrap();
         for i in 0..n {
             assert!((sol.x[i] - x_true[i]).abs() < 1e-8, "i={i}");
         }
     }
 
     #[test]
-    fn warm_start_reduces_iterations() {
-        let n = 50;
-        let mut t = TripletMatrix::new(n);
-        for i in 0..n - 1 {
-            t.add_conductance(i, i + 1, 1.0);
-        }
-        t.add_ground(0, 1.0);
-        let a = t.to_csr();
-        let b = vec![0.01; n];
-        let cold = pcg(&a, &b, None, 1e-10, 10_000).unwrap();
-        let warm = pcg(&a, &b, Some(&cold.x), 1e-10, 10_000).unwrap();
-        assert!(warm.iterations <= 1, "warm start took {}", warm.iterations);
-    }
-
-    #[test]
     fn zero_rhs_short_circuits() {
         let a = csr_from_dense(&[&[2.0]]);
-        let sol = pcg(&a, &[0.0], None, 1e-12, 10).unwrap();
+        let sol = pcg(&a, &[0.0], 1e-12, 10).unwrap();
         assert_eq!(sol.x, vec![0.0]);
         assert_eq!(sol.iterations, 0);
     }
@@ -1005,7 +989,7 @@ mod tests {
     fn indefinite_matrix_detected() {
         let a = csr_from_dense(&[&[1.0, 2.0], &[2.0, 1.0]]);
         // Diagonal positive but matrix indefinite: p·Ap goes non-positive.
-        let err = pcg(&a, &[1.0, -1.0], None, 1e-12, 100).unwrap_err();
+        let err = pcg(&a, &[1.0, -1.0], 1e-12, 100).unwrap_err();
         assert_eq!(err, SolveError::NotPositiveDefinite);
     }
 
@@ -1013,7 +997,7 @@ mod tests {
     fn zero_diagonal_rejected() {
         let a = csr_from_dense(&[&[0.0, 1.0], &[1.0, 1.0]]);
         assert_eq!(
-            pcg(&a, &[1.0, 1.0], None, 1e-12, 100).unwrap_err(),
+            pcg(&a, &[1.0, 1.0], 1e-12, 100).unwrap_err(),
             SolveError::NotPositiveDefinite
         );
     }
@@ -1028,7 +1012,7 @@ mod tests {
         t.add_ground(0, 1e-6);
         let a = t.to_csr();
         let b = vec![1.0; n];
-        match pcg(&a, &b, None, 1e-14, 2) {
+        match pcg(&a, &b, 1e-14, 2) {
             Err(SolveError::NoConvergence {
                 iterations: 2,
                 residual,
@@ -1051,13 +1035,13 @@ mod tests {
         t.add_ground(0, 0.5);
         let a = t.to_csr();
         let b: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.7).sin()).collect();
-        let needed = pcg(&a, &b, None, 1e-10, 10_000).unwrap().iterations;
+        let needed = pcg(&a, &b, 1e-10, 10_000).unwrap().iterations;
         assert!(needed > 1, "system too easy: {needed} iterations");
-        let exact_budget = pcg(&a, &b, None, 1e-10, needed).unwrap();
+        let exact_budget = pcg(&a, &b, 1e-10, needed).unwrap();
         assert_eq!(exact_budget.iterations, needed);
         assert!(exact_budget.residual <= 1e-10);
         assert!(matches!(
-            pcg(&a, &b, None, 1e-10, needed - 1),
+            pcg(&a, &b, 1e-10, needed - 1),
             Err(SolveError::NoConvergence { .. })
         ));
     }
@@ -1083,7 +1067,7 @@ mod tests {
         t.add_ground(n - 1, 0.5);
         let a = t.to_csr();
         let b: Vec<f64> = (0..n).map(|i| (i as f64).sin() + 2.0).collect();
-        let x_pcg = pcg(&a, &b, None, 1e-13, 10_000).unwrap().x;
+        let x_pcg = pcg(&a, &b, 1e-13, 10_000).unwrap().x;
         let x_dense = cholesky_solve(&a, &b).unwrap();
         for i in 0..n {
             assert!(
@@ -1137,7 +1121,7 @@ mod tests {
         let n = 16;
         let a = layer_grid(n, 0.01, |_, _| 1.0);
         let b: Vec<f64> = (0..n * n).map(|i| ((i % 7) as f64) * 0.3 + 0.1).collect();
-        let jac = pcg(&a, &b, None, 1e-10, 100_000).unwrap();
+        let jac = pcg(&a, &b, 1e-10, 100_000).unwrap();
         let m = Preconditioner::ic0_or_jacobi(&a).unwrap();
         assert!(m.is_ic0());
         let mut scratch = SolveScratch::new();
@@ -1257,7 +1241,7 @@ mod tests {
         }
         // And the shifted system is better conditioned (fewer iterations).
         let b = [1.0, 2.0, 3.0];
-        let it_shifted = pcg(&shifted, &b, None, 1e-12, 100).unwrap().iterations;
+        let it_shifted = pcg(&shifted, &b, 1e-12, 100).unwrap().iterations;
         assert!(it_shifted <= 4);
     }
 }

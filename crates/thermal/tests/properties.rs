@@ -57,7 +57,7 @@ proptest! {
         t.add_ground(0, 1.0 + rng());
         let a = t.to_csr();
         let b_vec: Vec<f64> = (0..n).map(|_| rng() * 10.0).collect();
-        let sol = pcg(&a, &b_vec, None, 1e-10, 20_000).unwrap();
+        let sol = pcg(&a, &b_vec, 1e-10, 20_000).unwrap();
         // Verify the residual independently.
         let mut ax = vec![0.0; n];
         a.mul_vec(&sol.x, &mut ax);

@@ -164,7 +164,7 @@ proptest! {
         let a = t.to_csr();
         let b: Vec<f64> = (0..n).map(|_| rng() * 10.0 - 5.0).collect();
         let tol = 1e-10;
-        let sol = pcg(&a, &b, None, tol, 50_000).unwrap();
+        let sol = pcg(&a, &b, tol, 50_000).unwrap();
         let mut ax = vec![0.0; n];
         a.mul_vec(&sol.x, &mut ax);
         let res: f64 = ax.iter().zip(&b).map(|(l, r)| (l - r) * (l - r)).sum::<f64>().sqrt();
@@ -183,7 +183,7 @@ proptest! {
         let a = random_network(n, &mut rng);
         let b: Vec<f64> = (0..n).map(|_| rng() * 4.0 - 1.0).collect();
         let dense = cholesky_solve(&a, &b).unwrap();
-        let jac = pcg(&a, &b, None, 1e-12, 100_000).unwrap();
+        let jac = pcg(&a, &b, 1e-12, 100_000).unwrap();
         let m = Ic0::factor(&a);
         prop_assert!(
             m.as_ref().is_some_and(|f| f.shift() == 0.0),

@@ -120,7 +120,7 @@ fn run_solver(report: &mut String) -> bool {
     let mut ok = true;
     let _ = writeln!(
         report,
-        "Solver oracle (IC(0)+warm start vs direct Cholesky, steady + leakage-coupled):"
+        "Solver oracle (IC(0) PCG vs direct Cholesky, steady + leakage-coupled):"
     );
     match solver_equivalence_cases() {
         Ok(cases) => {

@@ -17,7 +17,7 @@
 //! * [`obsguard`] — observability determinism guard: enabling
 //!   `TAC25D_OBS` must change no CSV byte, and the emitted JSONL/profile
 //!   artifacts must be valid and complete.
-//! * [`solvercheck`] — solver oracle: the IC(0) + warm start PCG path
+//! * [`solvercheck`] — solver oracle: the IC(0)-preconditioned PCG path
 //!   against an exact envelope Cholesky solve over a small organization
 //!   corpus (steady and leakage-coupled), max |ΔT| ≤ 1e-6 °C at tight
 //!   tolerance.

@@ -1,5 +1,5 @@
 //! Solver oracle gate: the production solves (IC(0)-preconditioned PCG
-//! with reference-field warm starts) must reproduce the exact fields of a
+//! started from the ambient field) must reproduce the exact fields of a
 //! direct envelope-Cholesky factorization on representative package
 //! models.
 //!
