@@ -72,7 +72,7 @@ pub const BASELINE_COUNTERS: &[&str] = &[
 ];
 
 /// Baseline counters where only *increases* are regressions: dropping
-/// below the blessed value (a faster solver, a better warm start) must
+/// below the blessed value (a faster solver, a better preconditioner) must
 /// pass the gate without a re-bless, while exceeding it by the tolerance
 /// still fails.
 /// `serve.shed` and `serve.deadline_hits` are blessed at 0 — any request
