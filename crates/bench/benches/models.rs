@@ -75,43 +75,12 @@ fn bench_pdn(c: &mut Criterion) {
     });
 }
 
-fn bench_transient_step(c: &mut Criterion) {
-    use tac25d_thermal::model::{PackageModel, ThermalConfig};
-    let chip = ChipSpec::scc_256();
-    let rules = PackageRules::default();
-    let layout = ChipletLayout::Uniform { r: 4, gap: Mm(4.0) };
-    let model = PackageModel::new(
-        &chip,
-        &layout,
-        &rules,
-        &StackSpec::system_25d(),
-        ThermalConfig {
-            grid: 24,
-            ..ThermalConfig::default()
-        },
-    )
-    .expect("model");
-    let rects = layout.chiplet_rects(&chip, &rules);
-    let sources: Vec<_> = rects.into_iter().map(|r| (r, 20.0)).collect();
-    let mut group = c.benchmark_group("transient");
-    group.sample_size(10);
-    group.bench_function("backward_euler_20_steps_grid24", |b| {
-        b.iter(|| {
-            model
-                .simulate_transient(None, |_, _, _| sources.clone(), 1.0, 20)
-                .expect("transient")
-        })
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_cost,
     bench_noc,
     bench_perf,
     bench_candidate_enumeration,
-    bench_pdn,
-    bench_transient_step
+    bench_pdn
 );
 criterion_main!(benches);

@@ -1,5 +1,5 @@
 //! Ablation: how much does the Mintemp workload-allocation policy (adopted
-//! by the paper from [20]) matter, compared to naive alternatives?
+//! by the paper from \[20\]) matter, compared to naive alternatives?
 //!
 //! For each policy and active-core count, all active cores run a
 //! high-power benchmark at 1 GHz on the single chip; the table reports the

@@ -70,7 +70,7 @@ pub struct Fig8Entry {
 }
 
 /// Where the record goes: `BENCH_fig8.json` inside the
-/// [`crate::results_redirect`] when set (harness scratch runs must not
+/// `TAC25D_RESULTS_DIR` directory when set (harness scratch runs must not
 /// touch the canonical file), otherwise at the workspace root next to
 /// `BENCH_profile.json`.
 pub fn fig8_bench_output_path() -> PathBuf {

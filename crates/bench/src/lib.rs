@@ -126,7 +126,7 @@ pub(crate) fn results_redirect() -> Option<PathBuf> {
 }
 
 /// Where the obs profile document goes: `BENCH_profile.json` inside the
-/// [`results_redirect`] when set, otherwise at the workspace root where
+/// `TAC25D_RESULTS_DIR` directory when set, otherwise at the workspace root where
 /// the perf trajectory expects `BENCH_*.json` files.
 pub fn profile_output_path() -> PathBuf {
     results_redirect()
@@ -168,7 +168,7 @@ pub fn csv_line(cells: &[String]) -> String {
         .join(",")
 }
 
-/// The CSV output directory: the [`results_redirect`] when set,
+/// The CSV output directory: the `TAC25D_RESULTS_DIR` directory when set,
 /// otherwise `results/` at the workspace root, or `results/fast/` for a
 /// `--fast` run so a smoke run never overwrites the committed full-spec
 /// CSVs.

@@ -1,6 +1,6 @@
 //! The Mintemp workload-allocation policy.
 //!
-//! The paper uses the Mintemp policy of Zhang et al. (DATE'14) [20]:
+//! The paper uses the Mintemp policy of Zhang et al. (DATE'14) \[20\]:
 //! threads are assigned "starting from outer rows or columns and then moving
 //! to inner rows or columns of the whole system in a chessboard manner",
 //! which minimizes operating temperature by pushing active cores toward the
@@ -17,7 +17,7 @@
 use tac25d_floorplan::chip::{ChipSpec, CoreId};
 
 /// Alternative workload-allocation policies, for ablation against Mintemp
-/// (the paper adopts Mintemp from [20]; the `allocation_ablation`
+/// (the paper adopts Mintemp from \[20\]; the `allocation_ablation`
 /// experiment quantifies how much that choice matters).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AllocationPolicy {

@@ -39,13 +39,11 @@
 //! ```
 
 pub mod allocation;
-pub mod dtm;
 pub mod evaluator;
 pub mod multiapp;
 pub mod objective;
 pub mod optimizer;
 pub mod system;
-pub mod transient_eval;
 
 /// Convenient glob-import of the crate's primary types (re-exporting the
 /// benchmark enum, which appears in almost every call).
@@ -53,7 +51,6 @@ pub mod prelude {
     pub use crate::allocation::{
         active_cores, mintemp_active_cores, mintemp_order, AllocationPolicy,
     };
-    pub use crate::dtm::{simulate_dtm, DtmPolicy, DtmResult};
     pub use crate::evaluator::{single_chip_baseline, Baseline, EvalError, Evaluation, Evaluator};
     pub use crate::multiapp::{optimize_multi_app, MultiAppPolicy, MultiAppResult};
     pub use crate::objective::{objective_value, Weights};
@@ -63,7 +60,6 @@ pub mod prelude {
         OptimizeResult, OptimizerConfig, Organization, PlacementSearch, SearchStats,
     };
     pub use crate::system::SystemSpec;
-    pub use crate::transient_eval::{evaluate_transient, TransientEvaluation};
     pub use tac25d_power::benchmarks::Benchmark;
     pub use tac25d_surrogate::{Prediction as SurrogatePrediction, SurrogateConfig};
 }

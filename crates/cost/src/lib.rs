@@ -86,7 +86,7 @@ pub struct CostParams {
     /// Per-chiplet bonding yield (0.99, applied serially).
     pub bond_yield: f64,
     /// Per-chiplet bonding cost, dollars. Not quantified in the paper
-    /// (cited to [27]); chosen so the minimum-interposer 2.5D systems save
+    /// (cited to \[27\]); chosen so the minimum-interposer 2.5D systems save
     /// ≈36% versus the single chip, the paper's headline cost number.
     pub bond_cost: f64,
 }

@@ -3,7 +3,7 @@
 //! The obs crate carries no external dependencies (vendored-stub policy),
 //! so the profile/baseline readers, the JSONL sink and the serve daemon's
 //! request/response protocol share this recursive-descent parser and the
-//! matching [`render`] serializer instead of serde. It accepts exactly
+//! matching [`Value::render`] serializer instead of serde. It accepts exactly
 //! RFC 8259 JSON; numbers are held as `f64` (every value this crate
 //! round-trips — counters, seconds, bucket bounds — fits without loss at
 //! the magnitudes involved).

@@ -4,7 +4,7 @@
 //!
 //! 1. a global **metrics registry** ([`registry`]) of named counters,
 //!    gauges and log2 histograms with Prometheus-text and JSON exporters;
-//! 2. a **span API** ([`span`], via the [`span!`] macro) building a
+//! 2. a **span API** ([`span`](mod@span), via the [`span!`] macro) building a
 //!    hierarchical timing tree with per-span self/total time and
 //!    thread-safe aggregation across the crossbeam-parallel greedy;
 //! 3. a **JSONL event sink** ([`sink`]) selected by `TAC25D_OBS=path.jsonl`

@@ -1,6 +1,6 @@
 //! Request-scoped trace collection.
 //!
-//! The global span aggregate ([`crate::span`]) folds every entry into one
+//! The global span aggregate ([`crate::span`](mod@crate::span)) folds every entry into one
 //! process-wide tree, which is the right shape for a batch run but smears
 //! concurrent daemon requests together. This module adds a **per-thread
 //! collector**: a worker thread brackets one request with [`begin`] /

@@ -35,7 +35,6 @@ pub mod benchmarks;
 pub mod corepower;
 pub mod dvfs;
 pub mod perf;
-pub mod phases;
 pub mod reliability;
 
 /// Convenient glob-import of the crate's primary types.
@@ -44,6 +43,5 @@ pub mod prelude {
     pub use crate::corepower::{CorePowerModel, LeakageModel};
     pub use crate::dvfs::{paper_core_counts, OperatingPoint, VfTable};
     pub use crate::perf::{system_ips, Ips};
-    pub use crate::phases::{PhasedWorkload, WorkloadPhase};
     pub use crate::reliability::ReliabilityModel;
 }

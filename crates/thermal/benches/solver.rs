@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use tac25d_thermal::layered::{Axis, LayeredIc0, LayeredMatrix, Preconditioner, Shape};
-use tac25d_thermal::sparse::{pcg_with, LinearOperator, Precondition, SolveScratch};
+use tac25d_thermal::sparse::{pcg_with, LinearOperator, Precondition};
 
 const NX: usize = 32;
 const NZ: usize = 8;
@@ -106,17 +106,13 @@ fn bench_warm_pcg(c: &mut Criterion) {
     let m = Preconditioner::ic0_or_jacobi(&a).expect("preconditioner");
     assert!(m.is_ic0(), "grid network must factor");
     let b = rhs(a.dim());
-    let mut scratch = SolveScratch::new();
-    let x0 = pcg_with(&a, &m, &b, None, 1e-8, 100_000, &mut scratch)
+    let x0 = pcg_with(&a, &m, &b, None, 1e-8, 100_000)
         .expect("cold pcg")
         .x;
-    // A 5% hotter load started from the previous field, as a transient
-    // step starts from the previous step's temperatures.
+    // A 5% hotter load started from the previous field.
     let b2: Vec<f64> = b.iter().map(|v| v * 1.05).collect();
     c.bench_function("layered_pcg_warm_32x32x8", |bench| {
-        bench.iter(|| {
-            pcg_with(&a, &m, &b2, Some(&x0), 1e-8, 100_000, &mut scratch).expect("warm pcg")
-        })
+        bench.iter(|| pcg_with(&a, &m, &b2, Some(&x0), 1e-8, 100_000).expect("warm pcg"))
     });
 }
 

@@ -1,6 +1,6 @@
 //! The temperature–leakage fixed point, solved as one linear system.
 //!
-//! The paper implements a temperature-dependent leakage model and "re-run[s]
+//! The paper implements a temperature-dependent leakage model and "re-run\[s\]
 //! HotSpot to update the thermal profile until the temperature converges"
 //! (Sec. IV). That fixed point is linear. Each source's power is affine in
 //! the mean die temperature over its rectangle, `pᵢ(T) = p₀ᵢ + βᵢ·vᵢᵀT`,
@@ -119,7 +119,7 @@ pub fn solve_coupled(
     }
     let system = CoupledSystem::assemble(model, sources)?;
     let op = CoupledOperator {
-        g: &model.network().matrix,
+        g: &model.net.matrix,
         feedback: &system.feedback,
     };
     let sol = match model.run_pcg(&op, &system.b) {
@@ -159,7 +159,7 @@ pub fn solve_coupled_direct(
             }
         }
     }
-    let a = model.network().matrix.to_csr().with_added_entries(&entries);
+    let a = model.net.matrix.to_csr().with_added_entries(&entries);
     let x = match cholesky_solve(&a, &system.b) {
         Err(SolveError::NotPositiveDefinite) => return Err(unbounded()),
         other => other?,
@@ -199,7 +199,6 @@ struct CoupledSystem {
 
 impl CoupledSystem {
     fn assemble(model: &PackageModel, sources: &[AffineSource]) -> Result<Self, ThermalError> {
-        let net = model.network();
         let n = model.config().grid;
         let fp = model.footprint_edge();
         let fp_rect = Rect::from_corner(0.0, 0.0, fp.value(), fp.value());
@@ -230,7 +229,7 @@ impl CoupledSystem {
             let area: f64 = cells.iter().map(|&(_, a)| a).sum();
             let nodes: Vec<(usize, f64)> = cells
                 .into_iter()
-                .map(|(cell, a)| (net.die_base + cell, a / area))
+                .map(|(cell, a)| (model.net.die_base + cell, a / area))
                 .collect();
             for &(i, w) in &nodes {
                 b[i] += s.p0 * w;
@@ -389,7 +388,7 @@ mod tests {
         let r = solve_coupled(&m, &sources, &CoupledOptions::default()).unwrap();
         let system = CoupledSystem::assemble(&m, &sources).unwrap();
         assert!(system.feedback.is_empty());
-        let cold = m.run_pcg(&m.network().matrix, &system.b).unwrap();
+        let cold = m.run_pcg(&m.net.matrix, &system.b).unwrap();
         assert_eq!(r.iterations(), cold.iterations);
         assert_eq!(r.raw_temps(), &cold.x[..]);
     }

@@ -384,25 +384,6 @@ impl LayeredMatrix {
         }
     }
 
-    /// A copy with `d[i]` added to each diagonal entry — the
-    /// backward-Euler iteration matrix `G + C/Δt` of the transient solver.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d` has the wrong length.
-    pub fn with_added_diagonal(&self, d: &[f64]) -> LayeredMatrix {
-        let s = &self.shape;
-        assert_eq!(d.len(), s.nodes, "diagonal length mismatch");
-        let mut out = self.clone();
-        for (di, ai) in out.diag.iter_mut().zip(d) {
-            *di += ai;
-        }
-        for (q, ai) in d[s.ng..].iter().enumerate() {
-            out.p_val[s.p_diag[q] as usize] += ai;
-        }
-        out
-    }
-
     /// The same matrix in CSR form (ascending columns, identical values)
     /// — for the exact Cholesky oracle and equivalence tests.
     pub fn to_csr(&self) -> CsrMatrix {

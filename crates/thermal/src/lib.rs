@@ -21,13 +21,11 @@
 //!   lower bands per grid row plus a CSR periphery border, with its
 //!   closed-form IC(0) factored once per assembled matrix (Jacobi when
 //!   the factorization breaks down);
-//! * [`network`] (internal) — finite-volume assembly of the package
+//! * `network` (internal) — finite-volume assembly of the package
 //!   conductance network with HotSpot-style lumped spreader/sink periphery
 //!   nodes and convective boundaries;
 //! * [`model`] — the public [`model::PackageModel`] / ThermalSolution API;
 //! * [`coupled`] — the temperature–leakage fixed point as one linear solve;
-//! * [`transient`] — backward-Euler transient simulation over the same
-//!   RC network (computational-sprinting analyses);
 //! * [`slab`] — verification hooks: slab-stack assembly with cell-level
 //!   source injection and grid refinement, for the manufactured-solution
 //!   harness in `crates/verify`.
@@ -60,9 +58,7 @@ pub mod model;
 pub(crate) mod network;
 pub mod slab;
 pub mod sparse;
-pub mod transient;
 
 pub use coupled::{solve_coupled, AffineSource, CoupledOptions};
 pub use materials::{BumpField, MaterialLibrary};
 pub use model::{PackageModel, ThermalConfig, ThermalError, ThermalSolution};
-pub use transient::{TransientSample, TransientTrace};

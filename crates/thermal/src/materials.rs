@@ -96,19 +96,6 @@ pub struct MaterialLibrary {
     pub tsvs: BumpField,
     /// C4 bump field geometry.
     pub c4: BumpField,
-    /// Volumetric heat capacity of silicon, J/(m³·K). Default 1.63e6.
-    pub silicon_cv: f64,
-    /// Volumetric heat capacity of copper, J/(m³·K). Default 3.45e6.
-    pub copper_cv: f64,
-    /// Volumetric heat capacity of epoxy underfill, J/(m³·K). Default 1.7e6.
-    pub epoxy_cv: f64,
-    /// Volumetric heat capacity of FR-4, J/(m³·K). Default 1.9e6.
-    pub fr4_cv: f64,
-    /// Volumetric heat capacity of the TIM, J/(m³·K). Default 4.0e6
-    /// (HotSpot's default specific heat).
-    pub tim_cv: f64,
-    /// Volumetric heat capacity of filler/air, J/(m³·K). Default 1.2e3.
-    pub filler_cv: f64,
 }
 
 impl Default for MaterialLibrary {
@@ -123,37 +110,11 @@ impl Default for MaterialLibrary {
             microbumps: BumpField::microbump(),
             tsvs: BumpField::tsv(),
             c4: BumpField::c4(),
-            silicon_cv: 1.63e6,
-            copper_cv: 3.45e6,
-            epoxy_cv: 1.7e6,
-            fr4_cv: 1.9e6,
-            tim_cv: 4.0e6,
-            filler_cv: 1.2e3,
         }
     }
 }
 
 impl MaterialLibrary {
-    /// Volumetric heat capacity of a material identity, in J/(m³·K)
-    /// (composites blend by metal area fraction, like conductivity).
-    pub fn volumetric_heat_capacity(&self, m: Material) -> f64 {
-        let blend = |field: &BumpField, metal: f64, fill: f64| {
-            let f = field.metal_fraction();
-            f * metal + (1.0 - f) * fill
-        };
-        match m {
-            Material::Silicon => self.silicon_cv,
-            Material::Epoxy => self.epoxy_cv,
-            Material::Copper => self.copper_cv,
-            Material::Fr4 => self.fr4_cv,
-            Material::InterfaceMaterial => self.tim_cv,
-            Material::Filler => self.filler_cv,
-            Material::MicrobumpComposite => blend(&self.microbumps, self.copper_cv, self.epoxy_cv),
-            Material::TsvSilicon => blend(&self.tsvs, self.copper_cv, self.silicon_cv),
-            Material::C4Composite => blend(&self.c4, self.copper_cv, self.epoxy_cv),
-        }
-    }
-
     /// Thermal conductivity of a material identity, in W/(m·K).
     pub fn conductivity(&self, m: Material) -> f64 {
         match m {

@@ -4,7 +4,7 @@
 
 use crate::materials::MaterialLibrary;
 use crate::network::{assemble, GriddedLayer, Network, NetworkGeometry};
-use crate::sparse::{pcg_with, LinearOperator, PcgSolution, SolveError, SolveScratch};
+use crate::sparse::{pcg_with, LinearOperator, PcgSolution, SolveError};
 use std::error::Error;
 use std::fmt;
 use tac25d_floorplan::chip::ChipSpec;
@@ -281,7 +281,7 @@ impl ThermalSolution {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PackageModel {
-    net: Network,
+    pub(crate) net: Network,
     config: ThermalConfig,
     footprint: Mm,
     die_rects: Vec<Rect>,
@@ -354,18 +354,10 @@ impl PackageModel {
                     .iter()
                     .map(|&f| f * k_uc + (1.0 - f) * k_bg)
                     .collect();
-                let cv_bg = lib.volumetric_heat_capacity(l.background);
-                let cv_uc = lib.volumetric_heat_capacity(l.under_chiplet);
-                let cv = cover
-                    .as_slice()
-                    .iter()
-                    .map(|&f| f * cv_uc + (1.0 - f) * cv_bg)
-                    .collect();
                 GriddedLayer {
                     role: l.role,
                     thickness_m: l.thickness.to_meters(),
                     k,
-                    cv,
                     is_heat_source: l.is_heat_source,
                 }
             })
@@ -432,7 +424,6 @@ impl PackageModel {
             Some(&x0),
             self.config.rel_tol,
             self.config.max_iter,
-            &mut SolveScratch::new(),
         )
     }
 
@@ -456,11 +447,6 @@ impl PackageModel {
             self.die_rects.len()
         );
         self.solve(&[(self.die_rects[idx], 1.0)])
-    }
-
-    /// Access to the assembled network for the transient solver.
-    pub(crate) fn network(&self) -> &Network {
-        &self.net
     }
 
     /// Reference solve by exact (envelope) Cholesky factorization — the
@@ -552,10 +538,7 @@ impl PackageModel {
         Ok(self.make_solution(sol.x, total_power, sol.iterations))
     }
 
-    /// Wraps a raw temperature vector as a [`ThermalSolution`]. The
-    /// energy-balance figure is only meaningful for steady states; for
-    /// transient snapshots it reports the instantaneous imbalance (heat
-    /// still flowing into thermal mass).
+    /// Wraps a steady temperature vector as a [`ThermalSolution`].
     pub(crate) fn make_solution(
         &self,
         temps: Vec<f64>,
@@ -762,7 +745,6 @@ mod tests {
             Some(&ambient),
             used.config.rel_tol,
             used.config.max_iter,
-            &mut SolveScratch::new(),
         )
         .unwrap();
         for (what, sol) in [("fresh model", &fresh), ("used model", &again)] {
@@ -856,16 +838,6 @@ mod tests {
     }
 
     #[test]
-    fn single_tier_solve_tiers_matches_solve() {
-        let m = single_chip_model();
-        let die = Rect::from_corner(0.0, 0.0, 18.0, 18.0);
-        let s1 = m.solve(&[(die, 120.0)]).unwrap();
-        let binding = [(die, 120.0)];
-        let s2 = m.solve_tiers(&[&binding]).unwrap();
-        assert!((s1.peak().value() - s2.peak().value()).abs() < 1e-9);
-    }
-
-    #[test]
     fn unit_responses_superpose_to_the_direct_solve() {
         // Linearity check behind the Green's-function surrogate: scaling
         // and adding per-chiplet unit responses reproduces the full solve.
@@ -925,7 +897,8 @@ mod tests {
     /// Checks a model's banded operator against the retired CSR path bit
     /// for bit: the fill against the emission-order scaffold fill, then
     /// the product, the IC(0) factor and whole PCG solves against CSR
-    /// and the general up-looking [`crate::sparse::Ic0`].
+    /// and the general up-looking [`crate::sparse::Ic0`]. Also checks
+    /// that the operator is a symmetric M-matrix.
     fn assert_matches_csr_oracle(
         layout: &ChipletLayout,
         stack: &StackSpec,
@@ -941,6 +914,30 @@ mod tests {
         let banded = net.matrix.to_csr();
         assert_eq!(banded.nnz(), csr.nnz(), "{what}: pattern size");
         assert_eq!(bits(banded.values()), bits(csr.values()), "{what}: fill");
+        // A symmetric M-matrix: negative off-diagonals, row sums >= 0 up
+        // to rounding. IC(0) never breaks down on one, and the steady
+        // state at peak power bounds every transient (DESIGN §3).
+        for i in 0..banded.n() {
+            let (mut diag, mut sum) = (0.0, 0.0);
+            for (j, v) in banded.row(i) {
+                sum += v;
+                if j == i {
+                    diag = v;
+                    continue;
+                }
+                assert!(v < 0.0, "{what}: entry ({i},{j}) = {v} is not negative");
+                let mirror = banded.row(j).find(|&(k, _)| k == i).map(|(_, u)| u);
+                assert_eq!(
+                    mirror.map(f64::to_bits),
+                    Some(v.to_bits()),
+                    "{what}: ({i},{j}) = {v} but ({j},{i}) = {mirror:?}"
+                );
+            }
+            assert!(
+                sum >= -1e-12 * diag,
+                "{what}: row {i} sums to {sum} with diagonal {diag}"
+            );
+        }
         // Probes with negative entries and exact zeros.
         let probe: Vec<f64> = (0..net.nodes)
             .map(|i| {
@@ -970,18 +967,8 @@ mod tests {
         let guess = vec![model.config.ambient.value() + 10.0; net.nodes];
         for x0 in [None, Some(guess.as_slice())] {
             let tol = model.config.rel_tol;
-            let ours = pcg_with(
-                &net.matrix,
-                &net.precond,
-                &b,
-                x0,
-                tol,
-                10_000,
-                &mut SolveScratch::new(),
-            )
-            .unwrap();
-            let theirs =
-                pcg_with(&csr, &oracle, &b, x0, tol, 10_000, &mut SolveScratch::new()).unwrap();
+            let ours = pcg_with(&net.matrix, &net.precond, &b, x0, tol, 10_000).unwrap();
+            let theirs = pcg_with(&csr, &oracle, &b, x0, tol, 10_000).unwrap();
             assert_eq!(ours.iterations, theirs.iterations, "{what}: iterations");
             assert_eq!(
                 ours.residual.to_bits(),

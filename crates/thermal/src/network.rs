@@ -37,9 +37,6 @@ pub(crate) struct GriddedLayer {
     pub thickness_m: f64,
     /// Per-cell conductivity in W/(m·K); length n².
     pub k: Vec<f64>,
-    /// Per-cell volumetric heat capacity in J/(m³·K); length n². Only used
-    /// by the transient solver.
-    pub cv: Vec<f64>,
     /// Whether this layer dissipates power (die tiers).
     pub is_heat_source: bool,
 }
@@ -71,8 +68,9 @@ pub(crate) struct Network {
     pub matrix: LayeredMatrix,
     /// Preconditioner factored once at assembly and reused by every solve
     /// of this matrix (factor once, solve many). Always IC(0) on the
-    /// M-matrices assembly produces; Jacobi only if the factorization ever
-    /// broke down (see [`Preconditioner::ic0_or_jacobi`]).
+    /// M-matrices assembly produces (the model tests assert the property);
+    /// Jacobi only if the factorization ever broke down (see
+    /// [`Preconditioner::ic0_or_jacobi`]).
     pub precond: Preconditioner,
     /// `(node, conductance-to-ambient)` for every boundary node.
     pub conv: Vec<(usize, f64)>,
@@ -83,8 +81,6 @@ pub(crate) struct Network {
     /// First node ids of every heat-source layer, top-down (3D stacks
     /// have several tiers).
     pub heat_bases: Vec<usize>,
-    /// Per-node thermal capacitance, J/K (for transient simulation).
-    pub cap: Vec<f64>,
 }
 
 const SIDES: usize = 4; // W, E, S, N
@@ -132,14 +128,6 @@ fn link_conductances(geom: &NetworkGeometry) -> impl Fn(Axis, usize, usize) -> f
     }
 }
 
-/// A four-node lumped periphery band (capacitance bookkeeping).
-#[derive(Debug)]
-struct PeripheryBand {
-    base: usize,
-    layer: usize,
-    area_side: f64,
-}
-
 /// The symbolic half of assembly: node layout, the operator [`Shape`]
 /// (periphery links and grounds in emission order), boundary
 /// conductances and node bookkeeping.
@@ -150,7 +138,6 @@ struct Scaffold {
     conv: Vec<(usize, f64)>,
     die_base: usize,
     heat_bases: Vec<usize>,
-    periphery: Vec<PeripheryBand>,
     /// The periphery links in emission order, kept for the emission-order
     /// oracle.
     #[cfg(test)]
@@ -257,7 +244,6 @@ impl Scaffold {
         let nodes = next;
 
         let mut e = Emit::default();
-        let mut periphery: Vec<PeripheryBand> = Vec::new();
 
         // Intra-layer lateral and inter-layer vertical conduction are the
         // operator's grid bands, filled from the conductivity fields.
@@ -350,37 +336,6 @@ impl Scaffold {
             }
         }
 
-        // Lumped-node capacitance bands (copper periphery volumes).
-        if let (Some(spb), Some(sl)) = (sp_periph_base, spreader_layer) {
-            let area_side = (geom.spreader_m * geom.spreader_m
-                - geom.footprint_m * geom.footprint_m)
-                / SIDES as f64;
-            periphery.push(PeripheryBand {
-                base: spb,
-                layer: sl,
-                area_side,
-            });
-        }
-        if let (Some(sib), Some(skl)) = (sink_inner_base, sink_layer) {
-            let area_side = (geom.spreader_m * geom.spreader_m
-                - geom.footprint_m * geom.footprint_m)
-                / SIDES as f64;
-            periphery.push(PeripheryBand {
-                base: sib,
-                layer: skl,
-                area_side,
-            });
-        }
-        if let (Some(sob), Some(skl)) = (sink_outer_base, sink_layer) {
-            let area_side =
-                (geom.sink_m * geom.sink_m - geom.spreader_m * geom.spreader_m) / SIDES as f64;
-            periphery.push(PeripheryBand {
-                base: sob,
-                layer: skl,
-                area_side,
-            });
-        }
-
         Scaffold {
             nodes,
             shape: Arc::new(Shape::new(n, nl, nodes - nl * n2, &e.links, &e.conv)),
@@ -389,29 +344,7 @@ impl Scaffold {
             conv: e.conv,
             die_base: die_layer * n2,
             heat_bases: heat_layers.iter().map(|&l| l * n2).collect(),
-            periphery,
         }
-    }
-
-    /// Per-node thermal capacitances for `geom` (an O(layers·n²)
-    /// multiply-add, negligible next to the matrix fill).
-    fn compute_caps(&self, geom: &NetworkGeometry) -> Vec<f64> {
-        let n2 = geom.n * geom.n;
-        let dx = geom.footprint_m / geom.n as f64;
-        let cell_area = dx * dx;
-        let mut cap = vec![0.0f64; self.nodes];
-        for (li, layer) in geom.layers.iter().enumerate() {
-            for c in 0..n2 {
-                cap[li * n2 + c] = layer.cv[c] * cell_area * layer.thickness_m;
-            }
-        }
-        for band in &self.periphery {
-            let layer = &geom.layers[band.layer];
-            for s in 0..SIDES {
-                cap[band.base + s] = layer.cv[0] * band.area_side * layer.thickness_m;
-            }
-        }
-        cap
     }
 }
 
@@ -455,7 +388,6 @@ pub(crate) fn assemble(geom: &NetworkGeometry) -> Network {
     let precond =
         Preconditioner::ic0_or_jacobi(&matrix).expect("conductance network has positive diagonal");
     Network {
-        cap: scaffold.compute_caps(geom),
         conv: scaffold.conv,
         nodes: scaffold.nodes,
         die_base: scaffold.die_base,
@@ -501,14 +433,12 @@ mod tests {
                     thickness_m: 0.005,
                     k: vec![400.0; n2],
                     is_heat_source: false,
-                    cv: vec![1.6e6; n2],
                 },
                 GriddedLayer {
                     role: LayerRole::Die,
                     thickness_m: 0.0005,
                     k: vec![120.0; n2],
                     is_heat_source: true,
-                    cv: vec![1.6e6; n2],
                 },
             ],
             htc,
@@ -567,7 +497,6 @@ mod tests {
                 thickness_m: 0.001,
                 k: vec![390.0; n * n],
                 is_heat_source: false,
-                cv: vec![1.6e6; n * n],
             },
         );
         geom.spreader_m = 0.04;
@@ -595,7 +524,6 @@ mod tests {
                     thickness_m: 0.001,
                     k: vec![390.0; n * n],
                     is_heat_source: false,
-                    cv: vec![1.6e6; n * n],
                 },
             );
             geom.spreader_m = spreader_m;
@@ -628,7 +556,6 @@ mod tests {
                 thickness_m: 0.0002,
                 k: vec![0.3; n * n],
                 is_heat_source: false,
-                cv: vec![1.6e6; n * n],
             });
             geom.htc_secondary = htc2;
             geom

@@ -5,10 +5,10 @@
 //! chiplet organization onto the grid and injects power through rectangle
 //! sources, which is exactly what makes it hard to verify — the inputs are
 //! themselves discretized. This module exposes the underlying finite-volume
-//! assembly ([`crate::network`]) for *slab* stacks: every layer is laterally
-//! homogeneous, power is injected per cell, and the grid resolution is a
-//! free parameter. That is the contract a method-of-manufactured-solutions
-//! (MMS) harness needs:
+//! assembly (the crate-internal `network` module) for *slab* stacks: every
+//! layer is laterally homogeneous, power is injected per cell, and the grid
+//! resolution is a free parameter. That is the contract a
+//! method-of-manufactured-solutions (MMS) harness needs:
 //!
 //! * **source injection** — arbitrary (signed) per-cell power fields on any
 //!   heat-source layer, bypassing rectangle rasterization entirely;
@@ -57,20 +57,17 @@ pub struct SlabLayer {
     pub thickness_m: f64,
     /// Thermal conductivity in W/(m·K), uniform over the layer.
     pub k: f64,
-    /// Volumetric heat capacity in J/(m³·K) (transient solves only).
-    pub cv: f64,
     /// Whether per-cell power can be injected into this layer.
     pub is_heat_source: bool,
 }
 
 impl SlabLayer {
-    /// A passive layer with a default silicon-like heat capacity.
+    /// A passive layer.
     pub fn new(role: LayerRole, thickness_m: f64, k: f64) -> Self {
         SlabLayer {
             role,
             thickness_m,
             k,
-            cv: 1.6e6,
             is_heat_source: false,
         }
     }
@@ -126,7 +123,6 @@ impl SlabStack {
                     role: l.role,
                     thickness_m: l.thickness_m,
                     k: vec![l.k; n2],
-                    cv: vec![l.cv; n2],
                     is_heat_source: l.is_heat_source,
                 })
                 .collect(),

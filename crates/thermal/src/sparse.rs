@@ -186,6 +186,16 @@ impl CsrMatrix {
         self.val.len()
     }
 
+    /// Row `i`'s stored `(column, value)` entries, ascending columns.
+    #[cfg(test)]
+    pub(crate) fn row(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let (lo, hi) = (self.row_ptr[i] as usize, self.row_ptr[i + 1] as usize);
+        self.col[lo..hi]
+            .iter()
+            .map(|&c| c as usize)
+            .zip(self.val[lo..hi].iter().copied())
+    }
+
     /// Computes `y = A·x`.
     ///
     /// # Panics
@@ -203,29 +213,6 @@ impl CsrMatrix {
             }
             *yi = acc;
         }
-    }
-
-    /// Returns a copy of the matrix with `d[i]` added to each diagonal
-    /// entry — the backward-Euler iteration matrix `G + C/Δt` of the
-    /// transient solver.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d` has the wrong length or a diagonal entry is missing
-    /// from the sparsity pattern (conductance networks always store their
-    /// diagonal).
-    pub fn with_added_diagonal(&self, d: &[f64]) -> CsrMatrix {
-        assert_eq!(d.len(), self.n, "diagonal length mismatch");
-        let mut out = self.clone();
-        for (i, di) in d.iter().enumerate() {
-            let lo = out.row_ptr[i] as usize;
-            let hi = out.row_ptr[i + 1] as usize;
-            let k = (lo..hi)
-                .find(|&k| out.col[k] as usize == i)
-                .unwrap_or_else(|| panic!("row {i} has no stored diagonal"));
-            out.val[k] += di;
-        }
-        out
     }
 
     /// Returns a copy of the matrix with every `(i, j, v)` of `extra` added
@@ -565,37 +552,10 @@ fn factor_with_shift(a: &CsrMatrix, shift: f64) -> Option<Ic0> {
     })
 }
 
-/// Reusable PCG work vectors. Threading one scratch through a sequence of
-/// same-sized solves (a transient run's time steps) eliminates the
-/// per-solve allocation of the four iteration vectors.
-#[derive(Debug, Clone, Default)]
-pub struct SolveScratch {
-    r: Vec<f64>,
-    z: Vec<f64>,
-    p: Vec<f64>,
-    ap: Vec<f64>,
-}
-
-impl SolveScratch {
-    /// An empty scratch; buffers are sized lazily by the first solve.
-    pub fn new() -> Self {
-        SolveScratch::default()
-    }
-
-    fn resize(&mut self, n: usize) {
-        // Contents need not be cleared: every solve fully overwrites all
-        // four vectors before reading them.
-        self.r.resize(n, 0.0);
-        self.z.resize(n, 0.0);
-        self.p.resize(n, 0.0);
-        self.ap.resize(n, 0.0);
-    }
-}
-
 /// Solves `A·x = b` for a symmetric positive-definite `A` using conjugate
 /// gradients with a Jacobi (diagonal) preconditioner — [`pcg_with`] with a
-/// fresh [`Jacobi`] and scratch, for one-off solves (the PDN grid, the MMS
-/// slabs) whose matrix is not worth factoring. The solve starts from zero.
+/// fresh [`Jacobi`], for one-off solves (the PDN grid, the MMS slabs) whose
+/// matrix is not worth factoring. The solve starts from zero.
 ///
 /// # Errors
 ///
@@ -608,14 +568,14 @@ pub fn pcg<A: LinearOperator + ?Sized>(
     max_iter: usize,
 ) -> Result<PcgSolution, SolveError> {
     let m = Jacobi::new(a)?;
-    pcg_with(a, &m, b, None, rel_tol, max_iter, &mut SolveScratch::new())
+    pcg_with(a, &m, b, None, rel_tol, max_iter)
 }
 
-/// Solves `A·x = b` with a caller-supplied preconditioner and scratch
-/// buffers — the factor-once/solve-many path and the one conjugate-gradient
-/// loop in the crate. Every solve records the `thermal.pcg_*` obs metrics.
-/// `x0` is the initial guess (`None` starts from zero); the transient
-/// stepper passes the previous step's temperatures.
+/// Solves `A·x = b` with a caller-supplied preconditioner — the
+/// factor-once/solve-many path and the one conjugate-gradient loop in the
+/// crate. Every solve records the `thermal.pcg_*` obs metrics. `x0` is the
+/// initial guess (`None` starts from zero); the package model passes the
+/// ambient field.
 ///
 /// # Errors
 ///
@@ -628,7 +588,6 @@ pub fn pcg_with<A, M>(
     x0: Option<&[f64]>,
     rel_tol: f64,
     max_iter: usize,
-    scratch: &mut SolveScratch,
 ) -> Result<PcgSolution, SolveError>
 where
     A: LinearOperator + ?Sized,
@@ -636,7 +595,7 @@ where
 {
     let _span = obs::span!("thermal.pcg_solve");
     obs::counter!("thermal.pcg_solves").inc();
-    let result = pcg_with_inner(a, m, b, x0, rel_tol, max_iter, scratch);
+    let result = pcg_with_inner(a, m, b, x0, rel_tol, max_iter);
     record_pcg_metrics(&result);
     result
 }
@@ -664,7 +623,6 @@ fn pcg_with_inner<A, M>(
     x0: Option<&[f64]>,
     rel_tol: f64,
     max_iter: usize,
-    scratch: &mut SolveScratch,
 ) -> Result<PcgSolution, SolveError>
 where
     A: LinearOperator + ?Sized,
@@ -687,9 +645,8 @@ where
         }
         None => vec![0.0; n],
     };
-    scratch.resize(n);
-    let SolveScratch { r, z, p, ap } = scratch;
-    a.mul_vec(&x, r);
+    let (mut r, mut z, mut p, mut ap) = (vec![0.0; n], vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+    a.mul_vec(&x, &mut r);
     for i in 0..n {
         r[i] = b[i] - r[i];
     }
@@ -698,7 +655,7 @@ where
     // preconditioner apply and direction update; the residual norm is
     // accumulated inside the update loop in index order, making it
     // bitwise identical to a separate `norm(r)` pass.
-    let res0 = norm(r) / b_norm;
+    let res0 = norm(&r) / b_norm;
     if !res0.is_finite() {
         return Err(SolveError::NumericalBreakdown);
     }
@@ -709,12 +666,12 @@ where
             residual: res0,
         });
     }
-    m.apply(r, z);
-    p.copy_from_slice(z);
-    let mut rz = dot(r, z);
+    m.apply(&r, &mut z);
+    p.copy_from_slice(&z);
+    let mut rz = dot(&r, &z);
 
     for it in 1..=max_iter {
-        let pap = a.mul_vec_dot(p, ap);
+        let pap = a.mul_vec_dot(&p, &mut ap);
         if pap <= 0.0 || !pap.is_finite() {
             return Err(SolveError::NotPositiveDefinite);
         }
@@ -739,15 +696,15 @@ where
         if it == max_iter {
             break;
         }
-        m.apply(r, z);
-        let rz_new = dot(r, z);
+        m.apply(&r, &mut z);
+        let rz_new = dot(&r, &z);
         let beta = rz_new / rz;
         rz = rz_new;
         for i in 0..n {
             p[i] = z[i] + beta * p[i];
         }
     }
-    let res = norm(r) / b_norm;
+    let res = norm(&r) / b_norm;
     Err(SolveError::NoConvergence {
         iterations: max_iter,
         residual: res,
@@ -1106,8 +1063,7 @@ mod tests {
         let a = csr_from_dense(&[&[4.0, 1.0], &[1.0, 3.0]]);
         let m = Ic0::factor(&a).unwrap();
         assert_eq!(m.shift(), 0.0);
-        let mut scratch = SolveScratch::new();
-        let sol = pcg_with(&a, &m, &[1.0, 2.0], None, 1e-12, 100, &mut scratch).unwrap();
+        let sol = pcg_with(&a, &m, &[1.0, 2.0], None, 1e-12, 100).unwrap();
         assert!(sol.iterations <= 2, "took {}", sol.iterations);
         assert!((sol.x[0] - 1.0 / 11.0).abs() < 1e-10);
         assert!((sol.x[1] - 7.0 / 11.0).abs() < 1e-10);
@@ -1124,8 +1080,7 @@ mod tests {
         let jac = pcg(&a, &b, 1e-10, 100_000).unwrap();
         let m = Preconditioner::ic0_or_jacobi(&a).unwrap();
         assert!(m.is_ic0());
-        let mut scratch = SolveScratch::new();
-        let ic = pcg_with(&a, &m, &b, None, 1e-10, 100_000, &mut scratch).unwrap();
+        let ic = pcg_with(&a, &m, &b, None, 1e-10, 100_000).unwrap();
         assert!(
             ic.iterations * 2 <= jac.iterations,
             "ic0 {} vs jacobi {}",
@@ -1152,8 +1107,7 @@ mod tests {
         let f = Ic0::factor(&a).expect("shifted IC(0) must succeed");
         assert!(f.shift() > 0.0, "expected a breakdown retry, got shift 0");
         let b = [1.0, 0.0, -1.0, 2.0];
-        let mut scratch = SolveScratch::new();
-        let sol = pcg_with(&a, &f, &b, None, 1e-12, 1000, &mut scratch).unwrap();
+        let sol = pcg_with(&a, &f, &b, None, 1e-12, 1000).unwrap();
         let exact = cholesky_solve(&a, &b).unwrap();
         for (i, e) in exact.iter().enumerate() {
             assert!((sol.x[i] - e).abs() < 1e-9, "i={i}");
@@ -1162,17 +1116,18 @@ mod tests {
 
     #[test]
     fn indefinite_matrix_falls_back_to_jacobi() {
-        // Positive diagonal but indefinite (links of 2 on a diagonal of
-        // 1): every shift in the schedule fails, so ic0_or_jacobi must
-        // return the Jacobi fallback, whose PCG then reports
-        // NotPositiveDefinite.
-        let grid = layer_grid(2, 0.5, |_, _| 2.0);
-        let a = grid.with_added_diagonal(&[-3.5; 4]);
+        // Positive diagonal but indefinite: links of conductance −2 and
+        // grounds of 5 give a diagonal of 1 and off-diagonals of +2, the
+        // checkerboard-signed twin of links of 2 on a diagonal of 1
+        // (eigenvalues 5, 1, 1, −3). Every shift in the schedule fails, so
+        // ic0_or_jacobi must return the Jacobi fallback, whose PCG then
+        // reports NotPositiveDefinite on the −3 eigenvector.
+        let a = layer_grid(2, 5.0, |_, _| -2.0);
         assert_eq!(a.diagonal(), vec![1.0; 4]);
         let m = Preconditioner::ic0_or_jacobi(&a).unwrap();
         assert!(!m.is_ic0());
-        let mut scratch = SolveScratch::new();
-        let err = pcg_with(&a, &m, &[1.0; 4], None, 1e-12, 100, &mut scratch).unwrap_err();
+        let b = [1.0, -1.0, -1.0, 1.0];
+        let err = pcg_with(&a, &m, &b, None, 1e-12, 100).unwrap_err();
         assert_eq!(err, SolveError::NotPositiveDefinite);
     }
 
@@ -1180,8 +1135,9 @@ mod tests {
     fn zero_diagonal_rejected_by_preconditioners() {
         let a = csr_from_dense(&[&[0.0, 1.0], &[1.0, 1.0]]);
         assert!(Ic0::factor(&a).is_none());
-        let grid = layer_grid(2, 0.5, |_, _| 2.0);
-        let a = grid.with_added_diagonal(&[-4.5; 4]);
+        // Links of −2 grounded by 4: every diagonal sums to exactly zero.
+        let a = layer_grid(2, 4.0, |_, _| -2.0);
+        assert_eq!(a.diagonal(), vec![0.0; 4]);
         assert!(LayeredIc0::factor(&a).is_none());
         assert_eq!(
             Preconditioner::ic0_or_jacobi(&a).unwrap_err(),
@@ -1190,29 +1146,11 @@ mod tests {
     }
 
     #[test]
-    fn scratch_reuse_across_different_sizes() {
-        let a2 = csr_from_dense(&[&[4.0, 1.0], &[1.0, 3.0]]);
-        let a3 = csr_from_dense(&[&[4.0, 1.0, 0.0], &[1.0, 3.0, 1.0], &[0.0, 1.0, 2.0]]);
-        let m2 = Ic0::factor(&a2).unwrap();
-        let m3 = Ic0::factor(&a3).unwrap();
-        let mut scratch = SolveScratch::new();
-        let s2 = pcg_with(&a2, &m2, &[1.0, 2.0], None, 1e-12, 100, &mut scratch).unwrap();
-        let s3 = pcg_with(&a3, &m3, &[1.0, 2.0, 3.0], None, 1e-12, 100, &mut scratch).unwrap();
-        let s2b = pcg_with(&a2, &m2, &[1.0, 2.0], None, 1e-12, 100, &mut scratch).unwrap();
-        assert!((s2.x[0] - s2b.x[0]).abs() < 1e-14);
-        let exact3 = cholesky_solve(&a3, &[1.0, 2.0, 3.0]).unwrap();
-        for (i, e) in exact3.iter().enumerate() {
-            assert!((s3.x[i] - e).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn pcg_with_warm_start_short_circuits() {
         let a = csr_from_dense(&[&[4.0, 1.0], &[1.0, 3.0]]);
         let m = Ic0::factor(&a).unwrap();
-        let mut scratch = SolveScratch::new();
-        let cold = pcg_with(&a, &m, &[1.0, 2.0], None, 1e-12, 100, &mut scratch).unwrap();
-        let warm = pcg_with(&a, &m, &[1.0, 2.0], Some(&cold.x), 1e-12, 100, &mut scratch).unwrap();
+        let cold = pcg_with(&a, &m, &[1.0, 2.0], None, 1e-12, 100).unwrap();
+        let warm = pcg_with(&a, &m, &[1.0, 2.0], Some(&cold.x), 1e-12, 100).unwrap();
         assert_eq!(warm.iterations, 0);
     }
 
@@ -1226,14 +1164,15 @@ mod tests {
     }
 
     #[test]
-    fn with_added_diagonal_shifts_solution() {
+    fn with_added_entries_shifts_the_diagonal() {
         let mut t = TripletMatrix::new(3);
         t.add_conductance(0, 1, 1.0);
         t.add_conductance(1, 2, 1.0);
         t.add_ground(0, 1.0);
         let a = t.to_csr();
-        let shifted = a.with_added_diagonal(&[1.0, 1.0, 1.0]);
-        // Diagonal grows exactly by the shift.
+        let shifted = a.with_added_entries(&[(0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0)]);
+        // Diagonal grows exactly by the shift; the pattern is unchanged.
+        assert_eq!(shifted.nnz(), a.nnz());
         let d0 = a.diagonal();
         let d1 = shifted.diagonal();
         for i in 0..3 {

@@ -10,9 +10,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use tac25d_thermal::layered::{emission_order_csr, Axis, LayeredIc0, LayeredMatrix, Shape};
-use tac25d_thermal::sparse::{
-    pcg_with, CsrMatrix, Ic0, LinearOperator, Precondition, SolveScratch,
-};
+use tac25d_thermal::sparse::{pcg_with, CsrMatrix, Ic0, LinearOperator, Precondition};
 
 fn splitmix(seed: u64) -> impl FnMut() -> f64 {
     let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1);
@@ -110,6 +108,44 @@ impl Grid {
         LayeredMatrix::assemble(Arc::new(shape), |a, l, c| self.conductance(a, l, c))
     }
 
+    /// This grid with every grid row's diagonal scaled by `1 − w`, built
+    /// from conductances alone: the grid links are negated (positive
+    /// off-diagonals) and each grid node is grounded so that its diagonal
+    /// comes back to `1 − w` times the original (where that needs no
+    /// negative ground). The layered grid is bipartite, so without a
+    /// border the result is the original with a weakened diagonal up to a
+    /// ±1 diagonal similarity, which IC(0) factors with the same shifts.
+    fn weakened(&self, w: f64) -> Grid {
+        let ng = self.layers * self.n * self.n;
+        let d = self.banded().diagonal();
+        let (mut border, mut ground) = (vec![0.0; ng], vec![0.0; ng]);
+        for &(i, j, g) in &self.links {
+            for k in [i, j] {
+                if k < ng {
+                    border[k] += g;
+                }
+            }
+        }
+        for &(i, g) in &self.grounds {
+            if i < ng {
+                ground[i] += g;
+            }
+        }
+        // New diagonal: −grid + border + ground' = (1 − w)·d.
+        let mut grounds: Vec<(usize, f64)> = (0..ng)
+            .map(|i| (i, ((2.0 - w) * d[i] - ground[i] - 2.0 * border[i]).max(0.0)))
+            .collect();
+        grounds.extend(self.grounds.iter().filter(|&&(i, _)| i >= ng));
+        Grid {
+            n: self.n,
+            layers: self.layers,
+            periphery: self.periphery,
+            g: self.g.clone().map(|v| v.iter().map(|g| -g).collect()),
+            links: self.links.clone(),
+            grounds,
+        }
+    }
+
     /// The retired scaffold's fill, term by term in emission order.
     fn emission_order_csr(&self) -> CsrMatrix {
         emission_order_csr(
@@ -178,8 +214,8 @@ proptest! {
         prop_assert_eq!(bits(&y_band), bits(&y_csr), "IC(0) apply");
 
         let b = probe(nodes, &mut rng);
-        let ours = pcg_with(&a, &f, &b, None, 1e-10, 5_000, &mut SolveScratch::new());
-        let theirs = pcg_with(&csr, &oracle, &b, None, 1e-10, 5_000, &mut SolveScratch::new());
+        let ours = pcg_with(&a, &f, &b, None, 1e-10, 5_000);
+        let theirs = pcg_with(&csr, &oracle, &b, None, 1e-10, 5_000);
         match (ours, theirs) {
             (Ok(p), Ok(q)) => {
                 prop_assert_eq!(p.iterations, q.iterations);
@@ -202,11 +238,9 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let mut rng = splitmix(seed);
-        let grid = Grid::random(n, layers, with_border, &mut rng);
-        let base = grid.banded();
-        let delta: Vec<f64> = base.diagonal().iter().map(|d| -weaken * d).collect();
-        let a = base.with_added_diagonal(&delta);
-        let csr = grid.emission_order_csr().with_added_diagonal(&delta);
+        let grid = Grid::random(n, layers, with_border, &mut rng).weakened(weaken);
+        let a = grid.banded();
+        let csr = grid.emission_order_csr();
         prop_assert_eq!(bits(a.to_csr().values()), bits(csr.values()));
         match (LayeredIc0::factor(&a), Ic0::factor(&csr)) {
             (Some(f), Some(oracle)) => {

@@ -6,8 +6,7 @@
 
 use proptest::prelude::*;
 use tac25d_thermal::sparse::{
-    cholesky_solve, pcg, pcg_with, CsrMatrix, Ic0, Jacobi, Precondition, SolveScratch,
-    TripletMatrix,
+    cholesky_solve, pcg, pcg_with, CsrMatrix, Ic0, Jacobi, Precondition, TripletMatrix,
 };
 
 /// Deterministic xorshift-style generator for filling matrices: proptest
@@ -117,8 +116,8 @@ proptest! {
         prop_assert!(res <= 1e-10 * bn, "residual {res} vs ‖b‖ {bn}");
     }
 
-    /// The backward-Euler diagonal shift keeps both properties: the
-    /// shifted matrix stays symmetric and SPD.
+    /// A positive diagonal shift added through `with_added_entries` keeps
+    /// both properties: the shifted matrix stays symmetric and SPD.
     #[test]
     fn diagonal_shift_preserves_symmetry_and_spd(
         n in 2usize..30,
@@ -127,7 +126,8 @@ proptest! {
     ) {
         let mut rng = splitmix(seed);
         let a = random_network(n, &mut rng);
-        let shifted = a.with_added_diagonal(&vec![shift; n]);
+        let diagonal: Vec<_> = (0..n).map(|i| (i, i, shift)).collect();
+        let shifted = a.with_added_entries(&diagonal);
         let x: Vec<f64> = (0..n).map(|_| rng() - 0.5).collect();
         let y: Vec<f64> = (0..n).map(|_| rng() - 0.5).collect();
         let xy = bilinear(&shifted, &x, &y);
@@ -190,8 +190,7 @@ proptest! {
             "IC(0) must not break down on an M-matrix"
         );
         let m = m.unwrap();
-        let mut scratch = SolveScratch::new();
-        let ic = pcg_with(&a, &m, &b, None, 1e-12, 100_000, &mut scratch).unwrap();
+        let ic = pcg_with(&a, &m, &b, None, 1e-12, 100_000).unwrap();
         for (i, d) in dense.iter().enumerate() {
             prop_assert!(
                 (jac.x[i] - d).abs() < 1e-8,
@@ -213,10 +212,9 @@ proptest! {
         let a = random_network(n, &mut rng);
         let b: Vec<f64> = (0..n).map(|_| rng() * 4.0 - 1.0).collect();
         let m = Ic0::factor(&a).unwrap();
-        let mut scratch = SolveScratch::new();
-        let cold = pcg_with(&a, &m, &b, None, 1e-12, 100_000, &mut scratch).unwrap();
+        let cold = pcg_with(&a, &m, &b, None, 1e-12, 100_000).unwrap();
         let x0: Vec<f64> = cold.x.iter().map(|v| v * (1.0 + 0.1 * rng())).collect();
-        let warm = pcg_with(&a, &m, &b, Some(&x0), 1e-12, 100_000, &mut scratch).unwrap();
+        let warm = pcg_with(&a, &m, &b, Some(&x0), 1e-12, 100_000).unwrap();
         for i in 0..n {
             prop_assert!(
                 (warm.x[i] - cold.x[i]).abs() < 1e-8,
@@ -262,8 +260,7 @@ proptest! {
             Some(f) => Box::new(f),
             None => Box::new(Jacobi::new(&a).unwrap()),
         };
-        let mut scratch = SolveScratch::new();
-        let sol = pcg_with(&a, m.as_ref(), &b, None, 1e-12, 100_000, &mut scratch).unwrap();
+        let sol = pcg_with(&a, m.as_ref(), &b, None, 1e-12, 100_000).unwrap();
         for (i, d) in dense.iter().enumerate() {
             prop_assert!(
                 (sol.x[i] - d).abs() < 1e-8,

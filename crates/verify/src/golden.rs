@@ -71,10 +71,7 @@ pub fn manifest() -> Vec<GoldenSpec> {
         spec("fig5", &["--fast"], &["fig5"]),
         spec("grid_convergence", &["--fast"], &["grid_convergence"]),
         spec("dimension_compare", &["--fast"], &["dimension_compare"]),
-        spec("duty_cycle", &["--fast"], &["duty_cycle"]),
         spec("noc_performance", &["--fast"], &["noc_performance"]),
-        spec("sprinting", &["--fast"], &["sprinting"]),
-        spec("dtm_compare", &["--fast"], &["dtm_compare"]),
         spec("allocation_ablation", &["--fast"], &["allocation_ablation"]),
         spec("pdn_droop", &["--fast"], &["pdn_droop"]),
         spec("fig8", &["--fast"], &["fig8"]),

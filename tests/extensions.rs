@@ -1,6 +1,6 @@
 //! Integration tests for the extension features: multi-application
-//! optimization, PDN analysis, transient simulation, reliability factors
-//! and the exporters — exercised together across crates.
+//! optimization, PDN analysis, reliability factors and the exporters —
+//! exercised together across crates.
 
 use tac25d_core::prelude::*;
 use tac25d_floorplan::hotspot::{die_floorplan, render_flp};
@@ -8,7 +8,6 @@ use tac25d_floorplan::prelude::*;
 use tac25d_floorplan::svg::render_layout_svg;
 use tac25d_pdn::{PdnModel, PdnParams};
 use tac25d_power::reliability::ReliabilityModel;
-use tac25d_thermal::model::{PackageModel, ThermalConfig};
 
 fn small_spec() -> SystemSpec {
     let mut spec = SystemSpec::fast();
@@ -54,39 +53,6 @@ fn optimal_organization_respects_reliability_and_pdn() {
     let sol = pdn.solve(&powers).unwrap();
     assert!(sol.total_current() > 50.0 && sol.total_current() < 1500.0);
     assert!(sol.max_droop() > 0.0 && sol.max_droop() < 0.2);
-}
-
-#[test]
-#[cfg_attr(debug_assertions, ignore = "experiment-grade test; run with --release")]
-fn transient_settles_to_the_evaluators_steady_state() {
-    // The transient path and the steady-state path must agree in the
-    // long-time limit for the same power map.
-    let spec = small_spec();
-    let layout = ChipletLayout::Uniform { r: 4, gap: Mm(4.0) };
-    let model = PackageModel::new(
-        &spec.chip,
-        &layout,
-        &spec.rules,
-        &spec.stack_25d,
-        ThermalConfig {
-            grid: 16,
-            ..spec.thermal.clone()
-        },
-    )
-    .unwrap();
-    let rects = layout.chiplet_rects(&spec.chip, &spec.rules);
-    let sources: Vec<_> = rects.iter().map(|r| (*r, 18.0)).collect();
-    let steady = model.solve(&sources).unwrap();
-    let trace = model
-        .simulate_transient(None, |_, _, _| sources.clone(), 5.0, 300)
-        .unwrap();
-    let final_peak = trace.samples.last().unwrap().peak.value();
-    assert!(
-        (final_peak - steady.peak().value()).abs() < 0.5,
-        "transient {} vs steady {}",
-        final_peak,
-        steady.peak()
-    );
 }
 
 #[test]
