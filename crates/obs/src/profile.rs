@@ -43,6 +43,7 @@ pub const CANONICAL_COUNTERS: &[&str] = &[
     "thermal.pcg_iterations",
     "thermal.exact_solves",
     "thermal.balance_violations",
+    "thermal.ic0_factorizations",
     "evaluator.canonical_hits",
     "evaluator.exact_solves",
     "surrogate.predictions",
@@ -64,6 +65,7 @@ pub const BASELINE_COUNTERS: &[&str] = &[
     "thermal.pcg_iterations",
     "thermal.exact_solves",
     "thermal.balance_violations",
+    "thermal.ic0_factorizations",
     "evaluator.exact_solves",
     "surrogate.kernel_solves",
     "surrogate.raw_peaks",
@@ -95,9 +97,13 @@ pub const BASELINE_COUNTERS: &[&str] = &[
 /// `thermal.balance_violations` is blessed at 0: it counts coupled
 /// solves whose energy balance misses by more than
 /// `tac25d_thermal::coupled::BALANCE_TOL`, so any count is a broken solve.
+/// `thermal.ic0_factorizations` counts IC(0) factorizations, one per
+/// package model build: exceeding the blessed value means a model is
+/// factored more than once, or more models are built.
 pub const ONE_SIDED_COUNTERS: &[&str] = &[
     "thermal.pcg_iterations",
     "thermal.balance_violations",
+    "thermal.ic0_factorizations",
     "evaluator.exact_solves",
     "surrogate.kernel_solves",
     "surrogate.raw_peaks",

@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use tac25d_thermal::layered::{Axis, LayeredIc0, LayeredMatrix, Preconditioner, Shape};
+use tac25d_thermal::layered::{Axis, LayeredIc0, LayeredMatrix, Shape};
 use tac25d_thermal::sparse::{pcg_with, LinearOperator, Precondition};
 
 const NX: usize = 32;
@@ -103,8 +103,7 @@ fn bench_ic0_apply(c: &mut Criterion) {
 
 fn bench_warm_pcg(c: &mut Criterion) {
     let a = LayeredMatrix::assemble(shape(), conductance);
-    let m = Preconditioner::ic0_or_jacobi(&a).expect("preconditioner");
-    assert!(m.is_ic0(), "grid network must factor");
+    let m = LayeredIc0::factor(&a).expect("grid network factors");
     let b = rhs(a.dim());
     let x0 = pcg_with(&a, &m, &b, None, 1e-8, 100_000)
         .expect("cold pcg")

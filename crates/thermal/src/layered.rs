@@ -19,16 +19,22 @@
 //! row it couples to never meet (at `n = 2`, `i − n²` equals
 //! `(i − n) − n` and `i − n` equals `(i − 1) − 1`, but those neighbours
 //! do not exist on a 2×2 raster), so a grid row of the factor is
-//! closed-form: `l = a·inv_d[j]` and `d = √(a_ii(1+α) − Σl²)`, the sum in
+//! closed-form: `l = a·inv_d[j]` and `d = √(a_ii − Σl²)`, the sum in
 //! ascending columns. Only the
 //! periphery rows keep the general sparse merge. The result is that
 //! fields, iteration counts and counters equal those of the CSR path they
 //! replaced, which the `layered_props` oracle tests check bit for bit.
+//!
+//! Conductances are checked non-negative and finite on the way in, so
+//! every assembled matrix is symmetric and weakly diagonally dominant
+//! with non-positive off-diagonals: with every part of the network
+//! grounded, an M-matrix, whose IC(0) exists with positive pivots
+//! (Meijerink & van der Vorst, Math. Comp. 1977). [`LayeredIc0::factor`]
+//! therefore factors `A` itself and reports a failed pivot as an error.
 
 use std::sync::Arc;
 
-use crate::sparse::{CsrMatrix, Jacobi, LinearOperator, Precondition, SolveError, IC0_SHIFTS};
-use tac25d_obs as obs;
+use crate::sparse::{CsrMatrix, LinearOperator, Precondition, SolveError};
 
 /// Raster lines whose recurrences the triangular sweeps advance together
 /// (the kernels are instantiated for groups of 1 to 4 lines).
@@ -99,9 +105,6 @@ impl Shape {
         assert!(layers >= 1, "stack must contain layers");
         let ng = layers * n * n;
         let nodes = ng + periphery;
-        let check = |g: f64, what: &str| {
-            assert!(g >= 0.0 && g.is_finite(), "bad {what} conductance {g}");
-        };
         for &(i, j, g) in links {
             assert!(
                 i < nodes && j < nodes,
@@ -109,11 +112,11 @@ impl Shape {
             );
             assert!(i != j, "conductance needs two distinct nodes, got {i}");
             assert!(i >= ng || j >= ng, "link ({i},{j}) joins two grid nodes");
-            check(g, "link");
+            check_conductance(g, "link");
         }
         for &(i, g) in grounds {
             assert!(i < nodes, "ground at {i} out of {nodes} nodes");
-            check(g, "ground");
+            check_conductance(g, "ground");
         }
 
         // Periphery pattern: the diagonal plus every linked column.
@@ -240,6 +243,11 @@ impl Shape {
     }
 }
 
+/// Panics unless `g` is a conductance: non-negative and finite.
+fn check_conductance(g: f64, what: &str) {
+    assert!(g >= 0.0 && g.is_finite(), "bad {what} conductance {g}");
+}
+
 /// The CSR matrix of a layered grid assembled term by term, as the
 /// retired CSR scaffold did: every grid link in emission order — cells
 /// ascending, each emitting its `X`, `Y`, `Z` links with conductance
@@ -330,20 +338,29 @@ impl LayeredMatrix {
     /// existing link. Every diagonal sums its grid links in the order
     /// cells emit them — cells ascending, each emitting `X`, `Y`, `Z` —
     /// followed by the shape's border links and grounds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a grid conductance is negative or non-finite.
     pub fn assemble(shape: Arc<Shape>, mut g: impl FnMut(Axis, usize, usize) -> f64) -> Self {
         let s = &*shape;
         let (n, n2, nl, ng) = (s.n, s.n * s.n, s.layers, s.ng);
         let (mut wx, mut wy, mut wz) = (vec![0.0; ng], vec![0.0; ng], vec![0.0; ng]);
+        let mut off_diagonal = |axis, li, c| {
+            let g = g(axis, li, c);
+            check_conductance(g, "grid");
+            0.0 - g
+        };
         for_rows(s, |i, ix, iy, li| {
             let c = i - li * n2;
             if ix + 1 < n {
-                wx[i + 1] = 0.0 - g(Axis::X, li, c);
+                wx[i + 1] = off_diagonal(Axis::X, li, c);
             }
             if iy + 1 < n {
-                wy[i + n] = 0.0 - g(Axis::Y, li, c);
+                wy[i + n] = off_diagonal(Axis::Y, li, c);
             }
             if li + 1 < nl {
-                wz[i + n2] = 0.0 - g(Axis::Z, li, c);
+                wz[i + n2] = off_diagonal(Axis::Z, li, c);
             }
         });
         let mut diag = vec![0.0; ng];
@@ -530,23 +547,90 @@ pub struct LayeredIc0 {
     /// diagonal (other slots unused).
     l_p: Vec<f64>,
     inv_d: Vec<f64>,
-    shift: f64,
 }
 
 impl LayeredIc0 {
-    /// Factors `A` (or, on breakdown, `A + α·diag(A)` for the smallest
-    /// working `α` of the retry schedule). `None` when every shift hits a
-    /// non-positive pivot or a diagonal entry is non-positive.
-    pub fn factor(a: &LayeredMatrix) -> Option<LayeredIc0> {
-        if a.diagonal().iter().any(|&d| d <= 0.0 || !d.is_finite()) {
-            return None;
+    /// Factors `A` by the up-looking recurrence: grid rows in closed form,
+    /// then the periphery rows by the general sparse merge.
+    ///
+    /// # Errors
+    ///
+    /// [`SolveError::NotPositiveDefinite`] on a non-positive or
+    /// non-finite pivot. A nonsingular M-matrix has none; a cell whose
+    /// conductances are all zero (a zero diagonal entry) gives one, and so
+    /// can a part of the network with no ground.
+    pub fn factor(a: &LayeredMatrix) -> Result<LayeredIc0, SolveError> {
+        let s = &*a.shape;
+        let (n, n2) = (s.n, s.n * s.n);
+        let mut f = LayeredIc0 {
+            shape: Arc::clone(&a.shape),
+            lx: vec![0.0; s.ng],
+            ly: vec![0.0; s.ng],
+            lz: vec![0.0; s.ng],
+            l_p: vec![0.0; a.p_val.len()],
+            inv_d: vec![0.0; s.nodes],
+        };
+        // Grid rows in closed form: no earlier row shares a column with
+        // row i below the coupled column, so each l is the scaled matrix
+        // entry. `sumsq ≥ 0`, so the pivot test also refuses a diagonal
+        // entry that is not positive and finite.
+        let mut ok = true;
+        for_rows(s, |i, ix, iy, li| {
+            // Squares summed in ascending column order, as `Iterator::sum`.
+            let mut sumsq = -0.0;
+            if li > 0 {
+                let l = a.wz[i] * f.inv_d[i - n2];
+                f.lz[i] = l;
+                sumsq += l * l;
+            }
+            if iy > 0 {
+                let l = a.wy[i] * f.inv_d[i - n];
+                f.ly[i] = l;
+                sumsq += l * l;
+            }
+            if ix > 0 {
+                let l = a.wx[i] * f.inv_d[i - 1];
+                f.lx[i] = l;
+                sumsq += l * l;
+            }
+            let arg = a.diag[i] - sumsq;
+            ok &= arg > 0.0 && arg.is_finite();
+            f.inv_d[i] = 1.0 / arg.sqrt();
+        });
+        if !ok {
+            return Err(SolveError::NotPositiveDefinite);
         }
-        IC0_SHIFTS.iter().find_map(|&shift| factor_rows(a, shift))
-    }
-
-    /// The diagonal shift `α` the factorization succeeded with.
-    pub fn shift(&self) -> f64 {
-        self.shift
+        // Periphery rows: the general merge over earlier rows' columns.
+        for q in 0..s.periphery() {
+            let p = s.ng + q;
+            let (lo, d, _) = s.p_row(q);
+            for e in lo..d {
+                let j = s.p_col[e] as usize;
+                let mut v = a.p_val[e];
+                let row_j = f.lower_row(j);
+                let (mut x, mut y) = (lo, 0);
+                while x < e && y < row_j.len() {
+                    let cx = s.p_col[x] as usize;
+                    match cx.cmp(&row_j[y].0) {
+                        std::cmp::Ordering::Equal => {
+                            v -= f.l_p[x] * row_j[y].1;
+                            x += 1;
+                            y += 1;
+                        }
+                        std::cmp::Ordering::Less => x += 1,
+                        std::cmp::Ordering::Greater => y += 1,
+                    }
+                }
+                f.l_p[e] = v * f.inv_d[j];
+            }
+            let sumsq: f64 = f.l_p[lo..d].iter().map(|v| v * v).sum();
+            let arg = a.p_val[d] - sumsq;
+            if arg <= 0.0 || !arg.is_finite() {
+                return Err(SolveError::NotPositiveDefinite);
+            }
+            f.inv_d[p] = 1.0 / arg.sqrt();
+        }
+        Ok(f)
     }
 
     /// `L`'s strict lower entries of row `j` as `(column, value)`,
@@ -815,87 +899,6 @@ fn sub_products(z: &mut [f64], l: &[f64], v: &[f64]) {
     }
 }
 
-/// The up-looking factorization behind [`LayeredIc0::factor`] at one
-/// diagonal shift.
-fn factor_rows(a: &LayeredMatrix, shift: f64) -> Option<LayeredIc0> {
-    let s = &*a.shape;
-    let (n, n2) = (s.n, s.n * s.n);
-    let mut f = LayeredIc0 {
-        shape: Arc::clone(&a.shape),
-        lx: vec![0.0; s.ng],
-        ly: vec![0.0; s.ng],
-        lz: vec![0.0; s.ng],
-        l_p: vec![0.0; a.p_val.len()],
-        inv_d: vec![0.0; s.nodes],
-        shift,
-    };
-    // Grid rows in closed form: no earlier row shares a column with row i
-    // below the coupled column, so each l is the scaled matrix entry.
-    let mut ok = true;
-    for_rows(s, |i, ix, iy, li| {
-        if !ok {
-            return;
-        }
-        // Squares summed in ascending column order, as `Iterator::sum`.
-        let mut sumsq = -0.0;
-        if li > 0 {
-            let l = a.wz[i] * f.inv_d[i - n2];
-            f.lz[i] = l;
-            sumsq += l * l;
-        }
-        if iy > 0 {
-            let l = a.wy[i] * f.inv_d[i - n];
-            f.ly[i] = l;
-            sumsq += l * l;
-        }
-        if ix > 0 {
-            let l = a.wx[i] * f.inv_d[i - 1];
-            f.lx[i] = l;
-            sumsq += l * l;
-        }
-        let arg = a.diag[i] * (1.0 + shift) - sumsq;
-        if arg <= 0.0 || !arg.is_finite() {
-            ok = false;
-            return;
-        }
-        f.inv_d[i] = 1.0 / arg.sqrt();
-    });
-    if !ok {
-        return None;
-    }
-    // Periphery rows: the general merge over earlier rows' columns.
-    for q in 0..s.periphery() {
-        let p = s.ng + q;
-        let (lo, d, _) = s.p_row(q);
-        for e in lo..d {
-            let j = s.p_col[e] as usize;
-            let mut v = a.p_val[e];
-            let row_j = f.lower_row(j);
-            let (mut x, mut y) = (lo, 0);
-            while x < e && y < row_j.len() {
-                let cx = s.p_col[x] as usize;
-                match cx.cmp(&row_j[y].0) {
-                    std::cmp::Ordering::Equal => {
-                        v -= f.l_p[x] * row_j[y].1;
-                        x += 1;
-                        y += 1;
-                    }
-                    std::cmp::Ordering::Less => x += 1,
-                    std::cmp::Ordering::Greater => y += 1,
-                }
-            }
-            f.l_p[e] = v * f.inv_d[j];
-        }
-        let sumsq: f64 = f.l_p[lo..d].iter().map(|v| v * v).sum();
-        let arg = a.p_val[d] * (1.0 + shift) - sumsq;
-        if arg <= 0.0 || !arg.is_finite() {
-            return None;
-        }
-        f.inv_d[p] = 1.0 / arg.sqrt();
-    }
-    Some(f)
-}
-
 impl Precondition for LayeredIc0 {
     /// Solves `L·Lᵀ·z = r`.
     ///
@@ -910,45 +913,26 @@ impl Precondition for LayeredIc0 {
     }
 }
 
-/// The package network's preconditioner, factored once per assembled
-/// matrix and reused by every solve of it.
-#[derive(Debug, Clone)]
-pub enum Preconditioner {
-    /// Diagonal scaling: the fallback when IC(0) breaks down.
-    Jacobi(Jacobi),
-    /// Incomplete Cholesky, `z = (L·Lᵀ)⁻¹·r`.
-    Ic0(LayeredIc0),
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-impl Preconditioner {
-    /// IC(0) when the factorization succeeds (counting it under
-    /// `thermal.ic0_factorizations`), Jacobi otherwise.
-    ///
-    /// # Errors
-    ///
-    /// [`SolveError::NotPositiveDefinite`] when even Jacobi is impossible
-    /// (non-positive diagonal).
-    pub fn ic0_or_jacobi(a: &LayeredMatrix) -> Result<Self, SolveError> {
-        match LayeredIc0::factor(a) {
-            Some(f) => {
-                obs::counter!("thermal.ic0_factorizations").inc();
-                Ok(Preconditioner::Ic0(f))
-            }
-            None => Jacobi::new(a).map(Preconditioner::Jacobi),
-        }
+    /// A grounded 2×2 grid whose links all have conductance `g`.
+    fn grid_2x2(g: f64) -> LayeredMatrix {
+        let grounds: Vec<(usize, f64)> = (0..4).map(|i| (i, 1.0)).collect();
+        let shape = Arc::new(Shape::new(2, 1, 0, &[], &grounds));
+        LayeredMatrix::assemble(shape, |_, _, _| g)
     }
 
-    /// True for the IC(0) variant.
-    pub fn is_ic0(&self) -> bool {
-        matches!(self, Preconditioner::Ic0(_))
+    #[test]
+    #[should_panic(expected = "bad grid conductance -2")]
+    fn negative_grid_conductance_rejected() {
+        grid_2x2(-2.0);
     }
-}
 
-impl Precondition for Preconditioner {
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        match self {
-            Preconditioner::Jacobi(j) => j.apply(r, z),
-            Preconditioner::Ic0(f) => f.apply(r, z),
-        }
+    #[test]
+    #[should_panic(expected = "bad grid conductance NaN")]
+    fn nan_grid_conductance_rejected() {
+        grid_2x2(f64::NAN);
     }
 }

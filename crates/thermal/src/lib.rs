@@ -15,12 +15,14 @@
 //! * [`materials`] — bulk and effective-medium conductivities (microbump /
 //!   TSV / C4 composites computed from Table I bump geometry);
 //! * [`sparse`] — the one conjugate-gradient loop over a small operator
-//!   trait, Jacobi preconditioning, CSR matrices (the PDN grid and the
-//!   oracles: general IC(0) and an exact envelope Cholesky solve);
+//!   trait, Jacobi preconditioning for one-off solves (the PDN grid and
+//!   the MMS slabs), CSR matrices (the PDN grid and the oracles: general
+//!   IC(0) and an exact envelope Cholesky solve);
 //! * [`layered`] — the package network's operator: diagonal and three
 //!   lower bands per grid row plus a CSR periphery border, with its
-//!   closed-form IC(0) factored once per assembled matrix (Jacobi when
-//!   the factorization breaks down);
+//!   closed-form IC(0) factored once per assembled matrix (assembly
+//!   refuses negative conductances, so the matrix is an M-matrix and the
+//!   factor exists);
 //! * `network` (internal) — finite-volume assembly of the package
 //!   conductance network with HotSpot-style lumped spreader/sink periphery
 //!   nodes and convective boundaries;

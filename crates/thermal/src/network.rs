@@ -25,9 +25,10 @@
 //! that one emission order. This module is the only one that knows the
 //! periphery layout (W/E/S/N bands); the operator sees only links.
 
-use crate::layered::{Axis, LayeredMatrix, Preconditioner, Shape};
+use crate::layered::{Axis, LayeredIc0, LayeredMatrix, Shape};
 use std::sync::Arc;
 use tac25d_floorplan::layers::LayerRole;
+use tac25d_obs as obs;
 
 /// One gridded layer ready for assembly: thickness plus per-cell
 /// conductivity (row-major, same ordering as [`tac25d_floorplan::raster::Grid`]).
@@ -66,12 +67,10 @@ pub(crate) struct NetworkGeometry {
 #[derive(Debug, Clone)]
 pub(crate) struct Network {
     pub matrix: LayeredMatrix,
-    /// Preconditioner factored once at assembly and reused by every solve
-    /// of this matrix (factor once, solve many). Always IC(0) on the
-    /// M-matrices assembly produces (the model tests assert the property);
-    /// Jacobi only if the factorization ever broke down (see
-    /// [`Preconditioner::ic0_or_jacobi`]).
-    pub precond: Preconditioner,
+    /// IC(0) factor of `matrix`, computed once at assembly and reused by
+    /// every solve of it (factor once, solve many). It always exists: the
+    /// matrix is an M-matrix (the model tests assert the property).
+    pub precond: LayeredIc0,
     /// `(node, conductance-to-ambient)` for every boundary node.
     pub conv: Vec<(usize, f64)>,
     /// Total node count.
@@ -383,10 +382,9 @@ fn emit_periphery_boundary(
 pub(crate) fn assemble(geom: &NetworkGeometry) -> Network {
     let scaffold = Scaffold::build(geom);
     let matrix = LayeredMatrix::assemble(Arc::clone(&scaffold.shape), link_conductances(geom));
-    // Assembly guarantees a positive diagonal (every cell has at least one
-    // conductance), so a preconditioner always exists.
-    let precond =
-        Preconditioner::ic0_or_jacobi(&matrix).expect("conductance network has positive diagonal");
+    let precond = LayeredIc0::factor(&matrix)
+        .expect("a grounded conductance network is an M-matrix, whose IC(0) exists");
+    obs::counter!("thermal.ic0_factorizations").inc();
     Network {
         conv: scaffold.conv,
         nodes: scaffold.nodes,

@@ -2,18 +2,18 @@
 //! the one preconditioned conjugate-gradient loop ([`pcg_with`]), generic
 //! over a small [`LinearOperator`] / [`Precondition`] pair so the package
 //! network's banded operator ([`crate::layered`]) and CSR matrices share
-//! it. Jacobi scaling is the preconditioner behind the [`pcg`] wrapper and
-//! the IC(0) breakdown fallback. Two oracles stay in CSR form: the general
-//! up-looking IC(0) [`Ic0`] that the banded factor is checked against bit
-//! for bit, and an exact envelope Cholesky solve ([`cholesky_solve`]).
+//! it. Jacobi scaling is the preconditioner behind the [`pcg`] wrapper,
+//! which serves the PDN grid and the MMS slabs. Two oracles stay in CSR
+//! form: the general up-looking IC(0) [`Ic0`] that the banded factor is
+//! checked against bit for bit, and an exact envelope Cholesky solve
+//! ([`cholesky_solve`]).
 //!
 //! Thermal conductance networks are symmetric positive definite as long as
 //! at least one node has a (positive) boundary conductance to ambient, so
 //! PCG is the method of choice — no pivoting, no fill-in, O(nnz) per
 //! iteration. They are also M-matrices, for which IC(0) provably exists;
-//! for general SPD input the factorizations retry with Manteuffel
-//! diagonal shifts, and the package preconditioner falls back to Jacobi
-//! when every shift breaks down.
+//! on other SPD input (e.g. Kershaw's example) a pivot can fail, and both
+//! factorizations report it as [`SolveError::NotPositiveDefinite`].
 
 use std::error::Error;
 use std::fmt;
@@ -262,7 +262,8 @@ pub enum SolveError {
         residual: f64,
     },
     /// The matrix is not positive definite along the explored subspace
-    /// (p·Ap ≤ 0), or a zero/negative diagonal breaks the preconditioner.
+    /// (p·Ap ≤ 0), or a zero/negative diagonal or a failed IC(0) pivot
+    /// breaks the preconditioner.
     NotPositiveDefinite,
     /// NaN/∞ encountered (badly scaled or inconsistent system).
     NumericalBreakdown,
@@ -295,13 +296,6 @@ pub struct PcgSolution {
     /// Final relative residual ‖b − Ax‖ / ‖b‖.
     pub residual: f64,
 }
-
-/// Manteuffel diagonal-shift schedule for incomplete Cholesky: each retry
-/// factors `A + α·diag(A)` with the next larger `α`. Thermal conductance
-/// networks are M-matrices and always factor at `α = 0`; the nonzero
-/// entries exist for general SPD matrices (e.g. Kershaw's example) whose
-/// incomplete factorization hits a non-positive pivot.
-pub(crate) const IC0_SHIFTS: &[f64] = &[0.0, 1e-3, 1e-2, 0.1, 0.5];
 
 /// A square matrix as [`pcg_with`] sees it: a product with a vector and a
 /// diagonal. The package network's banded operator
@@ -349,8 +343,8 @@ pub trait Precondition {
     fn apply(&self, r: &[f64], z: &mut [f64]);
 }
 
-/// Diagonal scaling, `z = r / diag(A)`: the IC(0) breakdown fallback and
-/// the preconditioner behind [`pcg`].
+/// Diagonal scaling, `z = r / diag(A)`: the preconditioner behind
+/// [`pcg`].
 #[derive(Debug, Clone)]
 pub struct Jacobi {
     inv_diag: Vec<f64>,
@@ -402,28 +396,98 @@ pub struct Ic0 {
     u_col: Vec<u32>,
     u_val: Vec<f64>,
     inv_diag: Vec<f64>,
-    shift: f64,
 }
 
 impl Ic0 {
-    /// Factors `A` (or, on breakdown, `A + α·diag(A)` for the smallest
-    /// working `α` from the retry schedule). Returns `None` when every
-    /// shift hits a non-positive pivot or a diagonal entry is missing or
-    /// non-positive.
-    pub fn factor(a: &CsrMatrix) -> Option<Ic0> {
-        let diag = a.diagonal();
-        if diag.iter().any(|&d| d <= 0.0 || !d.is_finite()) {
-            return None;
+    /// Factors `A` by the up-looking recurrence.
+    ///
+    /// # Errors
+    ///
+    /// [`SolveError::NotPositiveDefinite`] when a diagonal entry is missing
+    /// or a pivot is non-positive or non-finite.
+    pub fn factor(a: &CsrMatrix) -> Result<Ic0, SolveError> {
+        let n = a.n();
+        let mut inv_diag = vec![0.0f64; n];
+        let mut l_row_ptr = Vec::with_capacity(n + 1);
+        l_row_ptr.push(0u32);
+        let (mut l_col, mut l_val): (Vec<u32>, Vec<f64>) = (Vec::new(), Vec::new());
+        for i in 0..n {
+            let row_start = l_val.len();
+            let lo = a.row_ptr[i] as usize;
+            let hi = a.row_ptr[i + 1] as usize;
+            let mut a_ii = None;
+            for k in lo..hi {
+                let j = a.col[k] as usize;
+                if j > i {
+                    break; // CSR columns are ascending; rest is upper triangle
+                }
+                if j == i {
+                    a_ii = Some(a.val[k]);
+                    break;
+                }
+                // L[i][j] = (A[i][j] − Σ_k L[i][k]·L[j][k]) / L[j][j], the
+                // sum running over the (sorted) column intersection of rows
+                // i and j.
+                let mut s = a.val[k];
+                let (mut p, mut q) = (row_start, l_row_ptr[j] as usize);
+                let (p_end, q_end) = (l_val.len(), l_row_ptr[j + 1] as usize);
+                while p < p_end && q < q_end {
+                    match l_col[p].cmp(&l_col[q]) {
+                        std::cmp::Ordering::Equal => {
+                            s -= l_val[p] * l_val[q];
+                            p += 1;
+                            q += 1;
+                        }
+                        std::cmp::Ordering::Less => p += 1,
+                        std::cmp::Ordering::Greater => q += 1,
+                    }
+                }
+                l_col.push(j as u32);
+                l_val.push(s * inv_diag[j]);
+            }
+            // Conductance assembly always stores the diagonal; a pattern
+            // without one cannot be factored.
+            let a_ii = a_ii.ok_or(SolveError::NotPositiveDefinite)?;
+            let sumsq: f64 = l_val[row_start..].iter().map(|v| v * v).sum();
+            let arg = a_ii - sumsq;
+            if arg <= 0.0 || !arg.is_finite() {
+                return Err(SolveError::NotPositiveDefinite);
+            }
+            let d = arg.sqrt();
+            inv_diag[i] = 1.0 / d;
+            l_row_ptr.push(l_val.len() as u32);
         }
-        IC0_SHIFTS
-            .iter()
-            .find_map(|&shift| factor_with_shift(a, shift))
-    }
-
-    /// The diagonal shift `α` the factorization succeeded with (0 for a
-    /// clean factorization, positive after a breakdown retry).
-    pub fn shift(&self) -> f64 {
-        self.shift
+        // Transpose the strict lower triangle for the backward sweep. The
+        // row-major scan leaves each transposed row's columns ascending.
+        let mut u_row_ptr = vec![0u32; n + 1];
+        for &c in &l_col {
+            u_row_ptr[c as usize + 1] += 1;
+        }
+        for i in 0..n {
+            u_row_ptr[i + 1] += u_row_ptr[i];
+        }
+        let mut next: Vec<u32> = u_row_ptr[..n].to_vec();
+        let mut u_col = vec![0u32; l_col.len()];
+        let mut u_val = vec![0.0f64; l_val.len()];
+        for i in 0..n {
+            for k in l_row_ptr[i] as usize..l_row_ptr[i + 1] as usize {
+                let j = l_col[k] as usize;
+                let slot = next[j] as usize;
+                next[j] += 1;
+                u_col[slot] = i as u32;
+                u_val[slot] = l_val[k];
+            }
+        }
+        Ok(Ic0 {
+            n,
+            l_row_ptr,
+            l_col,
+            l_val,
+            u_row_ptr,
+            u_col,
+            u_val,
+            inv_diag,
+        })
     }
 
     /// Stored entries of `L` (strict lower triangle plus diagonal).
@@ -464,92 +528,6 @@ impl Precondition for Ic0 {
             z[i] = acc * self.inv_diag[i];
         }
     }
-}
-
-/// Up-looking IC(0) of `A + shift·diag(A)`; `None` on a non-positive pivot.
-fn factor_with_shift(a: &CsrMatrix, shift: f64) -> Option<Ic0> {
-    let n = a.n();
-    let mut inv_diag = vec![0.0f64; n];
-    let mut l_row_ptr = Vec::with_capacity(n + 1);
-    l_row_ptr.push(0u32);
-    let (mut l_col, mut l_val): (Vec<u32>, Vec<f64>) = (Vec::new(), Vec::new());
-    for i in 0..n {
-        let row_start = l_val.len();
-        let lo = a.row_ptr[i] as usize;
-        let hi = a.row_ptr[i + 1] as usize;
-        let mut a_ii = None;
-        for k in lo..hi {
-            let j = a.col[k] as usize;
-            if j > i {
-                break; // CSR columns are ascending; rest is upper triangle
-            }
-            if j == i {
-                a_ii = Some(a.val[k]);
-                break;
-            }
-            // L[i][j] = (A[i][j] − Σ_k L[i][k]·L[j][k]) / L[j][j], the sum
-            // running over the (sorted) column intersection of rows i and j.
-            let mut s = a.val[k];
-            let (mut p, mut q) = (row_start, l_row_ptr[j] as usize);
-            let (p_end, q_end) = (l_val.len(), l_row_ptr[j + 1] as usize);
-            while p < p_end && q < q_end {
-                match l_col[p].cmp(&l_col[q]) {
-                    std::cmp::Ordering::Equal => {
-                        s -= l_val[p] * l_val[q];
-                        p += 1;
-                        q += 1;
-                    }
-                    std::cmp::Ordering::Less => p += 1,
-                    std::cmp::Ordering::Greater => q += 1,
-                }
-            }
-            l_col.push(j as u32);
-            l_val.push(s * inv_diag[j]);
-        }
-        // Conductance assembly always stores the diagonal; a pattern
-        // without one cannot be factored.
-        let a_ii = a_ii?;
-        let sumsq: f64 = l_val[row_start..].iter().map(|v| v * v).sum();
-        let arg = a_ii * (1.0 + shift) - sumsq;
-        if arg <= 0.0 || !arg.is_finite() {
-            return None;
-        }
-        let d = arg.sqrt();
-        inv_diag[i] = 1.0 / d;
-        l_row_ptr.push(l_val.len() as u32);
-    }
-    // Transpose the strict lower triangle for the backward sweep. The
-    // row-major scan leaves each transposed row's columns ascending.
-    let mut u_row_ptr = vec![0u32; n + 1];
-    for &c in &l_col {
-        u_row_ptr[c as usize + 1] += 1;
-    }
-    for i in 0..n {
-        u_row_ptr[i + 1] += u_row_ptr[i];
-    }
-    let mut next: Vec<u32> = u_row_ptr[..n].to_vec();
-    let mut u_col = vec![0u32; l_col.len()];
-    let mut u_val = vec![0.0f64; l_val.len()];
-    for i in 0..n {
-        for k in l_row_ptr[i] as usize..l_row_ptr[i + 1] as usize {
-            let j = l_col[k] as usize;
-            let slot = next[j] as usize;
-            next[j] += 1;
-            u_col[slot] = i as u32;
-            u_val[slot] = l_val[k];
-        }
-    }
-    Some(Ic0 {
-        n,
-        l_row_ptr,
-        l_col,
-        l_val,
-        u_row_ptr,
-        u_col,
-        u_val,
-        inv_diag,
-        shift,
-    })
 }
 
 /// Solves `A·x = b` for a symmetric positive-definite `A` using conjugate
@@ -811,7 +789,7 @@ fn norm(a: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layered::{LayeredIc0, LayeredMatrix, Preconditioner, Shape};
+    use crate::layered::{LayeredIc0, LayeredMatrix, Shape};
     use std::sync::Arc;
 
     /// A one-layer `n × n` grid Laplacian, links of conductance
@@ -1042,7 +1020,6 @@ mod tests {
         // preconditioner application solves the system exactly.
         let a = csr_from_dense(&[&[4.0, 1.0, 0.5], &[1.0, 3.0, 1.0], &[0.5, 1.0, 5.0]]);
         let f = Ic0::factor(&a).unwrap();
-        assert_eq!(f.shift(), 0.0);
         assert_eq!(f.nnz(), 6);
         let b = [1.0, -2.0, 3.0];
         let mut z = vec![0.0; 3];
@@ -1062,7 +1039,6 @@ mod tests {
     fn ic0_pcg_converges_in_one_iteration_on_full_pattern() {
         let a = csr_from_dense(&[&[4.0, 1.0], &[1.0, 3.0]]);
         let m = Ic0::factor(&a).unwrap();
-        assert_eq!(m.shift(), 0.0);
         let sol = pcg_with(&a, &m, &[1.0, 2.0], None, 1e-12, 100).unwrap();
         assert!(sol.iterations <= 2, "took {}", sol.iterations);
         assert!((sol.x[0] - 1.0 / 11.0).abs() < 1e-10);
@@ -1078,8 +1054,7 @@ mod tests {
         let a = layer_grid(n, 0.01, |_, _| 1.0);
         let b: Vec<f64> = (0..n * n).map(|i| ((i % 7) as f64) * 0.3 + 0.1).collect();
         let jac = pcg(&a, &b, 1e-10, 100_000).unwrap();
-        let m = Preconditioner::ic0_or_jacobi(&a).unwrap();
-        assert!(m.is_ic0());
+        let m = LayeredIc0::factor(&a).unwrap();
         let ic = pcg_with(&a, &m, &b, None, 1e-10, 100_000).unwrap();
         assert!(
             ic.iterations * 2 <= jac.iterations,
@@ -1093,54 +1068,42 @@ mod tests {
     }
 
     #[test]
-    fn kershaw_matrix_needs_a_diagonal_shift() {
-        // Kershaw's classic SPD matrix on which plain IC(0) breaks down
-        // (the (3,0)/(0,3) corner entries make a pivot go negative); the
-        // Manteuffel retry must kick in with a positive shift, and the
-        // resulting preconditioner must still solve the system.
+    fn kershaw_breakdown_is_a_typed_error() {
+        // Kershaw's classic SPD matrix on which IC(0) breaks down (the
+        // (3,0)/(0,3) corner entries make a pivot go negative). It is no
+        // M-matrix, and the factorization reports the failed pivot as a
+        // typed error; the exact Cholesky factor, which keeps the fill,
+        // still exists.
         let a = csr_from_dense(&[
             &[3.0, -2.0, 0.0, 2.0],
             &[-2.0, 3.0, -2.0, 0.0],
             &[0.0, -2.0, 3.0, -2.0],
             &[2.0, 0.0, -2.0, 3.0],
         ]);
-        let f = Ic0::factor(&a).expect("shifted IC(0) must succeed");
-        assert!(f.shift() > 0.0, "expected a breakdown retry, got shift 0");
-        let b = [1.0, 0.0, -1.0, 2.0];
-        let sol = pcg_with(&a, &f, &b, None, 1e-12, 1000).unwrap();
-        let exact = cholesky_solve(&a, &b).unwrap();
-        for (i, e) in exact.iter().enumerate() {
-            assert!((sol.x[i] - e).abs() < 1e-9, "i={i}");
-        }
-    }
-
-    #[test]
-    fn indefinite_matrix_falls_back_to_jacobi() {
-        // Positive diagonal but indefinite: links of conductance −2 and
-        // grounds of 5 give a diagonal of 1 and off-diagonals of +2, the
-        // checkerboard-signed twin of links of 2 on a diagonal of 1
-        // (eigenvalues 5, 1, 1, −3). Every shift in the schedule fails, so
-        // ic0_or_jacobi must return the Jacobi fallback, whose PCG then
-        // reports NotPositiveDefinite on the −3 eigenvector.
-        let a = layer_grid(2, 5.0, |_, _| -2.0);
-        assert_eq!(a.diagonal(), vec![1.0; 4]);
-        let m = Preconditioner::ic0_or_jacobi(&a).unwrap();
-        assert!(!m.is_ic0());
-        let b = [1.0, -1.0, -1.0, 1.0];
-        let err = pcg_with(&a, &m, &b, None, 1e-12, 100).unwrap_err();
-        assert_eq!(err, SolveError::NotPositiveDefinite);
+        assert_eq!(
+            Ic0::factor(&a).unwrap_err(),
+            SolveError::NotPositiveDefinite
+        );
+        assert!(cholesky_solve(&a, &[1.0, 0.0, -1.0, 2.0]).is_ok());
     }
 
     #[test]
     fn zero_diagonal_rejected_by_preconditioners() {
         let a = csr_from_dense(&[&[0.0, 1.0], &[1.0, 1.0]]);
-        assert!(Ic0::factor(&a).is_none());
-        // Links of −2 grounded by 4: every diagonal sums to exactly zero.
-        let a = layer_grid(2, 4.0, |_, _| -2.0);
-        assert_eq!(a.diagonal(), vec![0.0; 4]);
-        assert!(LayeredIc0::factor(&a).is_none());
         assert_eq!(
-            Preconditioner::ic0_or_jacobi(&a).unwrap_err(),
+            Ic0::factor(&a).unwrap_err(),
+            SolveError::NotPositiveDefinite
+        );
+        // Zero conductances are legal input, and without grounds they
+        // leave every diagonal entry exactly zero.
+        let a = layer_grid(2, 0.0, |_, _| 0.0);
+        assert_eq!(a.diagonal(), vec![0.0; 4]);
+        assert_eq!(
+            LayeredIc0::factor(&a).unwrap_err(),
+            SolveError::NotPositiveDefinite
+        );
+        assert_eq!(
+            Jacobi::new(&a).unwrap_err(),
             SolveError::NotPositiveDefinite
         );
     }

@@ -108,44 +108,6 @@ impl Grid {
         LayeredMatrix::assemble(Arc::new(shape), |a, l, c| self.conductance(a, l, c))
     }
 
-    /// This grid with every grid row's diagonal scaled by `1 − w`, built
-    /// from conductances alone: the grid links are negated (positive
-    /// off-diagonals) and each grid node is grounded so that its diagonal
-    /// comes back to `1 − w` times the original (where that needs no
-    /// negative ground). The layered grid is bipartite, so without a
-    /// border the result is the original with a weakened diagonal up to a
-    /// ±1 diagonal similarity, which IC(0) factors with the same shifts.
-    fn weakened(&self, w: f64) -> Grid {
-        let ng = self.layers * self.n * self.n;
-        let d = self.banded().diagonal();
-        let (mut border, mut ground) = (vec![0.0; ng], vec![0.0; ng]);
-        for &(i, j, g) in &self.links {
-            for k in [i, j] {
-                if k < ng {
-                    border[k] += g;
-                }
-            }
-        }
-        for &(i, g) in &self.grounds {
-            if i < ng {
-                ground[i] += g;
-            }
-        }
-        // New diagonal: −grid + border + ground' = (1 − w)·d.
-        let mut grounds: Vec<(usize, f64)> = (0..ng)
-            .map(|i| (i, ((2.0 - w) * d[i] - ground[i] - 2.0 * border[i]).max(0.0)))
-            .collect();
-        grounds.extend(self.grounds.iter().filter(|&&(i, _)| i >= ng));
-        Grid {
-            n: self.n,
-            layers: self.layers,
-            periphery: self.periphery,
-            g: self.g.clone().map(|v| v.iter().map(|g| -g).collect()),
-            links: self.links.clone(),
-            grounds,
-        }
-    }
-
     /// The retired scaffold's fill, term by term in emission order.
     fn emission_order_csr(&self) -> CsrMatrix {
         emission_order_csr(
@@ -205,10 +167,9 @@ proptest! {
         prop_assert_eq!(bits(&y_band), bits(&y_csr), "product");
         prop_assert_eq!(d_band.to_bits(), d_csr.to_bits(), "fused dot");
 
-        let f = LayeredIc0::factor(&a).expect("M-matrix factors");
-        let oracle = Ic0::factor(&csr).expect("M-matrix factors");
-        prop_assert_eq!(f.shift(), 0.0);
-        prop_assert_eq!(oracle.shift(), 0.0);
+        let (f, oracle) = (LayeredIc0::factor(&a), Ic0::factor(&csr));
+        prop_assert!(f.is_ok() && oracle.is_ok(), "an M-matrix factors");
+        let (f, oracle) = (f.unwrap(), oracle.unwrap());
         f.apply(&x, &mut y_band);
         oracle.apply(&x, &mut y_csr);
         prop_assert_eq!(bits(&y_band), bits(&y_csr), "IC(0) apply");
@@ -223,36 +184,6 @@ proptest! {
                 prop_assert_eq!(bits(&p.x), bits(&q.x), "solution");
             }
             (p, q) => prop_assert_eq!(format!("{p:?}"), format!("{q:?}")),
-        }
-    }
-
-    /// Weakened diagonals drive the factorization into its shift retries
-    /// (or past them): the banded and CSR factors take the same path and
-    /// still agree bit for bit.
-    #[test]
-    fn shift_retries_match_csr_bitwise(
-        n in 2usize..9,
-        layers in 1usize..5,
-        with_border in prop::sample::select(vec![false, true]),
-        weaken in 0.05..0.6f64,
-        seed in 0u64..1_000_000,
-    ) {
-        let mut rng = splitmix(seed);
-        let grid = Grid::random(n, layers, with_border, &mut rng).weakened(weaken);
-        let a = grid.banded();
-        let csr = grid.emission_order_csr();
-        prop_assert_eq!(bits(a.to_csr().values()), bits(csr.values()));
-        match (LayeredIc0::factor(&a), Ic0::factor(&csr)) {
-            (Some(f), Some(oracle)) => {
-                prop_assert_eq!(f.shift().to_bits(), oracle.shift().to_bits());
-                let x = probe(a.dim(), &mut rng);
-                let (mut z_band, mut z_csr) = (vec![0.0; x.len()], vec![0.0; x.len()]);
-                f.apply(&x, &mut z_band);
-                oracle.apply(&x, &mut z_csr);
-                prop_assert_eq!(bits(&z_band), bits(&z_csr));
-            }
-            (None, None) => {}
-            (f, o) => prop_assert!(false, "banded {} vs CSR {}", f.is_some(), o.is_some()),
         }
     }
 }

@@ -5,9 +5,7 @@
 //! tolerance on any SPD system it accepts.
 
 use proptest::prelude::*;
-use tac25d_thermal::sparse::{
-    cholesky_solve, pcg, pcg_with, CsrMatrix, Ic0, Jacobi, Precondition, TripletMatrix,
-};
+use tac25d_thermal::sparse::{cholesky_solve, pcg, pcg_with, CsrMatrix, Ic0, TripletMatrix};
 
 /// Deterministic xorshift-style generator for filling matrices: proptest
 /// supplies the seed, the closure supplies unlimited uniform values.
@@ -176,7 +174,7 @@ proptest! {
     /// The solver's equivalence contract: IC(0)-PCG, Jacobi-PCG and the
     /// exact Cholesky reference agree to 1e-8 on random SPD
     /// conductance networks. Networks are M-matrices, so the incomplete
-    /// factorization must also succeed without a diagonal shift.
+    /// factorization must succeed.
     #[test]
     fn ic0_jacobi_and_dense_agree(n in 3usize..40, seed in 0u64..10_000) {
         let mut rng = splitmix(seed);
@@ -185,10 +183,7 @@ proptest! {
         let dense = cholesky_solve(&a, &b).unwrap();
         let jac = pcg(&a, &b, 1e-12, 100_000).unwrap();
         let m = Ic0::factor(&a);
-        prop_assert!(
-            m.as_ref().is_some_and(|f| f.shift() == 0.0),
-            "IC(0) must not break down on an M-matrix"
-        );
+        prop_assert!(m.is_ok(), "IC(0) must not break down on an M-matrix");
         let m = m.unwrap();
         let ic = pcg_with(&a, &m, &b, None, 1e-12, 100_000).unwrap();
         for (i, d) in dense.iter().enumerate() {
@@ -219,52 +214,6 @@ proptest! {
             prop_assert!(
                 (warm.x[i] - cold.x[i]).abs() < 1e-8,
                 "node {i}: warm {} vs cold {}", warm.x[i], cold.x[i]
-            );
-        }
-    }
-
-    /// The diagonal-shift breakdown fallback: general SPD systems built
-    /// from signed off-diagonals can defeat plain IC(0); whatever the
-    /// preconditioner falls back to (shifted IC(0) or Jacobi) must still
-    /// solve the system to the exact reference.
-    #[test]
-    fn shifted_or_fallback_preconditioner_still_solves(
-        n in 2usize..30,
-        seed in 0u64..10_000,
-    ) {
-        let mut rng = splitmix(seed);
-        let mut t = TripletMatrix::new(n);
-        let mut off_sums = vec![0.0f64; n];
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if rng() < 0.5 {
-                    let v = rng() - 0.5;
-                    t.add(i, j, v);
-                    t.add(j, i, v);
-                    off_sums[i] += v.abs();
-                    off_sums[j] += v.abs();
-                }
-            }
-        }
-        // Barely dominant: small margins provoke incomplete-factorization
-        // pivot breakdowns while the full matrix stays SPD.
-        for (i, off) in off_sums.iter().enumerate() {
-            t.add(i, i, off + 0.01 + 0.01 * rng());
-        }
-        let a = t.to_csr();
-        let b: Vec<f64> = (0..n).map(|_| rng() * 2.0 - 1.0).collect();
-        let dense = cholesky_solve(&a, &b).unwrap();
-        let ic0 = Ic0::factor(&a);
-        let is_ic0 = ic0.is_some();
-        let m: Box<dyn Precondition> = match ic0 {
-            Some(f) => Box::new(f),
-            None => Box::new(Jacobi::new(&a).unwrap()),
-        };
-        let sol = pcg_with(&a, m.as_ref(), &b, None, 1e-12, 100_000).unwrap();
-        for (i, d) in dense.iter().enumerate() {
-            prop_assert!(
-                (sol.x[i] - d).abs() < 1e-8,
-                "node {i}: {} vs {d} (ic0: {is_ic0})", sol.x[i]
             );
         }
     }

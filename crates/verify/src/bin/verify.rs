@@ -493,10 +493,14 @@ fn run_trace(report: &mut String) -> bool {
             }
 
             let ov = &outcome.overhead;
+            let pairs: Vec<String> = ov.pairs.iter().map(|(t, u)| format!("{t}/{u}")).collect();
             let _ = writeln!(
                 report,
-                "Overhead (best-round cache hits): traced={}us untraced={}us ratio={:.4} per_request={:+.2}us",
-                ov.best_traced_us, ov.best_untraced_us, ov.ratio, ov.per_request_overhead_us
+                "Overhead (median of {} cache-hit round pairs): ratio={:.4} per_request={:+.2}us (traced/untraced us: {})",
+                ov.pairs.len(),
+                ov.ratio,
+                ov.per_request_overhead_us,
+                pairs.join(" ")
             );
             if !ov.passed() {
                 ok = false;
