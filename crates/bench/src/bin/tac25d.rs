@@ -356,7 +356,7 @@ fn cmd_obs_report(opts: &HashMap<String, String>) -> Result<(), String> {
             );
             for d in &drifts {
                 println!(
-                    "  {:<28} baseline {:>10.0}  observed {:>10.0}  drift {:>6.1}% {}",
+                    "  {:<30} baseline {:>10.0}  observed {:>10.0}  drift {:>6.1}% {}",
                     d.name,
                     d.baseline,
                     d.observed,

@@ -7,7 +7,7 @@
 //! paper uses when comparing the multi-start greedy against exhaustive
 //! search (400× fewer simulations).
 
-use crate::allocation::mintemp_active_cores;
+use crate::allocation::mintemp_order;
 use crate::system::SystemSpec;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -17,6 +17,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
+use tac25d_floorplan::chip::CoreId;
 use tac25d_floorplan::organization::{ChipletLayout, LayoutError};
 use tac25d_floorplan::raster::place_cores;
 use tac25d_floorplan::units::{Celsius, Watts};
@@ -332,6 +333,9 @@ struct SingleChipUnit {
 /// [`Evaluator::with_deadline`].
 struct SharedState {
     spec: SystemSpec,
+    /// `mintemp_order(&spec.chip)`, ranked once: the Mintemp-active cores
+    /// of `p` are its first `p` entries ([`Evaluator::mintemp_prefix`]).
+    mintemp: Vec<CoreId>,
     models: StripedCache<LayoutKey, Arc<PackageModel>>,
     evals: StripedCache<EvalKey, Arc<Evaluation>>,
     /// Tier-1 surrogate peaks ([`ThermalSurrogate::raw_peak`]) keyed like
@@ -382,6 +386,7 @@ impl Evaluator {
     fn with_parts(spec: SystemSpec, surrogate: Option<Arc<ThermalSurrogate>>) -> Self {
         Evaluator {
             shared: Arc::new(SharedState {
+                mintemp: mintemp_order(&spec.chip),
                 spec,
                 models: StripedCache::new(),
                 evals: StripedCache::new(),
@@ -449,6 +454,24 @@ impl Evaluator {
         &self.shared.spec
     }
 
+    /// The `p` Mintemp-active cores in priority order: the set
+    /// `mintemp_active_cores(&spec.chip, p)` returns, before its sort by
+    /// id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is zero or exceeds the chip's core count, as
+    /// `mintemp_active_cores` does.
+    fn mintemp_prefix(&self, p: u16) -> &[CoreId] {
+        let order = &self.shared.mintemp;
+        assert!(
+            p > 0 && usize::from(p) <= order.len(),
+            "active core count {p} out of 1..={}",
+            order.len()
+        );
+        &order[..usize::from(p)]
+    }
+
     /// Builds the surrogate's view of one evaluation point: active cores
     /// and NoC watts per chiplet. `None` when the point is outside the
     /// surrogate's domain (single chip, unplaceable cores, timing-broken
@@ -466,7 +489,7 @@ impl Evaluator {
         let spec = &self.shared.spec;
         let placed = place_cores(&spec.chip, layout, &spec.rules).ok()?;
         let mut active_per_chiplet = vec![0u16; layout.chiplet_count()];
-        for core in mintemp_active_cores(&spec.chip, p) {
+        for core in self.mintemp_prefix(p) {
             active_per_chiplet[placed[core.0 as usize].chiplet] += 1;
         }
         let profile = benchmark.profile();
@@ -738,7 +761,9 @@ impl Evaluator {
         // divide the core grid before a thermal model is built for it.
         let placed = place_cores(&spec.chip, layout, &spec.rules)?;
         let model = self.model_for(layout)?;
-        let active = mintemp_active_cores(&spec.chip, p);
+        // Sorted by id: the list `mintemp_active_cores` returns.
+        let mut active = self.mintemp_prefix(p).to_vec();
+        active.sort_unstable();
         let active_rects: Vec<_> = active.iter().map(|c| placed[c.0 as usize].rect).collect();
 
         // NoC power, spread uniformly over the chiplets (the paper notes

@@ -69,6 +69,7 @@ pub const BASELINE_COUNTERS: &[&str] = &[
     "evaluator.exact_solves",
     "surrogate.kernel_solves",
     "surrogate.raw_peaks",
+    "optimizer.analytic_grad_evals",
     "serve.shed",
     "serve.deadline_hits",
 ];
@@ -100,6 +101,12 @@ pub const BASELINE_COUNTERS: &[&str] = &[
 /// `thermal.ic0_factorizations` counts IC(0) factorizations, one per
 /// package model build: exceeding the blessed value means a model is
 /// factored more than once, or more models are built.
+///
+/// `optimizer.analytic_grad_evals` (the seeding descent's objective and
+/// gradient evaluations) is deliberately *not* one-sided: the descent is
+/// deterministic, so a count that falls means its restarts, line search
+/// or stopping rule changed, and descent time bought that way must come
+/// with a re-bless that says so.
 pub const ONE_SIDED_COUNTERS: &[&str] = &[
     "thermal.pcg_iterations",
     "thermal.balance_violations",
@@ -549,6 +556,29 @@ mod tests {
                 .unwrap()
                 .exceeded
         );
+    }
+
+    #[test]
+    fn grad_evals_gate_fails_on_fewer_evaluations_too() {
+        // The descent is deterministic: a quarter fewer gradient
+        // evaluations is a changed descent, not a free speedup.
+        let doc = |evals: f64| {
+            parse(&format!(
+                r#"{{"counters": {{"optimizer.analytic_grad_evals": {evals}}}}}"#
+            ))
+            .expect("fixture parses")
+        };
+        let baseline = parse(r#"{"optimizer.analytic_grad_evals": 1835}"#).expect("parses");
+        let gate = |evals: f64| {
+            check_drift(&doc(evals), &baseline, DRIFT_TOLERANCE)
+                .into_iter()
+                .find(|d| d.name == "optimizer.analytic_grad_evals")
+                .expect("gated counter")
+                .exceeded
+        };
+        assert!(!gate(1835.0));
+        assert!(gate(1376.0), "fewer evaluations must fail");
+        assert!(gate(2294.0), "more evaluations must fail");
     }
 
     #[test]

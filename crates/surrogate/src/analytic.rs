@@ -29,6 +29,13 @@
 //! Everything here is deterministic: restarts come from a fixed fractional
 //! grid of the box, not an RNG, so two runs with the same inputs produce
 //! bit-identical seeds on every platform with IEEE-754 doubles.
+//!
+//! The 16 chiplet centres sit on six axis positions, shared by x and y,
+//! so each evaluation tabulates the footprint integral and its derivative
+//! over the 36 position differences once and the (probe, source) loop
+//! reads the tables ([`Manifold16::objective_grad`]). Each entry is the
+//! per-pair value of the same two doubles, so the tabulation changes no
+//! bit; the per-pair loop is kept as the test oracle.
 
 /// Error function, evaluated via the cancellation-free confluent
 /// hypergeometric series `erf(x) = 2x/√π · e^{−x²} · Σ (2x²)^n/(2n+1)!!`
@@ -153,6 +160,75 @@ const RESTART_FRACTIONS: [(f64, f64); 6] = [
     (0.05, 0.05),
 ];
 
+/// The six axis positions of the chiplet centres, as `axis_center`
+/// arguments: outer grid positions 0..4, then the centre block's grid
+/// positions 1 and 2. The same six serve x and y.
+const AXIS_SLOTS: [(usize, bool); 6] = [
+    (0, false),
+    (1, false),
+    (2, false),
+    (3, false),
+    (1, true),
+    (2, true),
+];
+
+/// Each chiplet's `(x, y)` index into [`AXIS_SLOTS`], in `chiplet_rects`
+/// order (the same row-major walk as `Manifold16::centers`).
+fn chiplet_slots() -> [(usize, usize); 16] {
+    core::array::from_fn(|k| {
+        let (row, col) = (k / 4, k % 4);
+        let inner = (1..=2).contains(&row) && (1..=2).contains(&col);
+        let slot = |idx: usize| if inner { idx + 3 } else { idx };
+        (slot(col), slot(row))
+    })
+}
+
+/// The one-axis footprint integral `F` of a chiplet source and its
+/// derivative `F'`, at half-width `h` and Gaussian scale `s = σ√2`.
+struct Footprint {
+    h: f64,
+    s: f64,
+}
+
+impl Footprint {
+    fn new(m: &Manifold16, cfg: &AnalyticConfig) -> Self {
+        Footprint {
+            h: m.wc / 2.0,
+            s: cfg.sigma_mm * core::f64::consts::SQRT_2,
+        }
+    }
+
+    fn f(&self, d: f64) -> f64 {
+        (erf((d + self.h) / self.s) - erf((d - self.h) / self.s)) / 2.0
+    }
+
+    fn df(&self, d: f64) -> f64 {
+        (derf((d + self.h) / self.s) - derf((d - self.h) / self.s)) / (2.0 * self.s)
+    }
+}
+
+/// Log-sum-exp smooth max of the probe rises `t` (shifted by the hard max
+/// for stability) and its gradient from the per-probe gradients.
+fn smooth_max(
+    cfg: &AnalyticConfig,
+    t: &[f64; 16],
+    g1: &[f64; 16],
+    g2: &[f64; 16],
+) -> (f64, f64, f64) {
+    let tau = cfg.smooth_max_c;
+    let m = t.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
+    let mut z = 0.0;
+    let mut zg1 = 0.0;
+    let mut zg2 = 0.0;
+    for p in 0..16 {
+        let e = ((t[p] - m) / tau).exp();
+        z += e;
+        zg1 += e * g1[p];
+        zg2 += e * g2[p];
+    }
+    (m + tau * (z / 16.0).ln(), zg1 / z, zg2 / z)
+}
+
 impl Manifold16 {
     /// Upper bound of both box coordinates: `s1 ≤ free/2` keeps `s3 ≥ 0`
     /// and `s2 ≤ free/2` is exactly Eq. (10) on the fixed-edge manifold.
@@ -221,18 +297,67 @@ impl Manifold16 {
     /// chiplet edge), probes at the 16 chiplet centres, and the peak is
     /// `τ·ln Σ_p exp(T_p/τ)`. Both probes and sources move with the
     /// spacing parameters, so the gradient carries both terms.
+    ///
+    /// The centres sit on six axis positions, the same six on x and y, so
+    /// every `px − cx` and `py − cy` is one of 36 differences. `F` and
+    /// `F'` are tabulated over them once per call: 72 `erf` and 72 `exp`
+    /// calls instead of 1,024 of each. Each table entry is computed from
+    /// the same difference of the same centre coordinates as the per-pair
+    /// evaluation, and the (probe, source) loop keeps its operands and
+    /// summation order, so the result is bitwise the same.
     #[must_use]
     pub fn objective_grad(&self, cfg: &AnalyticConfig, s1: f64, s2: f64) -> (f64, f64, f64) {
         let c = self.centers(s1, s2);
-        let h = self.wc / 2.0;
-        let s = cfg.sigma_mm * core::f64::consts::SQRT_2;
+        let fp = Footprint::new(self, cfg);
+        let pos = AXIS_SLOTS.map(|(idx, inner)| self.axis_center(idx, inner, s1, s2).0);
+        let mut f = [[0.0f64; 6]; 6];
+        let mut df = [[0.0f64; 6]; 6];
+        for (a, &pa) in pos.iter().enumerate() {
+            for (b, &pb) in pos.iter().enumerate() {
+                let d = pa - pb;
+                f[a][b] = fp.f(d);
+                df[a][b] = fp.df(d);
+            }
+        }
+        let slots = chiplet_slots();
+        let base = self.background(cfg);
         let amp = cfg.rise_per_watt;
-        // F and F' of the one-axis footprint integral.
-        let f_axis = |d: f64| (erf((d + h) / s) - erf((d - h) / s)) / 2.0;
-        let df_axis = |d: f64| (derf((d + h) / s) - derf((d - h) / s)) / (2.0 * s);
-        let total: f64 = self.watts.iter().sum();
-        let base = cfg.background_per_watt * total;
         // Per-probe rise and its gradient.
+        let mut t = [0.0f64; 16];
+        let mut g1 = [0.0f64; 16];
+        let mut g2 = [0.0f64; 16];
+        for (p, probe) in c.iter().enumerate() {
+            let (_, px1, px2, _, py1, py2) = *probe;
+            let (sx, sy) = slots[p];
+            let mut acc = base;
+            let (mut a1, mut a2) = (0.0, 0.0);
+            for (j, src) in c.iter().enumerate() {
+                let (_, cx1, cx2, _, cy1, cy2) = *src;
+                let (jx, jy) = slots[j];
+                let (fx, fy) = (f[sx][jx], f[sy][jy]);
+                let w = self.watts[j] * amp;
+                acc += w * fx * fy;
+                let dfx = df[sx][jx];
+                let dfy = df[sy][jy];
+                a1 += w * (dfx * (px1 - cx1) * fy + fx * dfy * (py1 - cy1));
+                a2 += w * (dfx * (px2 - cx2) * fy + fx * dfy * (py2 - cy2));
+            }
+            t[p] = acc;
+            g1[p] = a1;
+            g2[p] = a2;
+        }
+        smooth_max(cfg, &t, &g1, &g2)
+    }
+
+    /// [`Manifold16::objective_grad`] evaluated pair by pair: `F` and `F'`
+    /// of every (probe, source) offset computed afresh. Kept as the
+    /// bit-identity oracle of the tabulated path.
+    #[cfg(test)]
+    fn objective_grad_per_pair(&self, cfg: &AnalyticConfig, s1: f64, s2: f64) -> (f64, f64, f64) {
+        let c = self.centers(s1, s2);
+        let fp = Footprint::new(self, cfg);
+        let base = self.background(cfg);
+        let amp = cfg.rise_per_watt;
         let mut t = [0.0f64; 16];
         let mut g1 = [0.0f64; 16];
         let mut g2 = [0.0f64; 16];
@@ -243,11 +368,11 @@ impl Manifold16 {
             for (j, src) in c.iter().enumerate() {
                 let (cx, cx1, cx2, cy, cy1, cy2) = *src;
                 let (dx, dy) = (px - cx, py - cy);
-                let (fx, fy) = (f_axis(dx), f_axis(dy));
+                let (fx, fy) = (fp.f(dx), fp.f(dy));
                 let w = self.watts[j] * amp;
                 acc += w * fx * fy;
-                let dfx = df_axis(dx);
-                let dfy = df_axis(dy);
+                let dfx = fp.df(dx);
+                let dfy = fp.df(dy);
                 a1 += w * (dfx * (px1 - cx1) * fy + fx * dfy * (py1 - cy1));
                 a2 += w * (dfx * (px2 - cx2) * fy + fx * dfy * (py2 - cy2));
             }
@@ -255,19 +380,13 @@ impl Manifold16 {
             g1[p] = a1;
             g2[p] = a2;
         }
-        // Log-sum-exp smooth max (shift by the hard max for stability).
-        let tau = cfg.smooth_max_c;
-        let m = t.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
-        let mut z = 0.0;
-        let mut zg1 = 0.0;
-        let mut zg2 = 0.0;
-        for p in 0..16 {
-            let e = ((t[p] - m) / tau).exp();
-            z += e;
-            zg1 += e * g1[p];
-            zg2 += e * g2[p];
-        }
-        (m + tau * (z / 16.0).ln(), zg1 / z, zg2 / z)
+        smooth_max(cfg, &t, &g1, &g2)
+    }
+
+    /// The spacing-independent far-field offset every probe starts from.
+    fn background(&self, cfg: &AnalyticConfig) -> f64 {
+        let total: f64 = self.watts.iter().sum();
+        cfg.background_per_watt * total
     }
 
     /// Multi-restart projected-gradient descent over the box. Fully
@@ -393,6 +512,45 @@ mod tests {
         }
         assert_eq!(erf(7.0), 1.0);
         assert_eq!(erf(-7.0), -1.0);
+    }
+
+    /// SplitMix64 mapped to `[0, 1)`: a seeded stream for the oracle
+    /// corpus without an RNG dependency.
+    fn unit_stream(mut state: u64) -> impl FnMut() -> f64 {
+        move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            (z >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    fn assert_tabulated_is_per_pair(m: &Manifold16, cfg: &AnalyticConfig, s1: f64, s2: f64) {
+        let (v, d1, d2) = m.objective_grad(cfg, s1, s2);
+        let (ov, od1, od2) = m.objective_grad_per_pair(cfg, s1, s2);
+        let case = format!("free {} at ({s1}, {s2}), watts {:?}", m.free, m.watts);
+        assert_eq!(v.to_bits(), ov.to_bits(), "value, {case}");
+        assert_eq!(d1.to_bits(), od1.to_bits(), "d/ds1, {case}");
+        assert_eq!(d2.to_bits(), od2.to_bits(), "d/ds2, {case}");
+    }
+
+    #[test]
+    fn tabulated_objective_is_bitwise_the_per_pair_oracle() {
+        let cfg = AnalyticConfig::default();
+        let mut u = unit_stream(0x7AC2_5D00);
+        for _ in 0..600 {
+            let free = 18.0 * u();
+            let watts: [f64; 16] = core::array::from_fn(|_| 5.0 + 20.0 * u());
+            let m = manifold(free, watts);
+            let hi = m.half_free();
+            assert_tabulated_is_per_pair(&m, &cfg, hi * u(), hi * u());
+            assert_tabulated_is_per_pair(&m, &cfg, 0.0, 0.0);
+            assert_tabulated_is_per_pair(&m, &cfg, hi, hi);
+        }
+        let m = manifold(0.0, uniform_watts(10.0));
+        assert_tabulated_is_per_pair(&m, &cfg, 0.0, 0.0);
     }
 
     #[test]

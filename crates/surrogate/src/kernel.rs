@@ -40,6 +40,13 @@ impl OctantMap {
             (x, y)
         }
     }
+
+    /// Whether the map swaps the axes. Each mapped coordinate depends on
+    /// one query coordinate only: the mapped x on the query's x, or on
+    /// its y when the map transposes, and the mapped y on the other.
+    pub(crate) fn transposes(self) -> bool {
+        self.transpose
+    }
 }
 
 /// Symmetry class of chiplet `(row, col)` on an r×r grid and the octant
@@ -176,7 +183,10 @@ impl KernelSet {
 }
 
 /// Bilinear sample of a cell-centered grid over `[0, footprint]²`,
-/// clamped to the boundary cells outside the domain.
+/// clamped to the boundary cells outside the domain. The sampling path
+/// splits it per axis ([`Tap`], [`blend`]); this direct form is the test
+/// oracle.
+#[cfg(test)]
 pub(crate) fn bilinear(grid: &Grid, footprint: f64, x: f64, y: f64) -> f64 {
     let (nx, ny) = (grid.nx(), grid.ny());
     let d = footprint / nx as f64;
@@ -190,6 +200,66 @@ pub(crate) fn bilinear(grid: &Grid, footprint: f64, x: f64, y: f64) -> f64 {
     let t01 = grid.get(i0, j1);
     let t11 = grid.get(i1, j1);
     t00 * (1.0 - fu) * (1.0 - fv) + t10 * fu * (1.0 - fv) + t01 * (1.0 - fu) * fv + t11 * fu * fv
+}
+
+/// One axis of a bilinear sample: the flat offsets of the two bracketing
+/// cells and their weights. The x and y taps of a point depend on its x
+/// and y alone, so a tensor grid of probes computes each once per axis.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Tap {
+    lo: usize,
+    hi: usize,
+    /// `1 − f`, the weight of `lo`.
+    w_lo: f64,
+    /// `f`, the weight of `hi`.
+    w_hi: f64,
+}
+
+impl Tap {
+    /// Tap of coordinate `c` on an axis of `n` cells of width `d`, whose
+    /// cell offsets advance by `stride` — the clamp, floor and fraction of
+    /// `bilinear`. The clamped `u` is never negative (or is NaN, which
+    /// both casts send to 0), so truncating it is its floor: the same
+    /// cell, without a call to `floor`.
+    fn new(c: f64, d: f64, n: usize, stride: usize) -> Tap {
+        let u = (c / d - 0.5).clamp(0.0, (n - 1) as f64);
+        let i0 = u as usize;
+        let f = u - i0 as f64;
+        Tap {
+            lo: i0 * stride,
+            hi: (i0 + 1).min(n - 1) * stride,
+            w_lo: 1.0 - f,
+            w_hi: f,
+        }
+    }
+
+    /// The x tap of `grid` sampled over `[0, footprint]²` at `x`.
+    pub(crate) fn x(grid: &Grid, footprint: f64, x: f64) -> Tap {
+        let nx = grid.nx();
+        Tap::new(x, footprint / nx as f64, nx, 1)
+    }
+
+    /// The y tap of `grid` sampled over `[0, footprint]²` at `y`. The
+    /// cell width is `footprint / nx` on both axes, as in `bilinear`.
+    pub(crate) fn y(grid: &Grid, footprint: f64, y: f64) -> Tap {
+        let nx = grid.nx();
+        Tap::new(y, footprint / nx as f64, grid.ny(), nx)
+    }
+}
+
+/// The bilinear sample at precomputed taps: `blend(g, Tap::x(g, fp, x),
+/// Tap::y(g, fp, y))` is bitwise `bilinear(g, fp, x, y)` — the same four
+/// cells and the same weighted sum in the same term order.
+pub(crate) fn blend(grid: &Grid, tx: Tap, ty: Tap) -> f64 {
+    let cells = grid.as_slice();
+    let t00 = cells[ty.lo + tx.lo];
+    let t10 = cells[ty.lo + tx.hi];
+    let t01 = cells[ty.hi + tx.lo];
+    let t11 = cells[ty.hi + tx.hi];
+    t00 * tx.w_lo * ty.w_lo
+        + t10 * tx.w_hi * ty.w_lo
+        + t01 * tx.w_lo * ty.w_hi
+        + t11 * tx.w_hi * ty.w_hi
 }
 
 #[cfg(test)]

@@ -9,9 +9,12 @@
 //!
 //! The geometry is sampled once per candidate ([`sample`]); each leakage
 //! refinement round then only re-weights the stored unit rises with its
-//! own per-chiplet watts ([`UnitRises::field`]).
+//! own per-chiplet watts ([`UnitRises::field`]). Within one sampling, the
+//! bilinear taps of each (target, source) pair are computed once per
+//! probe axis, because a target's probes form a tensor grid and an octant
+//! map never mixes the axes.
 
-use crate::kernel::{bilinear, class_of, ClassKernel, KernelSet, OctantMap};
+use crate::kernel::{blend, class_of, ClassKernel, KernelSet, OctantMap, Tap};
 use tac25d_floorplan::geometry::Rect;
 
 /// Superposed temperature-rise estimates of one candidate layout.
@@ -42,27 +45,38 @@ struct Source<'a> {
 }
 
 impl Source<'_> {
-    /// Rise at query point `(x, y)` per watt on this source.
-    fn unit_rise(&self, footprint: f64, x: f64, y: f64) -> f64 {
-        let (qx, qy) = self.map.apply(footprint, x, y);
+    /// The kernel taps of one target's probe columns `xs` and rows `ys`.
+    /// The sample offset of query `(x, y)` is `(qx + rep_center.0) − cx`
+    /// on the kernel's x axis and `(qy + rep_center.1) − cy` on its y
+    /// axis, and each mapped coordinate depends on one query coordinate
+    /// ([`OctantMap::transposes`]). So mapping the point `(xs[i], ys[i])`
+    /// gives `kx[i]`, the kernel-x tap of index `i` on the query axis that
+    /// feeds kernel x, and `ky[i]` likewise on the other.
+    fn taps(&self, footprint: f64, xs: &[f64], ys: &[f64], kx: &mut [Tap], ky: &mut [Tap]) {
         let (cx, cy) = self.center;
         let k = self.kernel;
-        bilinear(
-            &k.rise,
-            footprint,
-            qx + k.rep_center.0 - cx,
-            qy + k.rep_center.1 - cy,
-        )
+        for (i, (&x, &y)) in xs.iter().zip(ys).enumerate() {
+            let (qx, qy) = self.map.apply(footprint, x, y);
+            kx[i] = Tap::x(&k.rise, footprint, qx + k.rep_center.0 - cx);
+            ky[i] = Tap::y(&k.rise, footprint, qy + k.rep_center.1 - cy);
+        }
     }
 }
 
 /// Samples the kernel set at `probes_per_axis²` probe points on each of
 /// the candidate's chiplet rectangles (row-major over the r×r grid), for
 /// every source chiplet.
+///
+/// A target's probes form a tensor grid, and each source's octant map
+/// only mirrors or swaps axes, so each kernel coordinate depends on one
+/// probe axis. The taps ([`Tap`]) are computed once per (target, source)
+/// and probe axis, and each sample is a [`blend`] of four cells — bitwise
+/// the `bilinear` sample at the same point.
 pub(crate) fn sample(kernels: &KernelSet, rects: &[Rect], probes_per_axis: usize) -> UnitRises {
     let r = kernels.r;
     assert_eq!(rects.len(), r * r, "expected one rect per grid cell");
     assert!(probes_per_axis >= 1);
+    let footprint = kernels.footprint;
     let sources: Vec<Source> = rects
         .iter()
         .enumerate()
@@ -72,20 +86,37 @@ pub(crate) fn sample(kernels: &KernelSet, rects: &[Rect], probes_per_axis: usize
             Source {
                 kernel: &kernels.classes[class],
                 map,
-                center: map.apply(kernels.footprint, c.x.value(), c.y.value()),
+                center: map.apply(footprint, c.x.value(), c.y.value()),
             }
         })
         .collect();
-    let probes_per_chiplet = probes_per_axis * probes_per_axis;
-    let mut rise = Vec::with_capacity(rects.len() * probes_per_chiplet * sources.len());
-    for target in rects {
+    let n = probes_per_axis;
+    let probes_per_chiplet = n * n;
+    let m = sources.len();
+    let mut rise = vec![0.0; rects.len() * probes_per_chiplet * m];
+    let (mut xs, mut ys) = (vec![0.0; n], vec![0.0; n]);
+    let (mut kx, mut ky) = (vec![Tap::default(); n], vec![Tap::default(); n]);
+    for (target, rows) in rects
+        .iter()
+        .zip(rise.chunks_exact_mut(probes_per_chiplet * m))
+    {
         let (x0, y0) = (target.x0().value(), target.y0().value());
         let (w, h) = (target.x1().value() - x0, target.y1().value() - y0);
-        for py in 0..probes_per_axis {
-            let y = y0 + (py as f64 + 0.5) / probes_per_axis as f64 * h;
-            for px in 0..probes_per_axis {
-                let x = x0 + (px as f64 + 0.5) / probes_per_axis as f64 * w;
-                rise.extend(sources.iter().map(|s| s.unit_rise(kernels.footprint, x, y)));
+        for (i, (x, y)) in xs.iter_mut().zip(ys.iter_mut()).enumerate() {
+            *x = x0 + (i as f64 + 0.5) / n as f64 * w;
+            *y = y0 + (i as f64 + 0.5) / n as f64 * h;
+        }
+        for (j, s) in sources.iter().enumerate() {
+            s.taps(footprint, &xs, &ys, &mut kx, &mut ky);
+            for py in 0..n {
+                for px in 0..n {
+                    let (tx, ty) = if s.map.transposes() {
+                        (kx[py], ky[px])
+                    } else {
+                        (kx[px], ky[py])
+                    };
+                    rows[(py * n + px) * m + j] = blend(&s.kernel.rise, tx, ty);
+                }
             }
         }
     }
@@ -129,6 +160,7 @@ impl UnitRises {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::bilinear;
     use tac25d_floorplan::chip::ChipSpec;
     use tac25d_floorplan::layers::StackSpec;
     use tac25d_floorplan::organization::{enumerate_symmetric16, ChipletLayout, PackageRules};
@@ -237,7 +269,7 @@ mod tests {
     fn assert_sampled_matches_reference(set: &KernelSet, layout: &ChipletLayout) -> usize {
         let rects = layout.chiplet_rects(&ChipSpec::scc_256(), &PackageRules::default());
         let mut cases = 0;
-        for probes in [3, 5] {
+        for probes in [2, 3, 4, 5] {
             let sampled = sample(set, &rects, probes);
             for watts in power_vectors(rects.len()) {
                 let case = format!("{layout} probes={probes} watts={watts:?}");
@@ -247,6 +279,44 @@ mod tests {
             }
         }
         cases
+    }
+
+    /// The uniform r×r layout at interposer edge `edge`.
+    fn uniform(edge: f64, r: u16) -> ChipletLayout {
+        let chip = ChipSpec::scc_256();
+        let rules = PackageRules::default();
+        let wc = chip.edge().value() / f64::from(r);
+        let free = edge - f64::from(r) * wc - 2.0 * rules.guard.value();
+        ChipletLayout::Uniform {
+            r,
+            gap: Mm(free / f64::from(r - 1)),
+        }
+    }
+
+    /// The smallest and largest kernel coordinate the oracle samples for
+    /// `rects` at `probes` per axis, over both axes.
+    fn sample_extent(set: &KernelSet, rects: &[Rect], probes: usize) -> (f64, f64) {
+        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        for target in rects {
+            let (x0, y0) = (target.x0().value(), target.y0().value());
+            let (w, h) = (target.x1().value() - x0, target.y1().value() - y0);
+            for i in 0..probes {
+                let x = x0 + (i as f64 + 0.5) / probes as f64 * w;
+                let y = y0 + (i as f64 + 0.5) / probes as f64 * h;
+                for (j, rc) in rects.iter().enumerate() {
+                    let (class, map) = class_of(j / set.r, j % set.r, set.r);
+                    let k = &set.classes[class];
+                    let c = rc.center();
+                    let (cx, cy) = map.apply(set.footprint, c.x.value(), c.y.value());
+                    let (qx, qy) = map.apply(set.footprint, x, y);
+                    for v in [qx + k.rep_center.0 - cx, qy + k.rep_center.1 - cy] {
+                        lo = lo.min(v);
+                        hi = hi.max(v);
+                    }
+                }
+            }
+        }
+        (lo, hi)
     }
 
     #[test]
@@ -262,6 +332,7 @@ mod tests {
                 let layout = ChipletLayout::Symmetric16 { spacing };
                 cases += assert_sampled_matches_reference(&set, &layout);
             }
+            cases += assert_sampled_matches_reference(&set, &uniform(edge, 4));
         }
         for edge in [20.0, 23.5, 26.5, 33.0] {
             let set = kernels(edge, 2);
@@ -269,6 +340,14 @@ mod tests {
             let layout = ChipletLayout::Symmetric4 { s3: Mm(s3) };
             cases += assert_sampled_matches_reference(&set, &layout);
         }
+        // A 33 mm layout on 22 mm kernels: sources sit far from their
+        // representatives, so translated samples leave the footprint on
+        // both sides and both clamp branches are compared.
+        let set = kernels(22.0, 4);
+        let wide = uniform(33.0, 4);
+        let (lo, hi) = sample_extent(&set, &wide.chiplet_rects(&chip, &rules), 2);
+        assert!(lo < 0.0 && hi > set.footprint, "samples span {lo}..{hi}");
+        cases += assert_sampled_matches_reference(&set, &wide);
         assert!(cases > 1000, "only {cases} cases");
     }
 
