@@ -1,3 +1,5 @@
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 //! # tac25d-serve — the placement-evaluation service
 //!
 //! Batch figure drivers pay the evaluator's cold-start cost (package-model

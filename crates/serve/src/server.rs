@@ -174,6 +174,11 @@ pub fn install_signal_handlers() {
     }
     const SIGINT: i32 = 2;
     const SIGTERM: i32 = 15;
+    // SAFETY: `signal(2)` takes a signal number and a handler address and
+    // touches no caller memory. Both numbers are valid signals, and
+    // `on_signal` is an `extern "C" fn(i32)` that lives for the whole
+    // program and only stores to an atomic, which is async-signal-safe.
+    // The previous handler that `signal` returns is not needed.
     unsafe {
         signal(SIGINT, on_signal);
         signal(SIGTERM, on_signal);

@@ -127,12 +127,48 @@ pub(crate) fn sample(kernels: &KernelSet, rects: &[Rect], probes_per_axis: usize
     }
 }
 
+/// Rows of unit rises [`UnitRises::field`] sums together.
+const ROWS: usize = 4;
+
 impl UnitRises {
     /// Superposes the sampled unit rises with the given per-chiplet total
-    /// watts (row-major over the r×r grid).
+    /// watts (row-major over the r×r grid). Each (target, probe) row is
+    /// summed from 0 in source order, skipping unpowered sources; rows go
+    /// [`ROWS`] at a time ([`row_rises`]) so their sums overlap, and the
+    /// chiplet sums and the peak take the rows in order.
     pub(crate) fn field(&self, watts: &[f64]) -> SuperposedField {
         let n = self.chiplets;
         assert_eq!(watts.len(), n, "one power figure per chiplet");
+        let mut peak_rise = f64::NEG_INFINITY;
+        let mut chiplet_mean_rise = Vec::with_capacity(n);
+        for chiplet in self.rise.chunks_exact(self.probes_per_chiplet * n) {
+            let mut sum = 0.0;
+            let mut add = |rise: f64| {
+                sum += rise;
+                peak_rise = peak_rise.max(rise);
+            };
+            let mut blocks = chiplet.chunks_exact(ROWS * n);
+            for block in &mut blocks {
+                row_rises::<ROWS>(watts, block)
+                    .into_iter()
+                    .for_each(&mut add);
+            }
+            for row in blocks.remainder().chunks_exact(n) {
+                row_rises::<1>(watts, row).into_iter().for_each(&mut add);
+            }
+            chiplet_mean_rise.push(sum / self.probes_per_chiplet as f64);
+        }
+        SuperposedField {
+            peak_rise,
+            chiplet_mean_rise,
+        }
+    }
+
+    /// [`Self::field`] one row at a time: the oracle it is checked
+    /// against bit for bit.
+    #[cfg(test)]
+    fn field_per_row(&self, watts: &[f64]) -> SuperposedField {
+        let n = self.chiplets;
         let mut peak_rise = f64::NEG_INFINITY;
         let mut chiplet_mean_rise = Vec::with_capacity(n);
         for chiplet in self.rise.chunks_exact(self.probes_per_chiplet * n) {
@@ -155,6 +191,24 @@ impl UnitRises {
             chiplet_mean_rise,
         }
     }
+}
+
+/// The rises of the `R` rows of `block` (`R` rows of one unit rise per
+/// source), each summed from 0 in source order over the powered sources.
+#[inline(always)]
+fn row_rises<const R: usize>(watts: &[f64], block: &[f64]) -> [f64; R] {
+    let n = watts.len();
+    assert_eq!(block.len(), R * n, "whole rows");
+    let mut rise = [0.0; R];
+    for (j, &w) in watts.iter().enumerate() {
+        if w == 0.0 {
+            continue;
+        }
+        for (r, acc) in rise.iter_mut().enumerate() {
+            *acc += w * block[r * n + j];
+        }
+    }
+    rise
 }
 
 #[cfg(test)]
@@ -349,6 +403,47 @@ mod tests {
         assert!(lo < 0.0 && hi > set.footprint, "samples span {lo}..{hi}");
         cases += assert_sampled_matches_reference(&set, &wide);
         assert!(cases > 1000, "only {cases} cases");
+    }
+
+    #[test]
+    fn blocked_rows_are_bitwise_the_per_row_oracle() {
+        // Seeded unit rises of either sign over every probe count a raw
+        // peak uses and then some (so each remainder of the row blocks
+        // occurs), with the power vectors above and a single powered
+        // source.
+        let mut state = 0x5eed_u64;
+        let mut rng = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as f64) / f64::from(u32::MAX)
+        };
+        let mut cases = 0;
+        for chiplets in [4, 16] {
+            for probes_per_chiplet in 1..=26 {
+                let rise = (0..chiplets * probes_per_chiplet * chiplets)
+                    .map(|_| rng() * 3.0 - 0.5)
+                    .collect();
+                let unit = UnitRises {
+                    chiplets,
+                    probes_per_chiplet,
+                    rise,
+                };
+                let mut vectors = power_vectors(chiplets);
+                vectors.push(
+                    (0..chiplets)
+                        .map(|j| if j == 1 { 7.5 } else { 0.0 })
+                        .collect(),
+                );
+                for watts in vectors {
+                    let case =
+                        format!("{chiplets} chiplets, {probes_per_chiplet} probes, {watts:?}");
+                    assert_bitwise_equal(&unit.field(&watts), &unit.field_per_row(&watts), &case);
+                    cases += 1;
+                }
+            }
+        }
+        assert_eq!(cases, 2 * 26 * 5);
     }
 
     #[test]

@@ -326,6 +326,7 @@ impl LinearOperator for CoupledOperator<'_> {
 mod tests {
     use super::*;
     use crate::model::{PackageModel, ThermalConfig};
+    use crate::sparse::pcg_reference;
     use tac25d_floorplan::chip::ChipSpec;
     use tac25d_floorplan::layers::StackSpec;
     use tac25d_floorplan::organization::{ChipletLayout, PackageRules};
@@ -472,6 +473,57 @@ mod tests {
         let max_dt = max_abs_delta(pcg.raw_temps(), direct.raw_temps());
         assert!(max_dt < 1e-6, "max |dT| = {max_dt:.3e}");
         assert!((pcg.total_power() - direct.total_power()).abs() < 1e-6);
+    }
+
+    #[test]
+    fn one_solve_is_bitwise_the_reference_loop() {
+        // The shipped CG loop against the reference loop on the same
+        // leakage-coupled operator and IC(0) factor, at the test grid and
+        // the two production grids.
+        let half = Rect::from_corner(0.0, 0.0, 9.0, 18.0);
+        let sources = [
+            leaky(120.0, 0.012),
+            AffineSource {
+                rect: half,
+                p0: 10.0,
+                dp_dt: 0.5,
+            },
+            AffineSource::constant(die(), 20.0),
+        ];
+        for grid in [16, 24, 32] {
+            let m = PackageModel::new(
+                &ChipSpec::scc_256(),
+                &ChipletLayout::SingleChip,
+                &PackageRules::default(),
+                &StackSpec::baseline_2d(),
+                ThermalConfig {
+                    grid,
+                    ..ThermalConfig::fast()
+                },
+            )
+            .unwrap();
+            let ours = solve_coupled(&m, &sources, &CoupledOptions::default()).unwrap();
+            let system = CoupledSystem::assemble(&m, &sources).unwrap();
+            let op = CoupledOperator {
+                g: &m.net.matrix,
+                feedback: &system.feedback,
+            };
+            let x0 = vec![m.config().ambient.value(); system.b.len()];
+            let cfg = m.config();
+            let theirs = pcg_reference(
+                &op,
+                &m.net.precond,
+                &system.b,
+                Some(&x0),
+                cfg.rel_tol,
+                cfg.max_iter,
+            )
+            .unwrap();
+            assert!(theirs.iterations > 10, "grid {grid}: {}", theirs.iterations);
+            assert_eq!(ours.iterations(), theirs.iterations, "grid {grid}");
+            let bits = |v: &[f64]| v.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(ours.raw_temps()), bits(&theirs.x), "grid {grid}");
+        }
     }
 
     #[test]

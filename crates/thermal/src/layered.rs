@@ -446,49 +446,24 @@ impl LayeredMatrix {
         CsrMatrix::from_parts(s.nodes, row_ptr, col, val)
     }
 
-    /// `y = A·x` over the raster lines, each line accumulated column
-    /// stage by column stage (so each stage vectorizes), and `x·y` when
-    /// `with_dot`.
+    /// `y = A·x` over the raster lines, each row's terms summed in one
+    /// pass ([`Self::product_line`]), and `x·y` when `with_dot`.
     fn product(&self, x: &[f64], y: &mut [f64], with_dot: bool) -> f64 {
         let s = &*self.shape;
         assert_eq!(x.len(), s.nodes, "x length mismatch");
         assert_eq!(y.len(), s.nodes, "y length mismatch");
-        let (n, n2, nl) = (s.n, s.n * s.n, s.layers);
+        let (n2, nl) = (s.n * s.n, s.layers);
         // The additive identity `Iterator::sum` starts from.
         let mut xy = -0.0;
         for li in 0..nl {
-            for iy in 0..n {
-                let b = li * n2 + iy * n;
-                let line = b..b + n;
-                let yl = &mut y[line.clone()];
-                yl.fill(0.0);
-                if li > 0 {
-                    add_products(yl, &self.wz[line.clone()], &x[b - n2..b - n2 + n]);
+            let layer = li * n2;
+            match (li > 0, li + 1 < nl) {
+                (false, false) => {
+                    self.product_layer::<false, false>(x, y, layer, with_dot, &mut xy)
                 }
-                if iy > 0 {
-                    add_products(yl, &self.wy[line.clone()], &x[b - n..b]);
-                }
-                add_products(&mut yl[1..], &self.wx[b + 1..b + n], &x[b..b + n - 1]);
-                add_products(yl, &self.diag[line.clone()], &x[line.clone()]);
-                add_products(&mut yl[..n - 1], &self.wx[b + 1..b + n], &x[b + 1..b + n]);
-                if iy + 1 < n {
-                    add_products(yl, &self.wy[b + n..b + 2 * n], &x[b + n..b + 2 * n]);
-                }
-                if li + 1 < nl {
-                    add_products(yl, &self.wz[b + n2..b + n2 + n], &x[b + n2..b + n2 + n]);
-                }
-                if s.g_ptr[b] != s.g_ptr[b + n] {
-                    for (k, yk) in yl.iter_mut().enumerate() {
-                        for e in s.g_range(b + k) {
-                            *yk += self.p_val[s.g_slot[e] as usize] * x[s.g_node[e] as usize];
-                        }
-                    }
-                }
-                if with_dot {
-                    for (xk, yk) in x[line].iter().zip(yl.iter()) {
-                        xy += xk * yk;
-                    }
-                }
+                (false, true) => self.product_layer::<false, true>(x, y, layer, with_dot, &mut xy),
+                (true, false) => self.product_layer::<true, false>(x, y, layer, with_dot, &mut xy),
+                (true, true) => self.product_layer::<true, true>(x, y, layer, with_dot, &mut xy),
             }
         }
         for q in 0..s.periphery() {
@@ -502,13 +477,141 @@ impl LayeredMatrix {
         }
         xy
     }
-}
 
-/// `y[k] += w[k]·x[k]` — one column stage of a raster line.
-#[inline]
-fn add_products(y: &mut [f64], w: &[f64], x: &[f64]) {
-    for ((yk, wk), xk) in y.iter_mut().zip(w).zip(x) {
-        *yk += wk * xk;
+    /// Rows `layer..layer + n²` of `y = A·x`, and their share of `x·y`
+    /// added to `xy` when `with_dot`: `ZM` and `ZP` say whether the layer
+    /// has a `−n²` and a `+n²` neighbour.
+    fn product_layer<const ZM: bool, const ZP: bool>(
+        &self,
+        x: &[f64],
+        y: &mut [f64],
+        layer: usize,
+        with_dot: bool,
+        xy: &mut f64,
+    ) {
+        let n = self.shape.n;
+        self.product_line::<ZM, false, true, ZP>(x, y, layer);
+        for b in (layer + n..layer + (n - 1) * n).step_by(n) {
+            self.product_line::<ZM, true, true, ZP>(x, y, b);
+        }
+        self.product_line::<ZM, true, false, ZP>(x, y, layer + (n - 1) * n);
+        for b in (layer..layer + n * n).step_by(n) {
+            self.border_and_dot(x, y, b, with_dot, xy);
+        }
+    }
+
+    /// Adds the border terms of raster line `b..b + n` to `y`, then, when
+    /// `with_dot`, the line's share of `x·y` to `xy` in ascending rows.
+    #[inline]
+    fn border_and_dot(&self, x: &[f64], y: &mut [f64], b: usize, with_dot: bool, xy: &mut f64) {
+        let s = &*self.shape;
+        let line = b..b + s.n;
+        if s.g_ptr[b] != s.g_ptr[b + s.n] {
+            for (k, yk) in y[line.clone()].iter_mut().enumerate() {
+                for e in s.g_range(b + k) {
+                    *yk += self.p_val[s.g_slot[e] as usize] * x[s.g_node[e] as usize];
+                }
+            }
+        }
+        if with_dot {
+            for (xk, yk) in x[line.clone()].iter().zip(&y[line]) {
+                *xy += xk * yk;
+            }
+        }
+    }
+
+    /// The grid terms of raster line `b..b + n`, each row summed from
+    /// `0.0` in ascending columns `−n²`, `−n`, `−1`, `0`, `+1`, `+n`,
+    /// `+n²`, absent neighbours skipped: `ZM`, `YM`, `YP`, `ZP` say which
+    /// of the `−n²`, `−n`, `+n`, `+n²` neighbours the line has. Columns
+    /// `1..n − 1` run over equal-length slices, so that loop vectorizes
+    /// without bounds checks; the two end columns follow.
+    #[inline(always)]
+    fn product_line<const ZM: bool, const YM: bool, const YP: bool, const ZP: bool>(
+        &self,
+        x: &[f64],
+        y: &mut [f64],
+        b: usize,
+    ) {
+        let (n, n2) = (self.shape.n, self.shape.n * self.shape.n);
+        let m = n - 2;
+        // Row i's terms: the band value and the neighbour's x for each
+        // present offset; `left`/`right` select the `∓1` terms.
+        let row = |i: usize, left: bool, right: bool| {
+            let mut acc = 0.0;
+            if ZM {
+                acc += self.wz[i] * x[i - n2];
+            }
+            if YM {
+                acc += self.wy[i] * x[i - n];
+            }
+            if left {
+                acc += self.wx[i] * x[i - 1];
+            }
+            acc += self.diag[i] * x[i];
+            if right {
+                acc += self.wx[i + 1] * x[i + 1];
+            }
+            if YP {
+                acc += self.wy[i + n] * x[i + n];
+            }
+            if ZP {
+                acc += self.wz[i + n2] * x[i + n2];
+            }
+            acc
+        };
+        y[b] = row(b, false, true);
+        y[b + n - 1] = row(b + n - 1, true, false);
+        // Interior columns: every slice below holds exactly `m` entries,
+        // column `k` at index `k − 1`. A slice of an absent neighbour is
+        // empty and never read.
+        let c = b + 1;
+        fn band(v: &[f64], lo: usize, m: usize) -> &[f64] {
+            &v[lo..lo + m]
+        }
+        let none: &[f64] = &[];
+        let (zm_w, zm_x) = if ZM {
+            (band(&self.wz, c, m), band(x, c - n2, m))
+        } else {
+            (none, none)
+        };
+        let (ym_w, ym_x) = if YM {
+            (band(&self.wy, c, m), band(x, c - n, m))
+        } else {
+            (none, none)
+        };
+        let (l_w, l_x) = (band(&self.wx, c, m), band(x, c - 1, m));
+        let (d_w, d_x) = (band(&self.diag, c, m), band(x, c, m));
+        let (r_w, r_x) = (band(&self.wx, c + 1, m), band(x, c + 1, m));
+        let (yp_w, yp_x) = if YP {
+            (band(&self.wy, c + n, m), band(x, c + n, m))
+        } else {
+            (none, none)
+        };
+        let (zp_w, zp_x) = if ZP {
+            (band(&self.wz, c + n2, m), band(x, c + n2, m))
+        } else {
+            (none, none)
+        };
+        for (k, yk) in y[c..c + m].iter_mut().enumerate() {
+            let mut acc = 0.0;
+            if ZM {
+                acc += zm_w[k] * zm_x[k];
+            }
+            if YM {
+                acc += ym_w[k] * ym_x[k];
+            }
+            acc += l_w[k] * l_x[k];
+            acc += d_w[k] * d_x[k];
+            acc += r_w[k] * r_x[k];
+            if YP {
+                acc += yp_w[k] * yp_x[k];
+            }
+            if ZP {
+                acc += zp_w[k] * zp_x[k];
+            }
+            *yk = acc;
+        }
     }
 }
 
@@ -716,47 +819,56 @@ impl LayeredIc0 {
     /// last value and whose `−n` neighbour line `t − 1` produced the step
     /// before; both stay in registers. From step `K` to step `n − 1`
     /// every line is inside its raster, so only the first and last
-    /// `K − 1` steps test for line ends.
+    /// `K − 1` steps test for line ends. The group's `K` lines are sliced
+    /// once, and that slicing is the only bounds check of the group.
     fn forward_group<const K: usize>(&self, z: &mut [f64], a: usize) {
         let n = self.shape.n;
+        let span = a..a + K * n;
+        let (z, lx, ly, inv_d) = (
+            &mut z[span.clone()],
+            &self.lx[span.clone()],
+            &self.ly[span.clone()],
+            &self.inv_d[span],
+        );
         let mut own = [0.0f64; K];
+        // Step `s`; an `edge` step skips lines outside their raster and
+        // the `−1` term of column 0. Descending t: line t reads
+        // own[t − 1] before it advances. A macro rather than a closure,
+        // so that each loop below gets its own copy with `edge` fixed.
+        macro_rules! step {
+            ($s:expr, $edge:expr) => {{
+                let (s, edge): (usize, bool) = ($s, $edge);
+                for t in (0..K).rev() {
+                    if edge && (s < t || s - t >= n) {
+                        continue;
+                    }
+                    let j = t * n + s - t;
+                    // SAFETY: `t < K` and `t ≤ s < n + t` (an edge step
+                    // skips any other line, and the interior steps run
+                    // `K ≤ s < n`), so `j < K·n`, the length of all four
+                    // group slices.
+                    unsafe {
+                        let mut acc = *z.get_unchecked(j);
+                        if t > 0 {
+                            acc -= ly.get_unchecked(j) * own[t - 1];
+                        }
+                        if !edge || s > t {
+                            acc -= lx.get_unchecked(j) * own[t];
+                        }
+                        own[t] = acc * inv_d.get_unchecked(j);
+                        *z.get_unchecked_mut(j) = own[t];
+                    }
+                }
+            }};
+        }
         for s in 0..K {
-            self.forward_step::<K, true>(z, a, s, &mut own);
+            step!(s, true);
         }
         for s in K..n {
-            self.forward_step::<K, false>(z, a, s, &mut own);
+            step!(s, false);
         }
         for s in n..n + K - 1 {
-            self.forward_step::<K, true>(z, a, s, &mut own);
-        }
-    }
-
-    /// Step `s` of [`Self::forward_group`]; an `EDGE` step skips lines
-    /// outside their raster and the `−1` term of column 0.
-    #[inline(always)]
-    fn forward_step<const K: usize, const EDGE: bool>(
-        &self,
-        z: &mut [f64],
-        a: usize,
-        s: usize,
-        own: &mut [f64; K],
-    ) {
-        let n = self.shape.n;
-        // Descending t: line t reads own[t − 1] before it advances.
-        for t in (0..K).rev() {
-            if EDGE && (s < t || s - t >= n) {
-                continue;
-            }
-            let i = a + t * n + s - t;
-            let mut acc = z[i];
-            if t > 0 {
-                acc -= self.ly[i] * own[t - 1];
-            }
-            if !EDGE || s > t {
-                acc -= self.lx[i] * own[t];
-            }
-            own[t] = acc * self.inv_d[i];
-            z[i] = own[t];
+            step!(s, true);
         }
     }
 
@@ -794,14 +906,29 @@ impl LayeredIc0 {
                 while lines < GROUP.min(top) && !s.interior_border(a - lines * n) {
                     lines += 1;
                 }
-                match lines {
-                    1 => self.backward_group::<1>(z, a, has_y, has_z),
-                    2 => self.backward_group::<2>(z, a, has_y, has_z),
-                    3 => self.backward_group::<3>(z, a, has_y, has_z),
-                    _ => self.backward_group::<4>(z, a, has_y, has_z),
+                match (has_y, has_z) {
+                    (false, false) => self.backward_lines::<false, false>(z, a, lines),
+                    (false, true) => self.backward_lines::<false, true>(z, a, lines),
+                    (true, false) => self.backward_lines::<true, false>(z, a, lines),
+                    (true, true) => self.backward_lines::<true, true>(z, a, lines),
                 }
                 top -= lines;
             }
+        }
+    }
+
+    /// [`Self::backward_group`] of `lines` (1 to [`GROUP`]) lines.
+    fn backward_lines<const HAS_Y: bool, const HAS_Z: bool>(
+        &self,
+        z: &mut [f64],
+        a: usize,
+        lines: usize,
+    ) {
+        match lines {
+            1 => self.backward_group::<1, HAS_Y, HAS_Z>(z, a),
+            2 => self.backward_group::<2, HAS_Y, HAS_Z>(z, a),
+            3 => self.backward_group::<3, HAS_Y, HAS_Z>(z, a),
+            _ => self.backward_group::<4, HAS_Y, HAS_Z>(z, a),
         }
     }
 
@@ -825,68 +952,103 @@ impl LayeredIc0 {
     }
 
     /// Finishes the `K` lines from `a` downwards (line `t` starts at
-    /// `a − t·n`; the first has a `+n` neighbour iff `has_y`): at step `s`
-    /// line `t` takes column `n − 1 − (s − t)`, whose `+1` neighbour is the
-    /// line's own last value and whose `+n` neighbour line `t − 1`
-    /// produced the step before. From step `K` to step `n − 2` every line
-    /// is at an interior column, which has a `+1` neighbour and (the
-    /// lines being grouped only so) no border coupling; only the other
-    /// steps test for line ends.
-    fn backward_group<const K: usize>(&self, z: &mut [f64], a: usize, has_y: bool, has_z: bool) {
-        let n = self.shape.n;
-        let mut own = [0.0f64; K];
-        let interior = K..(n - 1).max(K);
-        for s in 0..K {
-            self.backward_step::<K, true>(z, a, s, &mut own, has_y, has_z);
-        }
-        for s in interior.clone() {
-            self.backward_step::<K, false>(z, a, s, &mut own, has_y, has_z);
-        }
-        for s in interior.end..n + K - 1 {
-            self.backward_step::<K, true>(z, a, s, &mut own, has_y, has_z);
-        }
-    }
-
-    /// Step `s` of [`Self::backward_group`]; an `EDGE` step skips lines
-    /// outside their raster, and its line ends drop the missing `+1` term
-    /// and add their border terms.
-    #[inline(always)]
-    fn backward_step<const K: usize, const EDGE: bool>(
+    /// `a − t·n`; the first has a `+n` neighbour iff `HAS_Y`, and every
+    /// line a `+n²` neighbour iff `HAS_Z`): at step `s` line `t` takes
+    /// column `n − 1 − (s − t)`, whose `+1` neighbour is the line's own
+    /// last value and whose `+n` neighbour line `t − 1` produced the step
+    /// before. From step `K` to step `n − 2` every line is at an interior
+    /// column, which has a `+1` neighbour and (the lines being grouped
+    /// only so) no border coupling; only the other steps test for line
+    /// ends. The group's lines and the neighbours it reads above them are
+    /// sliced once, and that slicing is the only bounds check of the
+    /// group.
+    fn backward_group<const K: usize, const HAS_Y: bool, const HAS_Z: bool>(
         &self,
         z: &mut [f64],
         a: usize,
-        s: usize,
-        own: &mut [f64; K],
-        has_y: bool,
-        has_z: bool,
     ) {
         let sh = &*self.shape;
         let (n, n2) = (sh.n, sh.n * sh.n);
-        for t in (0..K).rev() {
-            if EDGE && (s < t || s - t >= n) {
-                continue;
-            }
-            let k = n - 1 - (s - t);
-            let i = a - t * n + k;
-            let mut acc = z[i];
-            if !EDGE || k + 1 < n {
-                acc -= self.lx[i + 1] * own[t];
-            }
-            if t > 0 {
-                acc -= self.ly[i + n] * own[t - 1];
-            } else if has_y {
-                acc -= self.ly[i + n] * z[i + n];
-            }
-            if has_z {
-                acc -= self.lz[i + n2] * z[i + n2];
-            }
-            if EDGE && (k == 0 || k + 1 == n) {
-                for e in sh.g_range(i) {
-                    acc -= self.l_p[sh.g_slot[e] as usize] * z[sh.g_node[e] as usize];
+        // Slice-relative index j = i − g0 for node i; the group's own rows
+        // are j < K·n. Reads above them reach j + n (`ly`, and `z` when
+        // HAS_Y) and j + n² (`z`, with `lz` sliced at that offset).
+        let g0 = a + n - K * n;
+        let len = K * n;
+        let above = if HAS_Z {
+            n2
+        } else if HAS_Y {
+            n
+        } else {
+            0
+        };
+        let (z, periphery) = z.split_at_mut(sh.ng);
+        let (z, lx, ly, inv_d) = (
+            &mut z[g0..g0 + len + above],
+            &self.lx[g0..g0 + len],
+            &self.ly[g0..g0 + len + if HAS_Y { n } else { 0 }],
+            &self.inv_d[g0..g0 + len],
+        );
+        let lz = if HAS_Z {
+            &self.lz[g0 + n2..g0 + n2 + len]
+        } else {
+            &[][..]
+        };
+        let mut own = [0.0f64; K];
+        // Step `s`; an `edge` step skips lines outside their raster, and
+        // its line ends drop the missing `+1` term and add their border
+        // terms. A macro rather than a closure, so that each loop below
+        // gets its own copy with `edge` fixed.
+        macro_rules! step {
+            ($s:expr, $edge:expr) => {{
+                let (s, edge): (usize, bool) = ($s, $edge);
+                for t in (0..K).rev() {
+                    if edge && (s < t || s - t >= n) {
+                        continue;
+                    }
+                    let k = n - 1 - (s - t);
+                    let j = (K - 1 - t) * n + k;
+                    // SAFETY: `t < K` and `k < n` (an edge step skips any
+                    // other line, and the interior steps run `K ≤ s < n − 1`),
+                    // so `j < K·n`, the length of `lx`, `inv_d` and `lz` (when
+                    // HAS_Z) and at most that of `z` and `ly`. `j + 1` is read
+                    // only when `k + 1 < n`, so it stays in the line. For
+                    // `t > 0`, `j + n` is line `t − 1`, below `K·n`; for
+                    // `t = 0` it is read only when HAS_Y, where `ly` and `z`
+                    // extend `n` past `K·n`. `j + n²` is read only when HAS_Z,
+                    // where `z` extends `n²` past `K·n`.
+                    unsafe {
+                        let mut acc = *z.get_unchecked(j);
+                        if !edge || k + 1 < n {
+                            acc -= lx.get_unchecked(j + 1) * own[t];
+                        }
+                        if t > 0 {
+                            acc -= ly.get_unchecked(j + n) * own[t - 1];
+                        } else if HAS_Y {
+                            acc -= ly.get_unchecked(j + n) * z.get_unchecked(j + n);
+                        }
+                        if HAS_Z {
+                            acc -= lz.get_unchecked(j) * z.get_unchecked(j + n2);
+                        }
+                        if edge && (k == 0 || k + 1 == n) {
+                            for e in sh.g_range(g0 + j) {
+                                acc -= self.l_p[sh.g_slot[e] as usize]
+                                    * periphery[sh.g_node[e] as usize - sh.ng];
+                            }
+                        }
+                        own[t] = acc * inv_d.get_unchecked(j);
+                        *z.get_unchecked_mut(j) = own[t];
+                    }
                 }
-            }
-            own[t] = acc * self.inv_d[i];
-            z[i] = own[t];
+            }};
+        }
+        for s in 0..K {
+            step!(s, true);
+        }
+        for s in K..(n - 1).max(K) {
+            step!(s, false);
+        }
+        for s in (n - 1).max(K)..n + K - 1 {
+            step!(s, true);
         }
     }
 }

@@ -895,16 +895,17 @@ mod tests {
 
     /// Checks a model's banded operator against the retired CSR path bit
     /// for bit: the fill against the emission-order scaffold fill, then
-    /// the product, the IC(0) factor and whole PCG solves against CSR
-    /// and the general up-looking [`crate::sparse::Ic0`]. Also checks
-    /// that the operator is a symmetric M-matrix.
+    /// the product, the IC(0) factor and whole PCG solves against the
+    /// reference CG loop over CSR and the general up-looking
+    /// [`crate::sparse::Ic0`]. Also checks that the operator is a
+    /// symmetric M-matrix.
     fn assert_matches_csr_oracle(
         layout: &ChipletLayout,
         stack: &StackSpec,
         config: &ThermalConfig,
         what: &str,
     ) {
-        use crate::sparse::{Ic0, LinearOperator, Precondition};
+        use crate::sparse::{pcg_reference, Ic0, LinearOperator, Precondition};
         let model = PackageModel::new(&chip(), layout, &rules(), stack, config.clone()).unwrap();
         let (_, _, geom) = PackageModel::prepare_geometry(&chip(), layout, &rules(), stack, config);
         let net = &model.net;
@@ -962,7 +963,7 @@ mod tests {
         for x0 in [None, Some(guess.as_slice())] {
             let tol = model.config.rel_tol;
             let ours = pcg_with(&net.matrix, &net.precond, &b, x0, tol, 10_000).unwrap();
-            let theirs = pcg_with(&csr, &oracle, &b, x0, tol, 10_000).unwrap();
+            let theirs = pcg_reference(&csr, &oracle, &b, x0, tol, 10_000).unwrap();
             assert_eq!(ours.iterations, theirs.iterations, "{what}: iterations");
             assert_eq!(
                 ours.residual.to_bits(),
