@@ -502,7 +502,7 @@ impl LayeredMatrix {
 
     /// Adds the border terms of raster line `b..b + n` to `y`, then, when
     /// `with_dot`, the line's share of `x·y` to `xy` in ascending rows.
-    #[inline]
+    #[inline(always)]
     fn border_and_dot(&self, x: &[f64], y: &mut [f64], b: usize, with_dot: bool, xy: &mut f64) {
         let s = &*self.shape;
         let line = b..b + s.n;
@@ -520,6 +520,46 @@ impl LayeredMatrix {
         }
     }
 
+    /// Row `i` of `y = A·x` in [`Self::product_line`]'s term order, for
+    /// an end column: `L` and `R` say whether it has a `−1` and a `+1`
+    /// neighbour.
+    #[inline(always)]
+    fn end_row<
+        const ZM: bool,
+        const YM: bool,
+        const YP: bool,
+        const ZP: bool,
+        const L: bool,
+        const R: bool,
+    >(
+        &self,
+        x: &[f64],
+        i: usize,
+    ) -> f64 {
+        let (n, n2) = (self.shape.n, self.shape.n * self.shape.n);
+        let mut acc = 0.0;
+        if ZM {
+            acc += self.wz[i] * x[i - n2];
+        }
+        if YM {
+            acc += self.wy[i] * x[i - n];
+        }
+        if L {
+            acc += self.wx[i] * x[i - 1];
+        }
+        acc += self.diag[i] * x[i];
+        if R {
+            acc += self.wx[i + 1] * x[i + 1];
+        }
+        if YP {
+            acc += self.wy[i + n] * x[i + n];
+        }
+        if ZP {
+            acc += self.wz[i + n2] * x[i + n2];
+        }
+        acc
+    }
+
     /// The grid terms of raster line `b..b + n`, each row summed from
     /// `0.0` in ascending columns `−n²`, `−n`, `−1`, `0`, `+1`, `+n`,
     /// `+n²`, absent neighbours skipped: `ZM`, `YM`, `YP`, `ZP` say which
@@ -535,33 +575,8 @@ impl LayeredMatrix {
     ) {
         let (n, n2) = (self.shape.n, self.shape.n * self.shape.n);
         let m = n - 2;
-        // Row i's terms: the band value and the neighbour's x for each
-        // present offset; `left`/`right` select the `∓1` terms.
-        let row = |i: usize, left: bool, right: bool| {
-            let mut acc = 0.0;
-            if ZM {
-                acc += self.wz[i] * x[i - n2];
-            }
-            if YM {
-                acc += self.wy[i] * x[i - n];
-            }
-            if left {
-                acc += self.wx[i] * x[i - 1];
-            }
-            acc += self.diag[i] * x[i];
-            if right {
-                acc += self.wx[i + 1] * x[i + 1];
-            }
-            if YP {
-                acc += self.wy[i + n] * x[i + n];
-            }
-            if ZP {
-                acc += self.wz[i + n2] * x[i + n2];
-            }
-            acc
-        };
-        y[b] = row(b, false, true);
-        y[b + n - 1] = row(b + n - 1, true, false);
+        y[b] = self.end_row::<ZM, YM, YP, ZP, false, true>(x, b);
+        y[b + n - 1] = self.end_row::<ZM, YM, YP, ZP, true, false>(x, b + n - 1);
         // Interior columns: every slice below holds exactly `m` entries,
         // column `k` at index `k − 1`. A slice of an absent neighbour is
         // empty and never read.
@@ -765,7 +780,7 @@ impl LayeredIc0 {
     /// Forward substitution `L·z = r`. The grid rows go in groups of up to
     /// [`GROUP`] raster lines: each line is first reduced by its
     /// already-final neighbours one layer back (and, for the group's first
-    /// line, one line back) in vectorized passes; then the lines' serial
+    /// line, one line back) in one vectorized pass; then the lines' serial
     /// recurrences advance together, each one column behind the line
     /// before it, so their latencies overlap.
     fn forward(&self, r: &[f64], z: &mut [f64]) {
@@ -777,7 +792,13 @@ impl LayeredIc0 {
                 let lines = GROUP.min(n - iy);
                 let a = li * n2 + iy * n;
                 for t in 0..lines {
-                    self.forward_stage(r, z, a + t * n, li > 0, t == 0 && iy > 0);
+                    let b = a + t * n;
+                    match (li > 0, t == 0 && iy > 0) {
+                        (false, false) => self.forward_stage::<false, false>(r, z, b),
+                        (false, true) => self.forward_stage::<false, true>(r, z, b),
+                        (true, false) => self.forward_stage::<true, false>(r, z, b),
+                        (true, true) => self.forward_stage::<true, true>(r, z, b),
+                    }
                 }
                 match lines {
                     1 => self.forward_group::<1>(z, a),
@@ -799,18 +820,38 @@ impl LayeredIc0 {
         }
     }
 
-    /// `z[line] = r[line] − lz·z[line − n²] − ly·z[line − n]` (each term
-    /// when present).
-    fn forward_stage(&self, r: &[f64], z: &mut [f64], b: usize, has_z: bool, has_y: bool) {
+    /// `z[line] = r[line] − lz·z[line − n²] − ly·z[line − n]` for the
+    /// line at `b`, in one pass; `HAS_Z` and `HAS_Y` say which term is
+    /// present.
+    #[inline(always)]
+    fn forward_stage<const HAS_Z: bool, const HAS_Y: bool>(
+        &self,
+        r: &[f64],
+        z: &mut [f64],
+        b: usize,
+    ) {
         let (n, n2) = (self.shape.n, self.shape.n * self.shape.n);
         let (done, rest) = z.split_at_mut(b);
-        let line = &mut rest[..n];
-        line.copy_from_slice(&r[b..b + n]);
-        if has_z {
-            sub_products(line, &self.lz[b..b + n], &done[b - n2..b - n2 + n]);
-        }
-        if has_y {
-            sub_products(line, &self.ly[b..b + n], &done[b - n..b]);
+        let none: &[f64] = &[];
+        let (lz, zz) = if HAS_Z {
+            (&self.lz[b..b + n], &done[b - n2..b - n2 + n])
+        } else {
+            (none, none)
+        };
+        let (ly, zy) = if HAS_Y {
+            (&self.ly[b..b + n], &done[b - n..b])
+        } else {
+            (none, none)
+        };
+        for (k, (zk, rk)) in rest[..n].iter_mut().zip(&r[b..b + n]).enumerate() {
+            let mut acc = *rk;
+            if HAS_Z {
+                acc -= lz[k] * zz[k];
+            }
+            if HAS_Y {
+                acc -= ly[k] * zy[k];
+            }
+            *zk = acc;
         }
     }
 
@@ -1050,14 +1091,6 @@ impl LayeredIc0 {
         for s in (n - 1).max(K)..n + K - 1 {
             step!(s, true);
         }
-    }
-}
-
-/// `z[k] −= l[k]·v[k]` — one staged term of a forward line.
-#[inline]
-fn sub_products(z: &mut [f64], l: &[f64], v: &[f64]) {
-    for ((zk, lk), vk) in z.iter_mut().zip(l).zip(v) {
-        *zk -= lk * vk;
     }
 }
 
