@@ -887,7 +887,7 @@ pub const BASELINE_GUARD_BAND_C: f64 = 15.0;
 /// # Errors
 ///
 /// Propagates evaluation errors.
-pub fn single_chip_baseline_screened(
+pub(crate) fn single_chip_baseline_screened(
     ev: &Evaluator,
     benchmark: Benchmark,
     screen: bool,

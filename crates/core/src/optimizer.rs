@@ -31,13 +31,14 @@
 
 use crate::evaluator::{single_chip_baseline_screened, Baseline, EvalError, Evaluation, Evaluator};
 use crate::objective::{objective_value, Weights};
+use crate::system::SystemSpec;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use tac25d_floorplan::organization::{symmetric4_for_edge, ChipletLayout, Spacing};
@@ -46,7 +47,8 @@ use tac25d_obs as obs;
 use tac25d_power::benchmarks::Benchmark;
 use tac25d_power::dvfs::OperatingPoint;
 use tac25d_power::perf::Ips;
-use tac25d_surrogate::analytic::{snap_to_lattice, AnalyticConfig, Manifold16};
+use tac25d_surrogate::analytic::{snap_to_lattice, Manifold16};
+use tac25d_surrogate::Prediction;
 
 /// The chiplet counts the paper optimizes over (Sec. III-C limits the
 /// search to 4 and 16 for bonding-yield reasons).
@@ -125,16 +127,6 @@ impl Fidelity {
     /// The surrogate fidelity with the default guard band.
     pub fn surrogate_default() -> Self {
         Fidelity::Surrogate { guard_band_c: 5.0 }
-    }
-}
-
-impl OptimizerConfig {
-    /// Whether this run uses the draft-then-verify pipeline: analytic
-    /// seeds, raw-kernel draft ranking, the screened baseline walk and
-    /// tie-run truncation. Requires surrogate fidelity and an attached
-    /// surrogate, so the exact paper path keeps the paper's search.
-    fn draft(&self, ev: &Evaluator) -> bool {
-        matches!(self.fidelity, Fidelity::Surrogate { .. }) && ev.surrogate().is_some()
     }
 }
 
@@ -357,14 +349,13 @@ pub fn enumerate_candidates(
 
 /// [`enumerate_candidates`] with an optional tier-1 screen over the
 /// single-chip baseline walk (see
-/// [`crate::evaluator::single_chip_baseline_screened`]). The optimizer
-/// enables the screen only for surrogate-fidelity seeded searches; the
-/// exact paper path never sees it.
+/// [`crate::evaluator::single_chip_baseline_screened`]). Only a screened
+/// search enables it; the exact paper path never sees it.
 ///
 /// # Errors
 ///
 /// See [`enumerate_candidates`].
-pub fn enumerate_candidates_screened(
+pub(crate) fn enumerate_candidates_screened(
     ev: &Evaluator,
     benchmark: Benchmark,
     weights: Weights,
@@ -428,26 +419,62 @@ struct LatticePoint {
     s2u: i64,
 }
 
-fn lattice_spacing(pt: LatticePoint, free_units: i64, step: f64) -> Spacing {
-    Spacing::new(
-        pt.s1u as f64 * step,
-        pt.s2u as f64 * step,
-        (free_units - 2 * pt.s1u) as f64 * step,
-    )
+/// The spacing lattice of one 16-chiplet candidate. Both coordinates run
+/// over `0..=max` with `max = free_units / 2`: `s1 ≤ free/2` keeps
+/// `s3 ≥ 0`, and `s2 ≤ free/2` is Eq. (10) on the fixed-edge manifold.
+struct Lattice {
+    /// The manifold constant `2·s1 + s3`, in lattice steps.
+    free_units: i64,
+    /// Lattice step, mm.
+    step: f64,
+    /// Largest `s1u` and largest `s2u`.
+    max: i64,
 }
 
-/// A greedy descent objective: converged exact peaks order normally and
-/// non-converged (runaway) points sort last.
-fn peak_of(e: &Evaluation) -> f64 {
-    if e.converged {
-        e.peak.value()
-    } else {
-        f64::INFINITY
+impl Lattice {
+    /// The lattice of a 16-chiplet candidate at `edge`, or `None` when the
+    /// chiplets and guard bands do not fit.
+    fn at_edge(spec: &SystemSpec, edge: Mm) -> Option<Lattice> {
+        let step = spec.rules.step.value();
+        let wc = spec.chip.edge().value() / 4.0;
+        let free = edge.value() - 4.0 * wc - 2.0 * spec.rules.guard.value();
+        if free < -1e-9 {
+            return None;
+        }
+        let free_units = (free / step).round() as i64;
+        Some(Lattice {
+            free_units,
+            step,
+            max: free_units / 2,
+        })
+    }
+
+    fn layout(&self, pt: LatticePoint) -> ChipletLayout {
+        ChipletLayout::Symmetric16 {
+            spacing: Spacing::new(
+                pt.s1u as f64 * self.step,
+                pt.s2u as f64 * self.step,
+                (self.free_units - 2 * pt.s1u) as f64 * self.step,
+            ),
+        }
+    }
+
+    fn contains(&self, pt: LatticePoint) -> bool {
+        (0..=self.max).contains(&pt.s1u) && (0..=self.max).contains(&pt.s2u)
+    }
+
+    /// A uniformly random point (`s1u` drawn first).
+    fn random(&self, rng: &mut StdRng) -> LatticePoint {
+        LatticePoint {
+            s1u: rng.gen_range(0..=self.max),
+            s2u: rng.gen_range(0..=self.max),
+        }
     }
 }
 
 /// The two screening margins of surrogate fidelity (both in °C above the
-/// feasibility threshold).
+/// feasibility threshold). A search carries them exactly when it is
+/// screened; without them it is the exact paper search.
 #[derive(Debug, Clone, Copy)]
 struct Guards {
     /// Corrected-prediction margin: trusted predictions within it are
@@ -458,257 +485,587 @@ struct Guards {
     raw: f64,
 }
 
-/// Outcome of probing one placement under (possible) surrogate screening.
-enum Probe {
-    /// Exactly evaluated — the only outcome that can claim feasibility.
-    Exact(Arc<Evaluation>),
-    /// Skipped on a too-hot prediction.
-    Skipped,
+impl Guards {
+    /// The guards of a search under `fidelity` on `ev`: present for
+    /// surrogate fidelity on an evaluator with a surrogate attached. A
+    /// screened search also screens the baseline walk, seeds the greedy
+    /// analytically, ranks greedy moves on the raw kernel and truncates
+    /// tie runs; the exact paper search does none of these.
+    fn of(fidelity: Fidelity, ev: &Evaluator) -> Option<Guards> {
+        match (fidelity, ev.surrogate()) {
+            (Fidelity::Surrogate { guard_band_c }, Some(s)) => Some(Guards {
+                band: guard_band_c,
+                raw: s.config().raw_guard_band_c.max(guard_band_c),
+            }),
+            _ => None,
+        }
+    }
+
+    /// The guards of a 4-chiplet candidate. Every Symmetric4 candidate
+    /// *is* the kernel's 2×2 reference layout (a uniform grid at the
+    /// candidate edge), so the raw superposition there is corrector-grade:
+    /// the raw margin narrows to the verification band, and
+    /// clearly-infeasible 4-chiplet candidates do not pay an exact solve
+    /// each.
+    fn four(self) -> Guards {
+        Guards {
+            band: self.band,
+            raw: self.band,
+        }
+    }
+
+    /// The estimate a screen reads off a prediction and the margin it
+    /// allows around the threshold: a trusted prediction's corrected peak
+    /// within the verification band, an untrusted one's raw kernel peak
+    /// within the raw band.
+    fn read(self, pred: &Prediction) -> (f64, f64) {
+        if pred.trusted {
+            (pred.corrected_peak_c, self.band)
+        } else {
+            (pred.raw_peak_c, self.raw)
+        }
+    }
+}
+
+impl SearchStats {
+    /// Counts one exact verification of a predicted peak, and its error
+    /// when the solve converged.
+    fn verified(&mut self, predicted: f64, e: &Evaluation) {
+        self.surrogate_verifications += 1;
+        if e.converged {
+            let gap = (predicted - e.peak.value()).abs();
+            self.surrogate_max_abs_error_c = self.surrogate_max_abs_error_c.max(gap);
+            self.surrogate_abs_error_sum_c += gap;
+        }
+    }
 }
 
 /// A feasible placement paired with its exact evaluation.
 type Placed = (ChipletLayout, Arc<Evaluation>);
 
-/// Draft-mode probe of one 4-chiplet candidate inside a tie run. Unlike
-/// [`Probe`], it has a third outcome for clearly-cool predictions that the
-/// edge binary search may treat as feasible without an exact solve — only
-/// the search's final winner must be exact-confirmed before it can claim
-/// feasibility.
-enum DraftProbe {
-    /// Exactly evaluated and feasible.
-    Feasible(ChipletLayout, Arc<Evaluation>),
-    /// Predicted at least one guard band *below* the threshold: feasible
-    /// for search-steering purposes, pending exact confirmation.
-    Provisional(ChipletLayout),
-    /// Exactly infeasible, or predicted clearly above the threshold.
-    Infeasible,
+/// How the greedy ranks a point it cannot claim feasible.
+#[derive(Debug, Clone, Copy)]
+struct Rank {
+    /// The descent objective: a predicted peak, or the exact peak
+    /// (`∞` on runaway, so runaway points sort last).
+    peak: f64,
+    /// `Some(margin)` when `peak` is an unverified prediction: a local
+    /// minimum within `threshold + margin` is solved exactly.
+    margin: Option<f64>,
 }
 
-/// Outcome of the draft binary search over one 4-chiplet tie-run subgroup.
-enum DraftSubgroup {
-    /// Smallest feasible edge, exact-solver-backed.
-    Winner(usize, ChipletLayout, Arc<Evaluation>),
-    /// No feasible edge in the subgroup.
-    Infeasible,
-    /// A provisional winner failed exact confirmation, so the search
-    /// history is tainted; the caller redoes the subgroup with exact
-    /// probes (memoized evaluations keep the redo cheap).
-    Refuted,
+/// A greedy probe of one point: `Break` with a feasible placement ends the
+/// search, `Continue` ranks the point.
+type Scored = ControlFlow<Placed, Rank>;
+
+/// Where one greedy start ended.
+enum Descent {
+    /// A probe found a feasible placement.
+    Found(Placed),
+    /// A lower-numbered start already succeeded.
+    Abandoned,
+    /// No in-bounds neighbour ranks lower than this point.
+    Minimum(LatticePoint, Rank),
 }
 
-/// Probes one 4-chiplet candidate for the draft tie-run search: clearly
-/// cool predictions return [`DraftProbe::Provisional`] without an exact
-/// solve; everything near or above the threshold delegates to the regular
-/// screened probe.
-fn probe4_draft(
-    ev: &Evaluator,
-    benchmark: Benchmark,
-    cand: &Candidate,
-    threshold: Celsius,
-    guard: Guards,
-    stats: &mut SearchStats,
-) -> Result<DraftProbe, EvalError> {
-    let spec = ev.spec();
-    let Some(s3) = symmetric4_for_edge(&spec.chip, &spec.rules, cand.edge) else {
-        return Ok(DraftProbe::Infeasible);
+/// One greedy start: scores `start`, then descends by first improvement,
+/// visiting the four lattice neighbours in an order shuffled by `rng`.
+/// `abandoned` is asked before each neighbour is scored, never at the
+/// start point.
+fn greedy_start(
+    start: LatticePoint,
+    lattice: &Lattice,
+    rng: &mut StdRng,
+    abandoned: impl Fn() -> bool,
+    mut score: impl FnMut(LatticePoint) -> Result<Scored, EvalError>,
+) -> Result<Descent, EvalError> {
+    let _start_span = obs::span!("optimizer.greedy_start");
+    obs::counter!("optimizer.greedy_starts").inc();
+    let mut current = start;
+    let mut rank = match score(current)? {
+        ControlFlow::Break(found) => return Ok(Descent::Found(found)),
+        ControlFlow::Continue(rank) => rank,
     };
-    let layout = ChipletLayout::Symmetric4 { s3 };
-    if let Some(pred) = ev.predict_peak(&layout, benchmark, cand.op, cand.active_cores) {
-        // Every Symmetric4 candidate is the kernel's 2x2 reference layout,
-        // so even the raw superposition is corrector-grade here.
-        let est = if pred.trusted {
-            pred.corrected_peak_c
-        } else {
-            pred.raw_peak_c
-        };
-        if est <= threshold.value() - guard.band {
-            stats.surrogate_predictions += 1;
-            stats.surrogate_raw_ranked += 1;
-            return Ok(DraftProbe::Provisional(layout));
+    'descend: loop {
+        let LatticePoint { s1u, s2u } = current;
+        let mut neighbors = [
+            LatticePoint { s1u: s1u + 1, s2u },
+            LatticePoint { s1u: s1u - 1, s2u },
+            LatticePoint { s1u, s2u: s2u + 1 },
+            LatticePoint { s1u, s2u: s2u - 1 },
+        ];
+        neighbors.shuffle(rng);
+        for nb in neighbors {
+            if !lattice.contains(nb) {
+                continue;
+            }
+            if abandoned() {
+                return Ok(Descent::Abandoned);
+            }
+            match score(nb)? {
+                ControlFlow::Break(found) => return Ok(Descent::Found(found)),
+                ControlFlow::Continue(nb_rank) if nb_rank.peak < rank.peak => {
+                    obs::counter!("optimizer.moves_accepted").inc();
+                    current = nb;
+                    rank = nb_rank;
+                    continue 'descend;
+                }
+                ControlFlow::Continue(_) => {}
+            }
         }
-    }
-    match probe_placement(
-        ev,
-        benchmark,
-        cand.op,
-        cand.active_cores,
-        &layout,
-        threshold,
-        Some(guard),
-        stats,
-    )? {
-        Probe::Exact(e) if e.feasible(threshold) => Ok(DraftProbe::Feasible(layout, e)),
-        _ => Ok(DraftProbe::Infeasible),
+        return Ok(Descent::Minimum(current, rank));
     }
 }
 
-/// Binary-searches one 4-chiplet tie-run subgroup for its smallest
-/// feasible edge using draft probes, exact-confirming a provisional
-/// winner before claiming it. Feasibility is monotone in the edge, so a
-/// provisional mid-probe that was wrong can only surface as the *final*
-/// winner (any exact-feasible smaller edge would prove the mid feasible
-/// too) — which the confirmation catches, returning
-/// [`DraftSubgroup::Refuted`].
-#[allow(clippy::too_many_arguments)]
-fn resolve_four_subgroup_draft(
-    ev: &Evaluator,
-    benchmark: Benchmark,
-    run: &[Candidate],
+/// A tie-run bisection probe's verdict on one candidate.
+enum Verdict {
+    /// Feasible, with its exact evaluation.
+    Feasible(Placed),
+    /// Predicted at least one guard band *below* the threshold: feasible
+    /// for steering the bisection, pending exact confirmation.
+    Pending(ChipletLayout),
+    /// No feasible placement.
+    Infeasible,
+}
+
+/// Binary-searches a subgroup (run indices with ascending edges) for its
+/// smallest feasible edge. The largest edge goes first: infeasible there
+/// means infeasible everywhere (monotonicity). Returns the smallest edge
+/// probed feasible or pending, or the largest edge's `Infeasible`.
+fn bisect(
     indices: &[usize],
-    threshold: Celsius,
-    guard: Guards,
     evaluated: &mut usize,
-    stats: &mut SearchStats,
-) -> Result<DraftSubgroup, EvalError> {
+    mut probe: impl FnMut(usize) -> Result<Verdict, EvalError>,
+) -> Result<(usize, Verdict), EvalError> {
     let last = *indices.last().expect("groups are non-empty");
     *evaluated += 1;
-    let mut best = match probe4_draft(ev, benchmark, &run[last], threshold, guard, stats)? {
-        DraftProbe::Infeasible => return Ok(DraftSubgroup::Infeasible),
-        DraftProbe::Feasible(layout, eval) => (last, layout, Some(eval)),
-        DraftProbe::Provisional(layout) => (last, layout, None),
-    };
+    let mut best = (last, probe(last)?);
+    if matches!(best.1, Verdict::Infeasible) {
+        return Ok(best);
+    }
     let (mut lo, mut hi) = (0usize, indices.len() - 1);
     while lo < hi {
         let mid = (lo + hi) / 2;
         *evaluated += 1;
-        match probe4_draft(ev, benchmark, &run[indices[mid]], threshold, guard, stats)? {
-            DraftProbe::Feasible(layout, eval) => {
-                best = (indices[mid], layout, Some(eval));
+        match probe(indices[mid])? {
+            Verdict::Infeasible => lo = mid + 1,
+            verdict => {
+                best = (indices[mid], verdict);
                 hi = mid;
             }
-            DraftProbe::Provisional(layout) => {
-                best = (indices[mid], layout, None);
-                hi = mid;
-            }
-            DraftProbe::Infeasible => lo = mid + 1,
         }
     }
-    let (idx, layout, eval) = best;
-    let eval = match eval {
-        Some(e) => e,
-        None => {
-            stats.surrogate_fallbacks += 1;
-            let e = ev.evaluate(&layout, benchmark, run[idx].op, run[idx].active_cores)?;
-            if !e.feasible(threshold) {
-                obs::counter!("optimizer.draft_refutes").inc();
-                return Ok(DraftSubgroup::Refuted);
-            }
-            e
-        }
-    };
-    Ok(DraftSubgroup::Winner(idx, layout, eval))
+    Ok(best)
 }
 
 /// How many of the descender's distinct continuous optima are snapped to
 /// the lattice and used as greedy starts.
 const SEED_TOP_K: usize = 4;
 
-/// Runs the analytic placement descender for one 16-chiplet candidate and
-/// returns its top optima snapped to the spacing lattice, coolest proxy
-/// first. Empty when the candidate's power map cannot be decomposed per
-/// chiplet (the greedy then runs from random starts only).
-///
-/// The per-chiplet watts come from the same decomposition the surrogate
-/// uses (mintemp active-core placement plus area-weighted NoC power),
-/// evaluated once at a mid-manifold representative spacing — the power
-/// split across chiplets is spacing-independent, only the NoC total moves
-/// slightly, and the proxy needs the split, not the absolute watts.
-fn analytic_seed_points(
-    ev: &Evaluator,
+/// The spacing search of one candidate: the evaluator and workload it
+/// probes, the threshold it must meet and, when screened, its guards.
+struct Placer<'a> {
+    ev: &'a Evaluator,
     benchmark: Benchmark,
-    candidate: &Candidate,
-    free_units: i64,
-    step: f64,
-    s1_max: i64,
-    s2_max: i64,
-) -> Vec<LatticePoint> {
-    let representative = LatticePoint {
-        s1u: free_units / 4,
-        s2u: free_units / 4,
-    };
-    let layout = ChipletLayout::Symmetric16 {
-        spacing: lattice_spacing(representative, free_units, step),
-    };
-    let Some(input) = ev.surrogate_input(&layout, benchmark, candidate.op, candidate.active_cores)
-    else {
-        return Vec::new();
-    };
-    if input.active_per_chiplet.len() != 16 || input.noc_per_chiplet.len() != 16 {
-        return Vec::new();
-    }
-    let spec = ev.spec();
-    let profile = benchmark.profile();
-    // Leakage is temperature-dependent; the threshold is as good a fixed
-    // point as any — the proxy only needs the relative power split.
-    let per_core = spec
-        .core_power
-        .active_power(&profile, candidate.op, spec.threshold);
-    let mut watts = [0.0f64; 16];
-    for (w, (active, noc)) in watts
-        .iter_mut()
-        .zip(input.active_per_chiplet.iter().zip(&input.noc_per_chiplet))
-    {
-        *w = f64::from(*active) * per_core + noc;
-    }
-    let manifold = Manifold16 {
-        wc: spec.chip.edge().value() / 4.0,
-        guard: spec.rules.guard.value(),
-        free: free_units as f64 * step,
-        watts,
-    };
-    let _span = obs::span!("optimizer.analytic_descent");
-    obs::counter!("optimizer.analytic_descents").inc();
-    let outcome = manifold.descend(&AnalyticConfig::default());
-    obs::counter!("optimizer.analytic_grad_evals").add(outcome.grad_evals as u64);
-    let snapped = snap_to_lattice(&outcome.optima, step, s1_max, s2_max, SEED_TOP_K);
-    obs::counter!("optimizer.seeded_starts").add(snapped.len() as u64);
-    snapped
-        .into_iter()
-        .map(|(s1u, s2u)| LatticePoint { s1u, s2u })
-        .collect()
+    cand: &'a Candidate,
+    threshold: Celsius,
+    guards: Option<Guards>,
 }
 
-/// Probes one placement: exact solve, unless a surrogate prediction puts
-/// it above the applicable guard band over the threshold.
-#[allow(clippy::too_many_arguments)]
-fn probe_placement(
-    ev: &Evaluator,
-    benchmark: Benchmark,
-    op: OperatingPoint,
-    p: u16,
-    layout: &ChipletLayout,
-    threshold: Celsius,
-    guard: Option<Guards>,
-    stats: &mut SearchStats,
-) -> Result<Probe, EvalError> {
-    obs::counter!("optimizer.moves_evaluated").inc();
-    if let Some(guard) = guard {
-        if let Some(pred) = ev.predict_peak(layout, benchmark, op, p) {
-            stats.surrogate_predictions += 1;
-            if pred.trusted {
-                if pred.corrected_peak_c > threshold.value() + guard.band {
-                    stats.surrogate_skips += 1;
-                    return Ok(Probe::Skipped);
-                }
-                let e = ev.evaluate(layout, benchmark, op, p)?;
-                stats.surrogate_verifications += 1;
-                if e.converged {
-                    let gap = (pred.corrected_peak_c - e.peak.value()).abs();
-                    stats.surrogate_max_abs_error_c = stats.surrogate_max_abs_error_c.max(gap);
-                    stats.surrogate_abs_error_sum_c += gap;
-                }
-                return Ok(Probe::Exact(e));
-            }
-            if pred.raw_peak_c > threshold.value() + guard.raw {
-                stats.surrogate_skips += 1;
-                return Ok(Probe::Skipped);
-            }
-            stats.surrogate_fallbacks += 1;
-            return Ok(Probe::Exact(ev.evaluate(layout, benchmark, op, p)?));
+impl<'a> Placer<'a> {
+    fn new(
+        ev: &'a Evaluator,
+        benchmark: Benchmark,
+        cand: &'a Candidate,
+        guards: Option<Guards>,
+    ) -> Self {
+        Placer {
+            ev,
+            benchmark,
+            cand,
+            threshold: ev.spec().threshold,
+            guards,
         }
-        stats.surrogate_fallbacks += 1;
     }
-    Ok(Probe::Exact(ev.evaluate(layout, benchmark, op, p)?))
+
+    fn predict(&self, layout: &ChipletLayout) -> Option<Prediction> {
+        self.ev
+            .predict_peak(layout, self.benchmark, self.cand.op, self.cand.active_cores)
+    }
+
+    fn evaluate(&self, layout: &ChipletLayout) -> Result<Arc<Evaluation>, EvalError> {
+        self.ev
+            .evaluate(layout, self.benchmark, self.cand.op, self.cand.active_cores)
+    }
+
+    /// Solves one greedy point exactly.
+    fn solve(&self, layout: ChipletLayout) -> Result<Scored, EvalError> {
+        let e = self.evaluate(&layout)?;
+        if e.feasible(self.threshold) {
+            return Ok(ControlFlow::Break((layout, e)));
+        }
+        let peak = if e.converged {
+            e.peak.value()
+        } else {
+            f64::INFINITY
+        };
+        Ok(ControlFlow::Continue(Rank { peak, margin: None }))
+    }
+
+    /// Probes one lattice point with an exact solve.
+    fn solve_point(&self, lattice: &Lattice, pt: LatticePoint) -> Result<Scored, EvalError> {
+        obs::counter!("optimizer.moves_evaluated").inc();
+        self.solve(lattice.layout(pt))
+    }
+
+    /// The one placement of a 4-chiplet candidate, if it fits the edge.
+    fn four_layout(&self) -> Option<ChipletLayout> {
+        let spec = self.ev.spec();
+        symmetric4_for_edge(&spec.chip, &spec.rules, self.cand.edge)
+            .map(|s3| ChipletLayout::Symmetric4 { s3 })
+    }
+
+    /// Probes the one placement of a 4-chiplet candidate: an exact solve,
+    /// unless a screened search reads its prediction above the narrowed
+    /// margin over the threshold.
+    fn place_four(&self, stats: &mut SearchStats) -> Result<Option<Placed>, EvalError> {
+        let Some(layout) = self.four_layout() else {
+            return Ok(None);
+        };
+        obs::counter!("optimizer.moves_evaluated").inc();
+        // A trusted prediction the exact solve verifies.
+        let mut verifies = None;
+        if let Some(g) = self.guards.map(Guards::four) {
+            match self.predict(&layout) {
+                None => stats.surrogate_fallbacks += 1,
+                Some(pred) => {
+                    stats.surrogate_predictions += 1;
+                    let (est, margin) = g.read(&pred);
+                    if est > self.threshold.value() + margin {
+                        stats.surrogate_skips += 1;
+                        return Ok(None);
+                    }
+                    if pred.trusted {
+                        verifies = Some(est);
+                    } else {
+                        stats.surrogate_fallbacks += 1;
+                    }
+                }
+            }
+        }
+        let e = self.evaluate(&layout)?;
+        if let Some(est) = verifies {
+            stats.verified(est, &e);
+        }
+        Ok(e.feasible(self.threshold).then_some((layout, e)))
+    }
+
+    /// Searches the candidate's spacing space for a placement meeting the
+    /// threshold.
+    fn place(
+        &self,
+        cfg: &OptimizerConfig,
+        stats: &mut SearchStats,
+    ) -> Result<Option<Placed>, EvalError> {
+        if self.cand.count == ChipletCount::Four {
+            return self.place_four(stats);
+        }
+        let Some(lattice) = Lattice::at_edge(self.ev.spec(), self.cand.edge) else {
+            return Ok(None);
+        };
+        let PlacementSearch::MultiStartGreedy { starts } = cfg.search else {
+            // Any feasible placement is equally optimal for Eq. (5) — the
+            // objective depends only on (f, p, C), not on the spacing
+            // triple — so the scan stops at the first hit. Infeasible
+            // candidates still pay the full-lattice scan, which is exactly
+            // the cost the paper's greedy avoids.
+            for s1u in 0..=lattice.max {
+                for s2u in 0..=lattice.max {
+                    let pt = LatticePoint { s1u, s2u };
+                    if let ControlFlow::Break(found) = self.solve_point(&lattice, pt)? {
+                        return Ok(Some(found));
+                    }
+                }
+            }
+            return Ok(None);
+        };
+        assert!(starts > 0, "greedy needs at least one start");
+        // Deterministic per-candidate RNG stream.
+        let salt = (self.cand.edge.value() * 2.0) as u64
+            ^ ((self.cand.op.freq_mhz as u64) << 16)
+            ^ (u64::from(self.cand.active_cores) << 32);
+        let seed = cfg.seed ^ salt;
+        match self.guards {
+            Some(g) => self.screened_greedy(g, &lattice, starts, seed, stats),
+            None => {
+                let workers = obs::threads_override()
+                    .unwrap_or_else(|| {
+                        std::thread::available_parallelism()
+                            .map(|n| n.get())
+                            .unwrap_or(1)
+                    })
+                    .min(starts)
+                    .min(8);
+                self.exact_greedy(&lattice, starts, seed, workers)
+            }
+        }
+    }
+
+    /// The screened greedy: descends on surrogate predictions and runs the
+    /// exact solver only where the surrogate cannot predict and at
+    /// predicted local minima near the threshold (the only points that
+    /// could yield a feasibility claim). The starts are the analytic seeds
+    /// plus a small random remainder for coverage, run in order on one RNG
+    /// stream, so the online corrector trains in a deterministic order.
+    fn screened_greedy(
+        &self,
+        g: Guards,
+        lattice: &Lattice,
+        starts: usize,
+        seed: u64,
+        stats: &mut SearchStats,
+    ) -> Result<Option<Placed>, EvalError> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let score = |pt: LatticePoint, stats: &mut SearchStats| -> Result<Scored, EvalError> {
+            obs::counter!("optimizer.moves_evaluated").inc();
+            let layout = lattice.layout(pt);
+            let Some(pred) = self.predict(&layout) else {
+                stats.surrogate_fallbacks += 1;
+                return self.solve(layout);
+            };
+            stats.surrogate_predictions += 1;
+            let (peak, margin) = g.read(&pred);
+            // A trusted prediction, or an untrusted one hotter than the raw
+            // band, ranks the point and skips its solve. A nearer untrusted
+            // point is ranked by the raw kernel instead of paying an exact
+            // solve (draft ranking); the raw estimate is biased by up to the
+            // raw band, so its minima are verified against that margin.
+            if pred.trusted || peak > self.threshold.value() + margin {
+                stats.surrogate_skips += 1;
+            } else {
+                stats.surrogate_raw_ranked += 1;
+            }
+            Ok(ControlFlow::Continue(Rank {
+                peak,
+                margin: Some(margin),
+            }))
+        };
+        let seeds = self.analytic_seeds(lattice);
+        let random_starts = if seeds.is_empty() {
+            starts
+        } else {
+            starts.div_ceil(5)
+        };
+        for sidx in 0..seeds.len() + random_starts {
+            let start = seeds
+                .get(sidx)
+                .copied()
+                .unwrap_or_else(|| lattice.random(&mut rng));
+            let (current, rank) =
+                match greedy_start(start, lattice, &mut rng, || false, |pt| score(pt, stats))? {
+                    Descent::Found(found) => return Ok(Some(found)),
+                    Descent::Abandoned => continue,
+                    Descent::Minimum(current, rank) => (current, rank),
+                };
+            // An unverified prediction within its margin may actually be
+            // feasible: verify it exactly. Either way the exact solve trains
+            // the corrector, so later starts predict this neighborhood more
+            // sharply; on disagreement this start simply ends (resuming the
+            // descent here can oscillate between memoized points).
+            if rank
+                .margin
+                .is_some_and(|margin| rank.peak <= self.threshold.value() + margin)
+            {
+                let layout = lattice.layout(current);
+                let e = self.evaluate(&layout)?;
+                stats.verified(rank.peak, &e);
+                if e.feasible(self.threshold) {
+                    return Ok(Some((layout, e)));
+                }
+            }
+        }
+        Ok(None)
+    }
+
+    /// The exact greedy. The starts are independent, so they fan out
+    /// across `workers` threads. Each start gets its own RNG stream and the
+    /// returned placement is the one found by the lowest-numbered
+    /// successful start, so the result depends neither on the worker count
+    /// nor on thread scheduling.
+    fn exact_greedy(
+        &self,
+        lattice: &Lattice,
+        starts: usize,
+        seed: u64,
+        workers: usize,
+    ) -> Result<Option<Placed>, EvalError> {
+        let run_start = |idx: usize, winner: &AtomicUsize| -> Result<Option<Placed>, EvalError> {
+            let mut rng =
+                StdRng::seed_from_u64(seed ^ (idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let start = lattice.random(&mut rng);
+            // Once a lower-numbered start has succeeded, this one can no
+            // longer affect the result.
+            let abandoned = || winner.load(Ordering::SeqCst) < idx;
+            let score = |pt| self.solve_point(lattice, pt);
+            match greedy_start(start, lattice, &mut rng, abandoned, score)? {
+                Descent::Found(found) => Ok(Some(found)),
+                Descent::Abandoned | Descent::Minimum(..) => Ok(None),
+            }
+        };
+        if workers <= 1 {
+            let no_winner = AtomicUsize::new(usize::MAX);
+            for idx in 0..starts {
+                if let Some(found) = run_start(idx, &no_winner)? {
+                    return Ok(Some(found));
+                }
+            }
+            return Ok(None);
+        }
+        let next = AtomicUsize::new(0);
+        let winner = AtomicUsize::new(usize::MAX);
+        let results: Mutex<Vec<Option<Placed>>> = Mutex::new(vec![None; starts]);
+        let failure: Mutex<Option<EvalError>> = Mutex::new(None);
+        crossbeam::thread::scope(|s| {
+            for _ in 0..workers {
+                s.spawn(|_| loop {
+                    let idx = next.fetch_add(1, Ordering::SeqCst);
+                    if idx >= starts || failure.lock().expect("lock poisoned").is_some() {
+                        break;
+                    }
+                    if winner.load(Ordering::SeqCst) < idx {
+                        continue;
+                    }
+                    match run_start(idx, &winner) {
+                        Ok(Some(found)) => {
+                            let mut cur = winner.load(Ordering::SeqCst);
+                            while idx < cur {
+                                match winner.compare_exchange(
+                                    cur,
+                                    idx,
+                                    Ordering::SeqCst,
+                                    Ordering::SeqCst,
+                                ) {
+                                    Ok(_) => break,
+                                    Err(now) => cur = now,
+                                }
+                            }
+                            results.lock().expect("lock poisoned")[idx] = Some(found);
+                        }
+                        Ok(None) => {}
+                        Err(e) => {
+                            let mut slot = failure.lock().expect("lock poisoned");
+                            if slot.is_none() {
+                                *slot = Some(e);
+                            }
+                        }
+                    }
+                });
+            }
+        })
+        .expect("greedy worker panicked");
+        if let Some(e) = failure.lock().expect("lock poisoned").take() {
+            return Err(e);
+        }
+        let w = winner.load(Ordering::SeqCst);
+        if w == usize::MAX {
+            return Ok(None);
+        }
+        let found = results.lock().expect("lock poisoned")[w].take();
+        Ok(found)
+    }
+
+    /// Runs the analytic placement descender for a 16-chiplet candidate
+    /// and returns its top optima snapped to the lattice, coolest proxy
+    /// first. Empty when the candidate's power map cannot be decomposed
+    /// per chiplet (the greedy then runs from random starts only).
+    ///
+    /// The per-chiplet watts come from the same decomposition the
+    /// surrogate uses (mintemp active-core placement plus area-weighted NoC
+    /// power), evaluated once at a mid-manifold representative spacing —
+    /// the power split across chiplets is spacing-independent, only the
+    /// NoC total moves slightly, and the proxy needs the split, not the
+    /// absolute watts.
+    fn analytic_seeds(&self, lattice: &Lattice) -> Vec<LatticePoint> {
+        let representative = LatticePoint {
+            s1u: lattice.free_units / 4,
+            s2u: lattice.free_units / 4,
+        };
+        let layout = lattice.layout(representative);
+        let Some(input) = self.ev.surrogate_input(
+            &layout,
+            self.benchmark,
+            self.cand.op,
+            self.cand.active_cores,
+        ) else {
+            return Vec::new();
+        };
+        if input.active_per_chiplet.len() != 16 || input.noc_per_chiplet.len() != 16 {
+            return Vec::new();
+        }
+        let spec = self.ev.spec();
+        let profile = self.benchmark.profile();
+        // Leakage is temperature-dependent; the threshold is as good a
+        // fixed point as any — the proxy only needs the relative power
+        // split.
+        let per_core = spec
+            .core_power
+            .active_power(&profile, self.cand.op, spec.threshold);
+        let mut watts = [0.0f64; 16];
+        for (w, (active, noc)) in watts
+            .iter_mut()
+            .zip(input.active_per_chiplet.iter().zip(&input.noc_per_chiplet))
+        {
+            *w = f64::from(*active) * per_core + noc;
+        }
+        let manifold = Manifold16 {
+            wc: spec.chip.edge().value() / 4.0,
+            guard: spec.rules.guard.value(),
+            free: lattice.free_units as f64 * lattice.step,
+            watts,
+        };
+        let _span = obs::span!("optimizer.analytic_descent");
+        obs::counter!("optimizer.analytic_descents").inc();
+        let outcome = manifold.descend();
+        obs::counter!("optimizer.analytic_grad_evals").add(outcome.grad_evals as u64);
+        let snapped = snap_to_lattice(
+            &outcome.optima,
+            lattice.step,
+            lattice.max,
+            lattice.max,
+            SEED_TOP_K,
+        );
+        obs::counter!("optimizer.seeded_starts").add(snapped.len() as u64);
+        snapped
+            .into_iter()
+            .map(|(s1u, s2u)| LatticePoint { s1u, s2u })
+            .collect()
+    }
+
+    /// The tie-run bisection's probe. With `steer` guards (a screened
+    /// search over 4-chiplet candidates), a prediction reading at least
+    /// its margin below the threshold is `Pending`, with no exact solve;
+    /// everything else runs the regular placement search.
+    fn verdict(
+        &self,
+        steer: Option<Guards>,
+        cfg: &OptimizerConfig,
+        stats: &mut SearchStats,
+    ) -> Result<Verdict, EvalError> {
+        if let (Some(g), Some(layout)) = (steer, self.four_layout()) {
+            if let Some(pred) = self.predict(&layout) {
+                let (est, margin) = g.read(&pred);
+                if est <= self.threshold.value() - margin {
+                    stats.surrogate_predictions += 1;
+                    stats.surrogate_raw_ranked += 1;
+                    return Ok(Verdict::Pending(layout));
+                }
+            }
+        }
+        Ok(match self.place(cfg, stats)? {
+            Some(found) => Verdict::Feasible(found),
+            None => Verdict::Infeasible,
+        })
+    }
 }
 
 /// Searches the spacing space of one candidate for a placement meeting the
@@ -740,388 +1097,7 @@ pub fn find_placement_with(
     cfg: &OptimizerConfig,
     stats: &mut SearchStats,
 ) -> Result<Option<(ChipletLayout, Arc<Evaluation>)>, EvalError> {
-    let spec = ev.spec();
-    let threshold = spec.threshold;
-    let seed = cfg.seed;
-    let guard = match (cfg.fidelity, ev.surrogate()) {
-        (Fidelity::Surrogate { guard_band_c }, Some(s)) => Some(Guards {
-            band: guard_band_c,
-            raw: s.config().raw_guard_band_c.max(guard_band_c),
-        }),
-        _ => None,
-    };
-    match candidate.count {
-        ChipletCount::Four => {
-            let Some(s3) = symmetric4_for_edge(&spec.chip, &spec.rules, candidate.edge) else {
-                return Ok(None);
-            };
-            let layout = ChipletLayout::Symmetric4 { s3 };
-            // Every Symmetric4 candidate *is* the kernel's 2×2 reference
-            // layout (a uniform grid at the candidate edge), so the raw
-            // superposition there is corrector-grade. The probe screens
-            // with the tight verification band instead of the wide raw
-            // band — clearly-infeasible 4-chiplet candidates do not pay an
-            // exact solve each.
-            let guard = guard.map(|g| Guards {
-                band: g.band,
-                raw: g.band,
-            });
-            match probe_placement(
-                ev,
-                benchmark,
-                candidate.op,
-                candidate.active_cores,
-                &layout,
-                threshold,
-                guard,
-                stats,
-            )? {
-                Probe::Exact(e) => Ok(e.feasible(threshold).then_some((layout, e))),
-                Probe::Skipped => Ok(None),
-            }
-        }
-        ChipletCount::Sixteen => {
-            let step = spec.rules.step.value();
-            let wc = spec.chip.edge().value() / 4.0;
-            let free = candidate.edge.value() - 4.0 * wc - 2.0 * spec.rules.guard.value();
-            if free < -1e-9 {
-                return Ok(None);
-            }
-            let free_units = (free / step).round() as i64;
-            let s1_max = free_units / 2;
-            let s2_max = free_units / 2; // Eq. (10) on the fixed-edge manifold
-            let try_point =
-                |pt: LatticePoint| -> Result<(ChipletLayout, Arc<Evaluation>), EvalError> {
-                    obs::counter!("optimizer.moves_evaluated").inc();
-                    let layout = ChipletLayout::Symmetric16 {
-                        spacing: lattice_spacing(pt, free_units, step),
-                    };
-                    let e =
-                        ev.evaluate(&layout, benchmark, candidate.op, candidate.active_cores)?;
-                    Ok((layout, e))
-                };
-            match cfg.search {
-                PlacementSearch::Exhaustive => {
-                    // Any feasible placement is equally optimal for Eq. (5)
-                    // — the objective depends only on (f, p, C), not on the
-                    // spacing triple — so the scan stops at the first hit.
-                    // Infeasible candidates still pay the full-lattice scan,
-                    // which is exactly the cost the paper's greedy avoids.
-                    for s1u in 0..=s1_max {
-                        for s2u in 0..=s2_max {
-                            let (layout, e) = try_point(LatticePoint { s1u, s2u })?;
-                            if e.feasible(threshold) {
-                                return Ok(Some((layout, e)));
-                            }
-                        }
-                    }
-                    Ok(None)
-                }
-                PlacementSearch::MultiStartGreedy { starts } => {
-                    assert!(starts > 0, "greedy needs at least one start");
-                    // Deterministic per-candidate RNG stream.
-                    let salt = (candidate.edge.value() * 2.0) as u64
-                        ^ ((candidate.op.freq_mhz as u64) << 16)
-                        ^ (u64::from(candidate.active_cores) << 32);
-                    if let Some(guard) = guard {
-                        // Screened greedy: descend on surrogate
-                        // predictions and run the exact solver only at
-                        // untrusted points the raw kernel cannot screen
-                        // and at predicted local minima near the
-                        // threshold (the only points that could yield a
-                        // feasibility claim). Sequential, so the online
-                        // corrector trains in a deterministic order.
-                        let mut rng = StdRng::seed_from_u64(seed ^ salt);
-                        let layout_of = |pt: LatticePoint| ChipletLayout::Symmetric16 {
-                            spacing: lattice_spacing(pt, free_units, step),
-                        };
-                        // Scores one lattice point: Ok((found, peak,
-                        // band)) where `found` carries a feasible exact
-                        // evaluation, `peak` ranks the point for descent
-                        // and `band` is Some(margin) when the peak is an
-                        // unverified estimate whose local minima within
-                        // `threshold + margin` deserve exact verification.
-                        type Scored = (Option<(ChipletLayout, Arc<Evaluation>)>, f64, Option<f64>);
-                        let score = |pt: LatticePoint,
-                                     stats: &mut SearchStats|
-                         -> Result<Scored, EvalError> {
-                            obs::counter!("optimizer.moves_evaluated").inc();
-                            let layout = layout_of(pt);
-                            if let Some(pred) = ev.predict_peak(
-                                &layout,
-                                benchmark,
-                                candidate.op,
-                                candidate.active_cores,
-                            ) {
-                                stats.surrogate_predictions += 1;
-                                if pred.trusted {
-                                    stats.surrogate_skips += 1;
-                                    return Ok((None, pred.corrected_peak_c, Some(guard.band)));
-                                }
-                                if pred.raw_peak_c > threshold.value() + guard.raw {
-                                    stats.surrogate_skips += 1;
-                                    return Ok((None, pred.raw_peak_c, Some(guard.band)));
-                                }
-                                // Draft ranking: an untrusted point is
-                                // ranked by the raw kernel instead of
-                                // paying an exact solve; the exact solver
-                                // confirms only at the descent's end. The
-                                // raw estimate is biased by up to the raw
-                                // guard band, so minima are verified
-                                // against that wider margin.
-                                stats.surrogate_raw_ranked += 1;
-                                return Ok((None, pred.raw_peak_c, Some(guard.raw)));
-                            }
-                            stats.surrogate_fallbacks += 1;
-                            let e = ev.evaluate(
-                                &layout,
-                                benchmark,
-                                candidate.op,
-                                candidate.active_cores,
-                            )?;
-                            let peak = peak_of(&e);
-                            Ok((e.feasible(threshold).then_some((layout, e)), peak, None))
-                        };
-                        // Seeding phase: descend the analytic proxy and
-                        // start the greedy from its snapped optima,
-                        // keeping a small random remainder for coverage.
-                        let seeds = analytic_seed_points(
-                            ev, benchmark, candidate, free_units, step, s1_max, s2_max,
-                        );
-                        let random_starts = if seeds.is_empty() {
-                            starts
-                        } else {
-                            starts.div_ceil(5)
-                        };
-                        for sidx in 0..seeds.len() + random_starts {
-                            let _start_span = obs::span!("optimizer.greedy_start");
-                            obs::counter!("optimizer.greedy_starts").inc();
-                            let mut current =
-                                seeds.get(sidx).copied().unwrap_or_else(|| LatticePoint {
-                                    s1u: rng.gen_range(0..=s1_max),
-                                    s2u: rng.gen_range(0..=s2_max),
-                                });
-                            let (found, mut current_peak, mut current_band) =
-                                score(current, stats)?;
-                            if found.is_some() {
-                                return Ok(found);
-                            }
-                            'descend: loop {
-                                let mut neighbors = [
-                                    LatticePoint {
-                                        s1u: current.s1u + 1,
-                                        s2u: current.s2u,
-                                    },
-                                    LatticePoint {
-                                        s1u: current.s1u - 1,
-                                        s2u: current.s2u,
-                                    },
-                                    LatticePoint {
-                                        s1u: current.s1u,
-                                        s2u: current.s2u + 1,
-                                    },
-                                    LatticePoint {
-                                        s1u: current.s1u,
-                                        s2u: current.s2u - 1,
-                                    },
-                                ];
-                                neighbors.shuffle(&mut rng);
-                                for nb in neighbors {
-                                    if nb.s1u < 0
-                                        || nb.s1u > s1_max
-                                        || nb.s2u < 0
-                                        || nb.s2u > s2_max
-                                    {
-                                        continue;
-                                    }
-                                    let (found, nb_peak, nb_band) = score(nb, stats)?;
-                                    if found.is_some() {
-                                        return Ok(found);
-                                    }
-                                    if nb_peak < current_peak {
-                                        obs::counter!("optimizer.moves_accepted").inc();
-                                        current = nb;
-                                        current_peak = nb_peak;
-                                        current_band = nb_band;
-                                        continue 'descend;
-                                    }
-                                }
-                                // Local minimum. An unverified prediction
-                                // within the guard band may actually be
-                                // feasible: verify it exactly. Either way
-                                // the exact solve trains the corrector, so
-                                // later starts predict this neighborhood
-                                // more sharply; on disagreement this start
-                                // simply ends (resuming the descent here
-                                // can oscillate between memoized points).
-                                if current_band
-                                    .is_some_and(|band| current_peak <= threshold.value() + band)
-                                {
-                                    let layout = layout_of(current);
-                                    let e = ev.evaluate(
-                                        &layout,
-                                        benchmark,
-                                        candidate.op,
-                                        candidate.active_cores,
-                                    )?;
-                                    stats.surrogate_verifications += 1;
-                                    if e.converged {
-                                        let gap = (current_peak - e.peak.value()).abs();
-                                        stats.surrogate_max_abs_error_c =
-                                            stats.surrogate_max_abs_error_c.max(gap);
-                                        stats.surrogate_abs_error_sum_c += gap;
-                                    }
-                                    if e.feasible(threshold) {
-                                        return Ok(Some((layout, e)));
-                                    }
-                                }
-                                break; // infeasible local minimum; next start
-                            }
-                        }
-                        return Ok(None);
-                    }
-                    // Exact path: the starts are independent, so fan them
-                    // out across threads. Each start gets its own RNG
-                    // stream and the returned placement is the one found
-                    // by the lowest-numbered successful start, making the
-                    // result independent of thread scheduling.
-                    let run_start = |idx: usize,
-                                     winner: &AtomicUsize|
-                     -> Result<
-                        Option<(ChipletLayout, Arc<Evaluation>)>,
-                        EvalError,
-                    > {
-                        let _start_span = obs::span!("optimizer.greedy_start");
-                        obs::counter!("optimizer.greedy_starts").inc();
-                        let mut rng = StdRng::seed_from_u64(
-                            seed ^ salt ^ (idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                        );
-                        let mut current = LatticePoint {
-                            s1u: rng.gen_range(0..=s1_max),
-                            s2u: rng.gen_range(0..=s2_max),
-                        };
-                        let (layout, e) = try_point(current)?;
-                        if e.feasible(threshold) {
-                            return Ok(Some((layout, e)));
-                        }
-                        let mut current_peak = peak_of(&e);
-                        'descend: loop {
-                            let mut neighbors = [
-                                LatticePoint {
-                                    s1u: current.s1u + 1,
-                                    s2u: current.s2u,
-                                },
-                                LatticePoint {
-                                    s1u: current.s1u - 1,
-                                    s2u: current.s2u,
-                                },
-                                LatticePoint {
-                                    s1u: current.s1u,
-                                    s2u: current.s2u + 1,
-                                },
-                                LatticePoint {
-                                    s1u: current.s1u,
-                                    s2u: current.s2u - 1,
-                                },
-                            ];
-                            neighbors.shuffle(&mut rng);
-                            for nb in neighbors {
-                                if nb.s1u < 0 || nb.s1u > s1_max || nb.s2u < 0 || nb.s2u > s2_max {
-                                    continue;
-                                }
-                                // A lower-numbered start already succeeded;
-                                // this one can no longer affect the result.
-                                if winner.load(Ordering::SeqCst) < idx {
-                                    return Ok(None);
-                                }
-                                let (layout, e) = try_point(nb)?;
-                                if e.feasible(threshold) {
-                                    return Ok(Some((layout, e)));
-                                }
-                                if peak_of(&e) < current_peak {
-                                    obs::counter!("optimizer.moves_accepted").inc();
-                                    current = nb;
-                                    current_peak = peak_of(&e);
-                                    continue 'descend;
-                                }
-                            }
-                            break; // local minimum
-                        }
-                        Ok(None)
-                    };
-                    let workers = obs::threads_override()
-                        .unwrap_or_else(|| {
-                            std::thread::available_parallelism()
-                                .map(|n| n.get())
-                                .unwrap_or(1)
-                        })
-                        .min(starts)
-                        .min(8);
-                    if workers <= 1 {
-                        let no_winner = AtomicUsize::new(usize::MAX);
-                        for idx in 0..starts {
-                            if let Some(found) = run_start(idx, &no_winner)? {
-                                return Ok(Some(found));
-                            }
-                        }
-                        return Ok(None);
-                    }
-                    let next = AtomicUsize::new(0);
-                    let winner = AtomicUsize::new(usize::MAX);
-                    let results: Mutex<Vec<Option<Placed>>> = Mutex::new(vec![None; starts]);
-                    let failure: Mutex<Option<EvalError>> = Mutex::new(None);
-                    crossbeam::thread::scope(|s| {
-                        for _ in 0..workers {
-                            s.spawn(|_| loop {
-                                let idx = next.fetch_add(1, Ordering::SeqCst);
-                                if idx >= starts || failure.lock().expect("lock poisoned").is_some()
-                                {
-                                    break;
-                                }
-                                if winner.load(Ordering::SeqCst) < idx {
-                                    continue;
-                                }
-                                match run_start(idx, &winner) {
-                                    Ok(Some(found)) => {
-                                        let mut cur = winner.load(Ordering::SeqCst);
-                                        while idx < cur {
-                                            match winner.compare_exchange(
-                                                cur,
-                                                idx,
-                                                Ordering::SeqCst,
-                                                Ordering::SeqCst,
-                                            ) {
-                                                Ok(_) => break,
-                                                Err(now) => cur = now,
-                                            }
-                                        }
-                                        results.lock().expect("lock poisoned")[idx] = Some(found);
-                                    }
-                                    Ok(None) => {}
-                                    Err(e) => {
-                                        let mut slot = failure.lock().expect("lock poisoned");
-                                        if slot.is_none() {
-                                            *slot = Some(e);
-                                        }
-                                    }
-                                }
-                            });
-                        }
-                    })
-                    .expect("greedy worker panicked");
-                    if let Some(e) = failure.lock().expect("lock poisoned").take() {
-                        return Err(e);
-                    }
-                    let w = winner.load(Ordering::SeqCst);
-                    if w == usize::MAX {
-                        return Ok(None);
-                    }
-                    let found = results.lock().expect("lock poisoned")[w].take();
-                    Ok(found)
-                }
-            }
-        }
-    }
+    Placer::new(ev, benchmark, candidate, Guards::of(cfg.fidelity, ev)).place(cfg, stats)
 }
 
 /// Runs the full three-step optimization for a benchmark (step 3 walks the
@@ -1161,15 +1137,13 @@ where
 {
     let _span = obs::span!("optimizer.optimize");
     let sims_before = ev.thermal_sims();
-    // The baseline screen rides with draft mode: only screened
-    // (surrogate-fidelity) searches prune the baseline walk, so the exact
-    // paper path keeps the paper's walk.
+    let guards = Guards::of(cfg.fidelity, ev);
     let (candidates, baseline) = enumerate_candidates_screened(
         ev,
         benchmark,
         cfg.weights,
         &cfg.chiplet_counts,
-        cfg.draft(ev),
+        guards.is_some(),
     )?;
     let candidates: Vec<Candidate> = candidates
         .into_iter()
@@ -1191,13 +1165,13 @@ where
         }
         let run = &candidates[i..j];
         let found = if run.len() > 1 && cfg.accelerate_ties {
-            resolve_tie_run(ev, benchmark, run, cfg, &mut stats)?
+            resolve_tie_run(ev, benchmark, run, cfg, guards, &mut stats)?
         } else {
             let mut found = None;
             for cand in run {
                 stats.candidates_tried += 1;
                 if let Some((layout, eval)) =
-                    find_placement_with(ev, benchmark, cand, cfg, &mut stats)?
+                    Placer::new(ev, benchmark, cand, guards).place(cfg, &mut stats)?
                 {
                     found = Some((*cand, layout, eval));
                     break;
@@ -1236,51 +1210,38 @@ fn resolve_tie_run(
     benchmark: Benchmark,
     run: &[Candidate],
     cfg: &OptimizerConfig,
+    guards: Option<Guards>,
     stats: &mut SearchStats,
 ) -> Result<Option<(Candidate, ChipletLayout, Arc<Evaluation>)>, EvalError> {
     let _span = obs::span!("optimizer.tie_run");
     obs::counter!("optimizer.tie_runs_resolved").inc();
-    type Key = (ChipletCount, u32, u16);
-    let mut groups: HashMap<Key, Vec<usize>> = HashMap::new();
-    for (idx, c) in run.iter().enumerate() {
-        groups
-            .entry((c.count, c.op.freq_mhz as u32, c.active_cores))
-            .or_default()
-            .push(idx);
-    }
-    let mut evaluated = 0usize;
-    let mut winners: Vec<(usize, ChipletLayout, Arc<Evaluation>)> = Vec::new();
-    // Explore subgroups in run order, not hash order: the winner is
+    // Subgroups in run order (of their first candidates): the winner is
     // order-independent (sorted below), but the side effects — which
     // candidates get exact solves, and in what order a surrogate corrector
     // trains on them — must be reproducible under a fixed seed.
-    let mut ordered: Vec<(usize, &Vec<usize>)> = groups
-        .values()
-        .map(|indices| (indices[0], indices))
-        .collect();
-    ordered.sort_unstable_by_key(|(first, _)| *first);
-    // Draft mode prunes across subgroups: once some subgroup produced a
-    // feasible winner at run index `best_idx`, candidates at larger
-    // indices lose the tie-break no matter what, so later subgroups only
-    // search their prefix below `best_idx` (often empty — e.g. the
+    let mut groups: Vec<((ChipletCount, u32, u16), Vec<usize>)> = Vec::new();
+    for (idx, c) in run.iter().enumerate() {
+        let key = (c.count, c.op.freq_mhz as u32, c.active_cores);
+        match groups.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, indices)) => indices.push(idx),
+            None => groups.push((key, vec![idx])),
+        }
+    }
+    let mut evaluated = 0usize;
+    let mut winners: Vec<(usize, ChipletLayout, Arc<Evaluation>)> = Vec::new();
+    let threshold = ev.spec().threshold;
+    let placer = |idx: usize| Placer::new(ev, benchmark, &run[idx], guards);
+    // A screened search prunes across subgroups: once some subgroup
+    // produced a feasible winner at run index `best_idx`, candidates at
+    // larger indices lose the tie-break no matter what, so later subgroups
+    // only search their prefix below `best_idx` (often empty — e.g. the
     // 16-chiplet subgroup after a cheap 4-chiplet winner). The selected
-    // organization is provably unchanged; only the probe count drops.
-    // Gated on draft mode so the exact paper path keeps its walk.
-    let draft = cfg.draft(ev);
-    // The tight 4-chiplet guard (see `find_placement_with`): Symmetric4
-    // candidates sit on the kernel's reference layout, so the raw margin
-    // collapses to the verification band.
-    let guard4 = match (cfg.fidelity, ev.surrogate()) {
-        (Fidelity::Surrogate { guard_band_c }, Some(_)) => Some(Guards {
-            band: guard_band_c,
-            raw: guard_band_c,
-        }),
-        _ => None,
-    };
+    // organization is provably unchanged; only the probe count drops. The
+    // exact paper search keeps its walk.
     let mut best_idx = usize::MAX;
-    for (_, full) in ordered {
+    for (_, full) in &groups {
         let truncated: Vec<usize>;
-        let indices: &[usize] = if draft && best_idx != usize::MAX {
+        let indices: &[usize] = if guards.is_some() && best_idx != usize::MAX {
             truncated = full.iter().copied().filter(|&i| i < best_idx).collect();
             &truncated
         } else {
@@ -1296,55 +1257,38 @@ fn resolve_tie_run(
                 .all(|w| run[w[0]].edge.value() <= run[w[1]].edge.value() + 1e-9),
             "subgroup edges must ascend"
         );
-        // Draft mode steers 4-chiplet binary searches on clearly-cool
-        // predictions and exact-confirms only the winning edge; a refuted
-        // confirmation (never observed in practice) falls through to the
-        // exact search below.
-        if draft && run[indices[0]].count == ChipletCount::Four {
-            if let Some(g) = guard4 {
-                let threshold = ev.spec().threshold;
-                match resolve_four_subgroup_draft(
-                    ev,
-                    benchmark,
-                    run,
-                    indices,
-                    threshold,
-                    g,
-                    &mut evaluated,
-                    stats,
-                )? {
-                    DraftSubgroup::Winner(idx, layout, eval) => {
-                        best_idx = best_idx.min(idx);
-                        winners.push((idx, layout, eval));
-                        continue;
+        // A screened search steers 4-chiplet bisections on clearly-cool
+        // predictions and exact-confirms only the winning edge. A wrong
+        // pending mid-probe can only surface as the final winner (any
+        // feasible smaller edge would prove the mid feasible too), which
+        // the confirmation catches; the subgroup is then redone without
+        // steering (never observed in practice; memoized evaluations keep
+        // the redo cheap).
+        let mut steer = guards
+            .filter(|_| run[indices[0]].count == ChipletCount::Four)
+            .map(Guards::four);
+        let winner = loop {
+            let (idx, verdict) = bisect(indices, &mut evaluated, |idx| {
+                placer(idx).verdict(steer, cfg, stats)
+            })?;
+            match verdict {
+                Verdict::Feasible((layout, eval)) => break Some((idx, layout, eval)),
+                Verdict::Infeasible => break None,
+                Verdict::Pending(layout) => {
+                    stats.surrogate_fallbacks += 1;
+                    let eval = placer(idx).evaluate(&layout)?;
+                    if eval.feasible(threshold) {
+                        break Some((idx, layout, eval));
                     }
-                    DraftSubgroup::Infeasible => continue,
-                    DraftSubgroup::Refuted => {}
+                    obs::counter!("optimizer.draft_refutes").inc();
+                    steer = None;
                 }
             }
-        }
-        // Check the largest edge first: if it is infeasible, the whole
-        // subgroup is (monotonicity).
-        let last = *indices.last().expect("groups are non-empty");
-        evaluated += 1;
-        let Some(at_last) = find_placement_with(ev, benchmark, &run[last], cfg, stats)? else {
-            continue;
         };
-        let (mut lo, mut hi) = (0usize, indices.len() - 1);
-        let mut best_here = (last, at_last.0, at_last.1);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            evaluated += 1;
-            match find_placement_with(ev, benchmark, &run[indices[mid]], cfg, stats)? {
-                Some((layout, eval)) => {
-                    best_here = (indices[mid], layout, eval);
-                    hi = mid;
-                }
-                None => lo = mid + 1,
-            }
+        if let Some(winner) = winner {
+            best_idx = best_idx.min(winner.0);
+            winners.push(winner);
         }
-        best_idx = best_idx.min(best_here.0);
-        winners.push(best_here);
     }
     stats.candidates_tried += evaluated;
     stats.candidates_pruned += run.len().saturating_sub(evaluated);
@@ -1589,6 +1533,63 @@ mod tests {
             l.candidate.ips.0,
             s.candidate.ips.0
         );
+    }
+
+    /// The IEEE-754 bits of every number an evaluation reports.
+    fn evaluation_bits(e: &Evaluation) -> Vec<u64> {
+        let mut bits = vec![
+            e.peak.value().to_bits(),
+            e.total_power.value().to_bits(),
+            e.noc_power.value().to_bits(),
+            e.ips.0.to_bits(),
+            e.energy_balance_error.to_bits(),
+            u64::from(e.converged),
+        ];
+        bits.extend(e.chiplet_peaks.iter().map(|t| t.value().to_bits()));
+        bits
+    }
+
+    #[test]
+    fn exact_greedy_is_independent_of_the_worker_count() {
+        // shock at 800 MHz with 256 active cores, seed 94: the first
+        // successful start (of 10) at each interposer edge.
+        const SEED: u64 = 94;
+        for (edge, first) in [(30.0, Some(0)), (28.0, Some(6)), (26.0, None)] {
+            let [one, four] = [1, 4].map(|workers| {
+                let ev = evaluator();
+                let (cands, _) = enumerate_candidates(
+                    &ev,
+                    Benchmark::Shock,
+                    Weights::performance_only(),
+                    &[ChipletCount::Sixteen],
+                )
+                .unwrap();
+                let cand = cands
+                    .iter()
+                    .find(|c| c.edge == Mm(edge) && c.op.freq_mhz == 800.0 && c.active_cores == 256)
+                    .expect("candidate in the sweep");
+                let placer = Placer::new(&ev, Benchmark::Shock, cand, None);
+                let lattice = Lattice::at_edge(ev.spec(), cand.edge).expect("16 chiplets fit");
+                obs::trace::begin();
+                let found = placer.exact_greedy(&lattice, 10, SEED, workers).unwrap();
+                let starts = obs::trace::finish()
+                    .expect("collector installed above")
+                    .counter_delta("optimizer.greedy_starts");
+                (found, starts)
+            });
+            // One worker runs the starts in order on this thread, so its
+            // start count locates the first success.
+            assert_eq!(one.1, first.map_or(10, |idx| idx + 1), "{edge} mm");
+            assert_eq!(one.0.is_some(), first.is_some(), "{edge} mm");
+            match (one.0, four.0) {
+                (Some((l1, e1)), Some((l4, e4))) => {
+                    assert_eq!(l1, l4, "{edge} mm");
+                    assert_eq!(evaluation_bits(&e1), evaluation_bits(&e4), "{edge} mm");
+                }
+                (None, None) => {}
+                (a, b) => panic!("{edge} mm: 1 worker {a:?}, 4 workers {b:?}"),
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use tac25d_floorplan::organization::{ChipletLayout, PackageRules, Spacing};
 use tac25d_floorplan::units::Celsius;
 use tac25d_power::benchmarks::Benchmark;
 use tac25d_power::dvfs::VfTable;
-use tac25d_surrogate::analytic::{AnalyticConfig, Manifold16};
+use tac25d_surrogate::analytic::Manifold16;
 use tac25d_surrogate::{SurrogateConfig, SurrogateInput, ThermalSurrogate};
 use tac25d_thermal::model::ThermalConfig;
 
@@ -28,11 +28,10 @@ fn bench_objective_grad(c: &mut Criterion) {
         free: 10.0,
         watts: core::array::from_fn(|j| 8.0 + j as f64),
     };
-    let cfg = AnalyticConfig::default();
     let mut group = c.benchmark_group("analytic");
     group.sample_size(2000);
     group.bench_function("objective_grad_16_chiplets", |b| {
-        b.iter(|| m.objective_grad(&cfg, black_box(2.0), black_box(3.0)))
+        b.iter(|| m.objective_grad(black_box(2.0), black_box(3.0)))
     });
     group.finish();
 }

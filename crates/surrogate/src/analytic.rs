@@ -73,40 +73,25 @@ pub fn derf(x: f64) -> f64 {
     core::f64::consts::FRAC_2_SQRT_PI * (-x * x).exp()
 }
 
-/// Tunables of the analytic proxy and its descender. Defaults are loose
-/// physical calibrations for the paper's package (silicon interposer
-/// under a copper spreader): they only need to reproduce the *shape* of
-/// the exact landscape, not its values.
-#[derive(Debug, Clone, Copy)]
-pub struct AnalyticConfig {
-    /// Lateral heat-spreading length of the package stack, mm.
-    pub sigma_mm: f64,
-    /// Peak self-rise per watt of a chiplet footprint, °C/W.
-    pub rise_per_watt: f64,
-    /// Uniform far-field rise per total watt, °C/W (a spacing-independent
-    /// offset that keeps the proxy temperature-like; no gradient).
-    pub background_per_watt: f64,
-    /// Log-sum-exp smoothing temperature for the peak, °C. Smaller is
-    /// sharper (closer to a hard max) but less smooth.
-    pub smooth_max_c: f64,
-    /// Maximum projected-gradient iterations per restart.
-    pub max_iters: usize,
-    /// Convergence threshold on the projected step length, mm.
-    pub step_tol_mm: f64,
-}
+// Tunables of the analytic proxy and its descender: loose physical
+// calibrations for the paper's package (silicon interposer under a copper
+// spreader). They only need to reproduce the *shape* of the exact
+// landscape, not its values.
 
-impl Default for AnalyticConfig {
-    fn default() -> Self {
-        AnalyticConfig {
-            sigma_mm: 3.0,
-            rise_per_watt: 0.3,
-            background_per_watt: 0.02,
-            smooth_max_c: 0.75,
-            max_iters: 60,
-            step_tol_mm: 1e-4,
-        }
-    }
-}
+/// Lateral heat-spreading length of the package stack, mm.
+const SIGMA_MM: f64 = 3.0;
+/// Peak self-rise per watt of a chiplet footprint, °C/W.
+const RISE_PER_WATT: f64 = 0.3;
+/// Uniform far-field rise per total watt, °C/W (a spacing-independent
+/// offset that keeps the proxy temperature-like; no gradient).
+const BACKGROUND_PER_WATT: f64 = 0.02;
+/// Log-sum-exp smoothing temperature for the peak, °C. Smaller is sharper
+/// (closer to a hard max) but less smooth.
+const SMOOTH_MAX_C: f64 = 0.75;
+/// Maximum projected-gradient iterations per restart.
+const MAX_ITERS: usize = 60;
+/// Convergence threshold on the projected step length, mm.
+const STEP_TOL_MM: f64 = 1e-4;
 
 /// The fixed-edge 16-chiplet spacing manifold: chiplet geometry plus the
 /// per-chiplet power map, everything the proxy needs to place sources.
@@ -191,10 +176,10 @@ struct Footprint {
 }
 
 impl Footprint {
-    fn new(m: &Manifold16, cfg: &AnalyticConfig) -> Self {
+    fn new(m: &Manifold16) -> Self {
         Footprint {
             h: m.wc / 2.0,
-            s: cfg.sigma_mm * core::f64::consts::SQRT_2,
+            s: SIGMA_MM * core::f64::consts::SQRT_2,
         }
     }
 
@@ -209,13 +194,8 @@ impl Footprint {
 
 /// Log-sum-exp smooth max of the probe rises `t` (shifted by the hard max
 /// for stability) and its gradient from the per-probe gradients.
-fn smooth_max(
-    cfg: &AnalyticConfig,
-    t: &[f64; 16],
-    g1: &[f64; 16],
-    g2: &[f64; 16],
-) -> (f64, f64, f64) {
-    let tau = cfg.smooth_max_c;
+fn smooth_max(t: &[f64; 16], g1: &[f64; 16], g2: &[f64; 16]) -> (f64, f64, f64) {
+    let tau = SMOOTH_MAX_C;
     let m = t.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
     let mut z = 0.0;
     let mut zg1 = 0.0;
@@ -306,9 +286,9 @@ impl Manifold16 {
     /// evaluation, and the (probe, source) loop keeps its operands and
     /// summation order, so the result is bitwise the same.
     #[must_use]
-    pub fn objective_grad(&self, cfg: &AnalyticConfig, s1: f64, s2: f64) -> (f64, f64, f64) {
+    pub fn objective_grad(&self, s1: f64, s2: f64) -> (f64, f64, f64) {
         let c = self.centers(s1, s2);
-        let fp = Footprint::new(self, cfg);
+        let fp = Footprint::new(self);
         let pos = AXIS_SLOTS.map(|(idx, inner)| self.axis_center(idx, inner, s1, s2).0);
         let mut f = [[0.0f64; 6]; 6];
         let mut df = [[0.0f64; 6]; 6];
@@ -320,8 +300,8 @@ impl Manifold16 {
             }
         }
         let slots = chiplet_slots();
-        let base = self.background(cfg);
-        let amp = cfg.rise_per_watt;
+        let base = self.background();
+        let amp = RISE_PER_WATT;
         // Per-probe rise and its gradient.
         let mut t = [0.0f64; 16];
         let mut g1 = [0.0f64; 16];
@@ -346,18 +326,18 @@ impl Manifold16 {
             g1[p] = a1;
             g2[p] = a2;
         }
-        smooth_max(cfg, &t, &g1, &g2)
+        smooth_max(&t, &g1, &g2)
     }
 
     /// [`Manifold16::objective_grad`] evaluated pair by pair: `F` and `F'`
     /// of every (probe, source) offset computed afresh. Kept as the
     /// bit-identity oracle of the tabulated path.
     #[cfg(test)]
-    fn objective_grad_per_pair(&self, cfg: &AnalyticConfig, s1: f64, s2: f64) -> (f64, f64, f64) {
+    fn objective_grad_per_pair(&self, s1: f64, s2: f64) -> (f64, f64, f64) {
         let c = self.centers(s1, s2);
-        let fp = Footprint::new(self, cfg);
-        let base = self.background(cfg);
-        let amp = cfg.rise_per_watt;
+        let fp = Footprint::new(self);
+        let base = self.background();
+        let amp = RISE_PER_WATT;
         let mut t = [0.0f64; 16];
         let mut g1 = [0.0f64; 16];
         let mut g2 = [0.0f64; 16];
@@ -380,30 +360,30 @@ impl Manifold16 {
             g1[p] = a1;
             g2[p] = a2;
         }
-        smooth_max(cfg, &t, &g1, &g2)
+        smooth_max(&t, &g1, &g2)
     }
 
     /// The spacing-independent far-field offset every probe starts from.
-    fn background(&self, cfg: &AnalyticConfig) -> f64 {
+    fn background(&self) -> f64 {
         let total: f64 = self.watts.iter().sum();
-        cfg.background_per_watt * total
+        BACKGROUND_PER_WATT * total
     }
 
     /// Multi-restart projected-gradient descent over the box. Fully
     /// deterministic: fixed restart pattern, fixed backtracking schedule.
     #[must_use]
-    pub fn descend(&self, cfg: &AnalyticConfig) -> DescentOutcome {
+    pub fn descend(&self) -> DescentOutcome {
         let hi = self.half_free();
         let mut optima = Vec::with_capacity(RESTART_FRACTIONS.len());
         let mut grad_evals = 0usize;
         for &(f1, f2) in &RESTART_FRACTIONS {
             let (mut x1, mut x2) = (f1 * hi, f2 * hi);
-            let (mut val, mut d1, mut d2) = self.objective_grad(cfg, x1, x2);
+            let (mut val, mut d1, mut d2) = self.objective_grad(x1, x2);
             grad_evals += 1;
             // Initial step sized to the box so the first probe is a
             // meaningful fraction of the search range.
-            let mut step = (hi / 4.0).max(cfg.step_tol_mm);
-            for _ in 0..cfg.max_iters {
+            let mut step = (hi / 4.0).max(STEP_TOL_MM);
+            for _ in 0..MAX_ITERS {
                 let gnorm = d1.hypot(d2);
                 if gnorm * step < 1e-12 {
                     break;
@@ -413,10 +393,10 @@ impl Manifold16 {
                 for _ in 0..25 {
                     let (n1, n2) = self.project(x1 - step * d1, x2 - step * d2);
                     let moved = (n1 - x1).hypot(n2 - x2);
-                    if moved < cfg.step_tol_mm {
+                    if moved < STEP_TOL_MM {
                         break;
                     }
-                    let (nval, nd1, nd2) = self.objective_grad(cfg, n1, n2);
+                    let (nval, nd1, nd2) = self.objective_grad(n1, n2);
                     grad_evals += 1;
                     if nval < val - 1e-10 {
                         x1 = n1;
@@ -424,7 +404,7 @@ impl Manifold16 {
                         val = nval;
                         d1 = nd1;
                         d2 = nd2;
-                        step = (step * 1.5).min(hi.max(cfg.step_tol_mm));
+                        step = (step * 1.5).min(hi.max(STEP_TOL_MM));
                         accepted = true;
                         break;
                     }
@@ -527,9 +507,9 @@ mod tests {
         }
     }
 
-    fn assert_tabulated_is_per_pair(m: &Manifold16, cfg: &AnalyticConfig, s1: f64, s2: f64) {
-        let (v, d1, d2) = m.objective_grad(cfg, s1, s2);
-        let (ov, od1, od2) = m.objective_grad_per_pair(cfg, s1, s2);
+    fn assert_tabulated_is_per_pair(m: &Manifold16, s1: f64, s2: f64) {
+        let (v, d1, d2) = m.objective_grad(s1, s2);
+        let (ov, od1, od2) = m.objective_grad_per_pair(s1, s2);
         let case = format!("free {} at ({s1}, {s2}), watts {:?}", m.free, m.watts);
         assert_eq!(v.to_bits(), ov.to_bits(), "value, {case}");
         assert_eq!(d1.to_bits(), od1.to_bits(), "d/ds1, {case}");
@@ -538,19 +518,18 @@ mod tests {
 
     #[test]
     fn tabulated_objective_is_bitwise_the_per_pair_oracle() {
-        let cfg = AnalyticConfig::default();
         let mut u = unit_stream(0x7AC2_5D00);
         for _ in 0..600 {
             let free = 18.0 * u();
             let watts: [f64; 16] = core::array::from_fn(|_| 5.0 + 20.0 * u());
             let m = manifold(free, watts);
             let hi = m.half_free();
-            assert_tabulated_is_per_pair(&m, &cfg, hi * u(), hi * u());
-            assert_tabulated_is_per_pair(&m, &cfg, 0.0, 0.0);
-            assert_tabulated_is_per_pair(&m, &cfg, hi, hi);
+            assert_tabulated_is_per_pair(&m, hi * u(), hi * u());
+            assert_tabulated_is_per_pair(&m, 0.0, 0.0);
+            assert_tabulated_is_per_pair(&m, hi, hi);
         }
         let m = manifold(0.0, uniform_watts(10.0));
-        assert_tabulated_is_per_pair(&m, &cfg, 0.0, 0.0);
+        assert_tabulated_is_per_pair(&m, 0.0, 0.0);
     }
 
     #[test]
@@ -562,14 +541,11 @@ mod tests {
                 11.0, 10.0,
             ],
         );
-        let cfg = AnalyticConfig::default();
         let h = 1e-5;
         for &(s1, s2) in &[(1.0, 2.0), (3.0, 3.0), (5.5, 0.5), (0.2, 5.8)] {
-            let (_, g1, g2) = m.objective_grad(&cfg, s1, s2);
-            let fd1 = (m.objective_grad(&cfg, s1 + h, s2).0 - m.objective_grad(&cfg, s1 - h, s2).0)
-                / (2.0 * h);
-            let fd2 = (m.objective_grad(&cfg, s1, s2 + h).0 - m.objective_grad(&cfg, s1, s2 - h).0)
-                / (2.0 * h);
+            let (_, g1, g2) = m.objective_grad(s1, s2);
+            let fd1 = (m.objective_grad(s1 + h, s2).0 - m.objective_grad(s1 - h, s2).0) / (2.0 * h);
+            let fd2 = (m.objective_grad(s1, s2 + h).0 - m.objective_grad(s1, s2 - h).0) / (2.0 * h);
             let scale = g1.abs().max(fd1.abs()).max(1e-8);
             assert!(
                 (g1 - fd1).abs() / scale < 1e-5,
@@ -589,7 +565,7 @@ mod tests {
         // centre chiplets from each other and from the ring: the optimum
         // should not collapse to s2 = 0.
         let m = manifold(12.0, uniform_watts(14.0));
-        let out = m.descend(&AnalyticConfig::default());
+        let out = m.descend();
         let best = out.optima.first().expect("descent returns optima");
         assert!(best.s2_mm > 0.5, "uniform optimum at s2 = {}", best.s2_mm);
         assert!(out.grad_evals > 0);
@@ -598,9 +574,8 @@ mod tests {
     #[test]
     fn descent_is_deterministic() {
         let m = manifold(9.5, uniform_watts(12.0));
-        let cfg = AnalyticConfig::default();
-        let a = m.descend(&cfg);
-        let b = m.descend(&cfg);
+        let a = m.descend();
+        let b = m.descend();
         assert_eq!(a.grad_evals, b.grad_evals);
         assert_eq!(a.optima, b.optima);
     }
@@ -608,7 +583,7 @@ mod tests {
     #[test]
     fn iterates_stay_in_the_box_and_on_the_manifold() {
         let m = manifold(7.0, uniform_watts(15.0));
-        let out = m.descend(&AnalyticConfig::default());
+        let out = m.descend();
         for o in &out.optima {
             assert!(o.s1_mm >= 0.0 && o.s1_mm <= m.half_free() + 1e-12);
             assert!(o.s2_mm >= 0.0 && o.s2_mm <= m.half_free() + 1e-12);
@@ -644,7 +619,7 @@ mod tests {
     #[test]
     fn zero_free_manifold_degenerates_gracefully() {
         let m = manifold(0.0, uniform_watts(10.0));
-        let out = m.descend(&AnalyticConfig::default());
+        let out = m.descend();
         assert!(out.optima.iter().all(|o| o.s1_mm == 0.0 && o.s2_mm == 0.0));
     }
 }

@@ -5,7 +5,7 @@
 //! clamped map onto the search lattice.
 
 use proptest::prelude::*;
-use tac25d_surrogate::analytic::{snap_to_lattice, AnalyticConfig, AnalyticOptimum, Manifold16};
+use tac25d_surrogate::analytic::{snap_to_lattice, AnalyticOptimum, Manifold16};
 
 /// Paper-package chiplet geometry; `free` and the power map are the
 /// randomized inputs.
@@ -40,16 +40,15 @@ proptest! {
         f2 in 0.05..0.95f64,
     ) {
         let m = manifold(free, &watts);
-        let cfg = AnalyticConfig::default();
         let hi = m.half_free();
         let (s1, s2) = (f1 * hi, f2 * hi);
         let h = 1e-5;
-        let (_, g1, g2) = m.objective_grad(&cfg, s1, s2);
-        let fd1 = (m.objective_grad(&cfg, s1 + h, s2).0
-            - m.objective_grad(&cfg, s1 - h, s2).0)
+        let (_, g1, g2) = m.objective_grad(s1, s2);
+        let fd1 = (m.objective_grad(s1 + h, s2).0
+            - m.objective_grad(s1 - h, s2).0)
             / (2.0 * h);
-        let fd2 = (m.objective_grad(&cfg, s1, s2 + h).0
-            - m.objective_grad(&cfg, s1, s2 - h).0)
+        let fd2 = (m.objective_grad(s1, s2 + h).0
+            - m.objective_grad(s1, s2 - h).0)
             / (2.0 * h);
         prop_assert!(
             rel_err(g1, fd1) <= 1e-5,
@@ -77,7 +76,7 @@ proptest! {
         let (p1, p2) = m.project(x1, x2);
         prop_assert!((0.0..=hi).contains(&p1), "s1 {p1} outside [0, {hi}]");
         prop_assert!((0.0..=hi).contains(&p2), "s2 {p2} outside [0, {hi}]");
-        let out = m.descend(&AnalyticConfig::default());
+        let out = m.descend();
         for o in &out.optima {
             prop_assert!(o.s1_mm >= 0.0 && o.s1_mm <= hi + 1e-12);
             prop_assert!(o.s2_mm >= 0.0 && o.s2_mm <= hi + 1e-12);
@@ -99,9 +98,8 @@ proptest! {
         watts in prop::collection::vec(5.0..25.0f64, 16..17),
     ) {
         let m = manifold(free, &watts);
-        let cfg = AnalyticConfig::default();
-        let a = m.descend(&cfg);
-        let b = m.descend(&cfg);
+        let a = m.descend();
+        let b = m.descend();
         prop_assert_eq!(a.grad_evals, b.grad_evals);
         prop_assert_eq!(a.optima, b.optima);
     }

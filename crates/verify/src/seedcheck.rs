@@ -20,7 +20,7 @@
 //! exact-solve budget by the one-sided `evaluator.exact_solves` gate of
 //! `obs-report --baseline`.
 
-use tac25d_surrogate::analytic::{snap_to_lattice, AnalyticConfig, Manifold16};
+use tac25d_surrogate::analytic::{snap_to_lattice, Manifold16};
 
 /// Maximum tolerated relative error between the analytic gradient and a
 /// central finite difference (floored at 1e-3 °C/mm, below which the
@@ -104,7 +104,6 @@ fn manifold_corpus() -> Vec<(String, Manifold16)> {
 /// Runs the gradient-vs-central-difference comparison over the corpus.
 #[must_use]
 pub fn gradient_cases() -> Vec<GradientCase> {
-    let cfg = AnalyticConfig::default();
     let probes = [
         (0.1, 0.1),
         (0.5, 0.5),
@@ -120,13 +119,11 @@ pub fn gradient_cases() -> Vec<GradientCase> {
             let mut max_rel_err = 0.0f64;
             for &(f1, f2) in &probes {
                 let (s1, s2) = (f1 * hi, f2 * hi);
-                let (_, g1, g2) = m.objective_grad(&cfg, s1, s2);
-                let fd1 = (m.objective_grad(&cfg, s1 + h, s2).0
-                    - m.objective_grad(&cfg, s1 - h, s2).0)
-                    / (2.0 * h);
-                let fd2 = (m.objective_grad(&cfg, s1, s2 + h).0
-                    - m.objective_grad(&cfg, s1, s2 - h).0)
-                    / (2.0 * h);
+                let (_, g1, g2) = m.objective_grad(s1, s2);
+                let fd1 =
+                    (m.objective_grad(s1 + h, s2).0 - m.objective_grad(s1 - h, s2).0) / (2.0 * h);
+                let fd2 =
+                    (m.objective_grad(s1, s2 + h).0 - m.objective_grad(s1, s2 - h).0) / (2.0 * h);
                 let rel = |a: f64, b: f64| (a - b).abs() / a.abs().max(b.abs()).max(1e-3);
                 max_rel_err = max_rel_err.max(rel(g1, fd1)).max(rel(g2, fd2));
             }
@@ -143,14 +140,13 @@ pub fn gradient_cases() -> Vec<GradientCase> {
 /// compares the seed points bit-for-bit.
 #[must_use]
 pub fn snap_cases() -> Vec<SnapCase> {
-    let cfg = AnalyticConfig::default();
     manifold_corpus()
         .into_iter()
         .map(|(name, m)| {
             let step = 0.5;
             let max_units = (m.half_free() / step).floor() as i64;
             let run = || {
-                let out = m.descend(&cfg);
+                let out = m.descend();
                 snap_to_lattice(&out.optima, step, max_units, max_units, 4)
             };
             let a = run();
